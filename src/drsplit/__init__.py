@@ -40,7 +40,7 @@ from .experiment import (
     generate_sparse_signal,
     run_experiment,
 )
-from .linalg import LinearMap, convolution_matrix, gram_extreme_eigenvalues, solve_spd
+from .linalg import LinearMap, convolution_matrix, solve_spd
 from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty, SoftPenalty, ZeroPenalty
 from .smooth import (
     QuadraticTerm,
@@ -53,12 +53,12 @@ from .solver import (
     IterationTrace,
     Problem,
     SolverConfig,
+    check_step,
     double_reflection,
     ista_step,
     reflect,
     run,
-    validate_step_main,
-    validate_step_shift,
+    step_bound,
 )
 
 __all__ = [
@@ -91,6 +91,7 @@ __all__ = [
     "add_noise_snr",
     "build_instance",
     "build_subspace_demo",
+    "check_step",
     "contraction_rate_main",
     "contraction_rate_shift",
     "convolution_matrix",
@@ -98,7 +99,6 @@ __all__ = [
     "double_reflection",
     "empirical_lipschitz",
     "generate_sparse_signal",
-    "gram_extreme_eigenvalues",
     "ista_step",
     "min_rate_main",
     "project_onto_support",
@@ -110,6 +110,5 @@ __all__ = [
     "run_experiment",
     "shift_rate_floor",
     "solve_spd",
-    "validate_step_main",
-    "validate_step_shift",
+    "step_bound",
 ]

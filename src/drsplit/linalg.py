@@ -111,11 +111,6 @@ class LinearMap:
         return self._extremes
 
 
-def gram_extreme_eigenvalues(op: LinearMap) -> tuple[float, float]:
-    """(s, sigma) = extreme eigenvalues of the operator's Gram matrix."""
-    return op.gram_extremes()
-
-
 def solve_spd(a, b) -> np.ndarray:
     """Solve A z = b for symmetric positive definite A via Cholesky."""
     a = as_matrix(a)

@@ -121,7 +121,7 @@ class ZeroPenalty(SeparablePenalty):
         return "ZeroPenalty()"
 
 
-class QuadraticPlusPenalty:
+class QuadraticPlusPenalty(SeparablePenalty):
     """g(x) = 0.5*||y - x||^2 + phi(x) for a separable penalty phi.
 
     Used when the quadratic data term is absorbed into the penalty side so
@@ -151,16 +151,5 @@ class QuadraticPlusPenalty:
         x = np.asarray(x, dtype=float)
         return self.base.prox((x + alpha * self.y) / (1.0 + alpha), alpha / (1.0 + alpha))
 
-    def shifted_prox(self, x, alpha: float):
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
-        scale = 1.0 + alpha * self.modulus
-        return self.prox(np.asarray(x, dtype=float) / scale, alpha / scale)
-
     def __repr__(self):
         return f"QuadraticPlusPenalty(n={self.y.size}, base={self.base!r})"
-
-
-def shifted_prox_weak(penalty, x, alpha: float):
-    """Prox of the convexified penalty g + (modulus/2)|.|^2 at step alpha."""
-    return penalty.shifted_prox(x, alpha)

@@ -175,13 +175,3 @@ class SubspaceConstraint:
 
     def shifted_prox(self, x, alpha: float, rho: float) -> np.ndarray:
         return _shifted_prox(self, x, alpha, rho)
-
-
-def quad_prox(term: QuadraticTerm, x, alpha: float) -> np.ndarray:
-    """Prox of the quadratic data term (SPD solve, factorization cached)."""
-    return term.prox(x, alpha)
-
-
-def shifted_prox_strong(term, x, alpha: float, rho: float) -> np.ndarray:
-    """Prox of f - (rho/2)|.|^2 at step alpha (the quadratic-shifted operator)."""
-    return _shifted_prox(term, x, alpha, rho)

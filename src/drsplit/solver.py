@@ -9,7 +9,8 @@ weakly convex (modulus rho):
   the primal point as prox_g(z); ``gf`` swaps the order and extracts prox_f(z).
 * ``dr-shift-*``  the same double reflection built from the proxes of the
   convexified pair g + (rho/2)|.|^2 and f - (rho/2)|.|^2; step gate
-  alpha*rho < 1 (strict).  Extraction uses the corresponding shifted prox.
+  alpha*rho < 1 (strict), and rho may not exceed the strong convexity s of f.
+  Extraction uses the corresponding shifted prox.
 
 ``ista`` is the forward-backward baseline x <- prox_g(x - alpha grad f(x)).
 """
@@ -19,15 +20,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, StepSizeError
+from .errors import DivergenceError, DrsplitError, NonConvexShiftError, StepSizeError
 
-MAIN_VARIANTS = ("dr-main-fg", "dr-main-gf")
-SHIFT_VARIANTS = ("dr-shift-fg", "dr-shift-gf")
-DR_VARIANTS = MAIN_VARIANTS + SHIFT_VARIANTS
+# Every DR variant is a reflection order and a choice of proxes: plain (f, g)
+# or the convexified pair f - (rho/2)|.|^2, g + (rho/2)|.|^2.
+DR_TABLE = {
+    "dr-main-fg": ("fg", False),
+    "dr-main-gf": ("gf", False),
+    "dr-shift-fg": ("fg", True),
+    "dr-shift-gf": ("gf", True),
+}
+DR_VARIANTS = tuple(DR_TABLE)
 VARIANTS = DR_VARIANTS + ("ista",)
 
 # Margin below the step-size bound used when no explicit alpha is given.
@@ -69,76 +76,47 @@ class Problem:
         return float(np.linalg.norm(np.asarray(x, dtype=float) - self.penalty.prox(step, alpha)))
 
 
-class StepCheck(NamedTuple):
-    ok: bool
-    bound: float
+def step_bound(variant: str, sigma, rho: float) -> float:
+    """Upper step bound of a variant (may be infinite).
 
-
-def validate_step_main(alpha: float, sigma: float, rho: float) -> StepCheck:
-    """Gate for the direct variants: alpha <= 1/sqrt(sigma*rho), inclusive.
-
-    With rho = 0 the bound is infinite and every positive alpha passes.
+    1/sqrt(sigma*rho) for dr-main, 1/rho for dr-shift and 1/sigma for ista;
+    a zero modulus leaves both DR families unbounded.
     """
-    if rho < 0 or sigma < rho:
-        raise ValueError(f"need sigma >= rho >= 0, got sigma={sigma}, rho={rho}")
-    bound = math.inf if rho == 0 else 1.0 / math.sqrt(sigma * rho)
-    return StepCheck(0 < alpha <= bound, bound)
-
-
-def validate_step_shift(alpha: float, rho: float) -> StepCheck:
-    """Gate for the shifted variants: alpha * rho < 1, strict."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
-    bound = math.inf if rho == 0 else 1.0 / rho
-    return StepCheck(0 < alpha and alpha * rho < 1.0, bound)
-
-
-def step_bound(variant: str, sigma, rho: float) -> float:
-    """Upper step bound of a variant (may be infinite)."""
-    if variant in MAIN_VARIANTS:
-        if sigma is None:
-            raise StepSizeError(f"{variant} needs the gradient Lipschitz constant of the smooth term")
-        return validate_step_main(0.0, sigma, rho).bound
-    if variant in SHIFT_VARIANTS:
-        return validate_step_shift(0.0, rho).bound
+    if variant != "ista" and DR_TABLE[variant][1]:
+        return math.inf if rho == 0 else 1.0 / rho
+    if sigma is None:
+        raise StepSizeError(f"{variant} needs the gradient Lipschitz constant of the smooth term")
     if variant == "ista":
-        if sigma is None:
-            raise StepSizeError("ista needs the gradient Lipschitz constant of the smooth term")
         return 1.0 / sigma
-    raise ValueError(f"unknown variant {variant!r}")
+    if sigma < rho:
+        raise ValueError(f"need sigma >= rho >= 0, got sigma={sigma}, rho={rho}")
+    return math.inf if rho == 0 else 1.0 / math.sqrt(sigma * rho)
 
 
-def _check_gate(problem: Problem, variant: str, alpha: float) -> None:
-    rho = problem.rho
-    if variant in MAIN_VARIANTS:
-        sigma = problem.grad_lipschitz
-        if sigma is None:
-            raise StepSizeError(f"{variant} needs the gradient Lipschitz constant of the smooth term")
-        check = validate_step_main(alpha, sigma, rho)
-        if not check.ok:
-            raise StepSizeError(f"alpha = {alpha:.6g} violates the bound 1/sqrt(sigma*rho) = {check.bound:.6g}")
-    elif variant in SHIFT_VARIANTS:
-        check = validate_step_shift(alpha, rho)
-        if not check.ok:
-            raise StepSizeError(f"alpha = {alpha:.6g} violates the strict bound 1/rho = {check.bound:.6g}")
-    elif variant == "ista":
-        sigma = problem.grad_lipschitz
-        if sigma is None or not problem.has_gradient():
-            raise StepSizeError("ista needs a differentiable smooth term")
-        if not 0 < alpha <= 1.0 / sigma:
-            raise StepSizeError(f"alpha = {alpha:.6g} violates the ista bound 1/sigma = {1.0 / sigma:.6g}")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+def check_step(variant: str, alpha: float, sigma, rho: float, s=None) -> None:
+    """Raise StepSizeError unless alpha passes the variant's step gate:
+    0 < alpha <= step_bound for dr-main and ista, alpha * rho < 1 (strict)
+    for dr-shift.  A shifted variant also raises NonConvexShiftError when s
+    is given and rho exceeds it."""
+    bound = step_bound(variant, sigma, rho)
+    shifted = variant != "ista" and DR_TABLE[variant][1]
+    if shifted and s is not None and rho > s:
+        raise NonConvexShiftError(f"shift rho = {rho:.6g} exceeds the strong convexity s = {s:.6g}")
+    if not (0 < alpha and alpha * rho < 1.0 if shifted else 0 < alpha <= bound):
+        kind = "strict bound" if shifted else "bound"
+        raise StepSizeError(f"alpha = {alpha:.6g} violates the {kind} {bound:.6g} of {variant}")
 
 
 def default_alpha(problem: Problem, variant: str) -> float:
-    """0.99x the variant's step bound; falls back to 1/sigma when unbounded."""
+    """0.99x the variant's step bound; 1/sigma for ista or when unbounded."""
     sigma = problem.grad_lipschitz
-    if variant == "ista":
-        if sigma is None:
-            raise StepSizeError("ista needs the gradient Lipschitz constant of the smooth term")
-        return 1.0 / sigma
     bound = step_bound(variant, sigma, problem.rho)
+    if variant == "ista":
+        return bound
     if math.isfinite(bound):
         return DEFAULT_ALPHA_FRACTION * bound
     if sigma is not None:
@@ -152,24 +130,31 @@ def reflect(prox_op: Callable, z, alpha: float) -> np.ndarray:
     return 2.0 * prox_op(z, alpha) - z
 
 
+def prox_pair(problem: Problem, alpha: float, variant: str) -> tuple[Callable, Callable]:
+    """The (first, second) proxes z -> x of a DR variant, in reflection order.
+
+    The ``fg`` order reflects through the g-side first and the f-side last;
+    ``gf`` swaps them.  The variant's primal point is always first(z).
+    """
+    if variant not in DR_TABLE:
+        raise ValueError(f"unknown double-reflection variant {variant!r}")
+    order, shifted = DR_TABLE[variant]
+    f, g = problem.smooth, problem.penalty
+    if shifted:
+        rho = problem.rho
+        f_prox, g_prox = (lambda z: f.shifted_prox(z, alpha, rho)), (lambda z: g.shifted_prox(z, alpha))
+    else:
+        f_prox, g_prox = (lambda z: f.prox(z, alpha)), (lambda z: g.prox(z, alpha))
+    return (g_prox, f_prox) if order == "fg" else (f_prox, g_prox)
+
+
 def double_reflection(problem: Problem, alpha: float, variant: str) -> Callable:
     """The unrelaxed composition of the variant's two reflections.
 
     For ``dr-main-fg`` / ``dr-shift-fg`` this is the raw double-reflection
     operator whose contraction rates the rate calculators bound.
     """
-    f, g = problem.smooth, problem.penalty
-    rho = problem.rho
-    if variant == "dr-main-fg":
-        first, second = (lambda z: g.prox(z, alpha)), (lambda z: f.prox(z, alpha))
-    elif variant == "dr-main-gf":
-        first, second = (lambda z: f.prox(z, alpha)), (lambda z: g.prox(z, alpha))
-    elif variant == "dr-shift-fg":
-        first, second = (lambda z: g.shifted_prox(z, alpha)), (lambda z: f.shifted_prox(z, alpha, rho))
-    elif variant == "dr-shift-gf":
-        first, second = (lambda z: f.shifted_prox(z, alpha, rho)), (lambda z: g.shifted_prox(z, alpha))
-    else:
-        raise ValueError(f"unknown double-reflection variant {variant!r}")
+    first, second = prox_pair(problem, alpha, variant)
 
     def op(z):
         z = np.asarray(z, dtype=float)
@@ -179,54 +164,18 @@ def double_reflection(problem: Problem, alpha: float, variant: str) -> Callable:
     return op
 
 
-def primal_extraction(problem: Problem, alpha: float, variant: str) -> Callable:
-    """Map from the driver iterate z to the variant's primal point."""
-    f, g = problem.smooth, problem.penalty
-    rho = problem.rho
-    if variant == "dr-main-fg":
-        return lambda z: g.prox(z, alpha)
-    if variant == "dr-main-gf":
-        return lambda z: f.prox(z, alpha)
-    if variant == "dr-shift-fg":
-        return lambda z: g.shifted_prox(z, alpha)
-    if variant == "dr-shift-gf":
-        return lambda z: f.shifted_prox(z, alpha, rho)
-    if variant == "ista":
-        return lambda z: z
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _relaxed_step(problem, z, alpha, relaxation, variant):
-    _check_gate(problem, variant, alpha)
+def dr_step(problem: Problem, z, alpha: float, variant: str, relaxation: float = 0.5) -> np.ndarray:
+    """One relaxed step (1 - relaxation) z + relaxation T(z) of a DR variant."""
+    check_step(variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
     if not 0.0 < relaxation < 1.0:
         raise ValueError(f"relaxation must lie in (0, 1), got {relaxation}")
     z = np.asarray(z, dtype=float)
     return (1.0 - relaxation) * z + relaxation * double_reflection(problem, alpha, variant)(z)
 
 
-def dr_step_main_fg(problem, z, alpha, relaxation=0.5):
-    """One relaxed step of the direct variant with the f-reflection outermost."""
-    return _relaxed_step(problem, z, alpha, relaxation, "dr-main-fg")
-
-
-def dr_step_main_gf(problem, z, alpha, relaxation=0.5):
-    """One relaxed step of the direct variant with the g-reflection outermost."""
-    return _relaxed_step(problem, z, alpha, relaxation, "dr-main-gf")
-
-
-def dr_step_shift_fg(problem, z, alpha, relaxation=0.5):
-    """One relaxed step of the quadratic-shifted variant, f-side outermost."""
-    return _relaxed_step(problem, z, alpha, relaxation, "dr-shift-fg")
-
-
-def dr_step_shift_gf(problem, z, alpha, relaxation=0.5):
-    """One relaxed step of the quadratic-shifted variant, g-side outermost."""
-    return _relaxed_step(problem, z, alpha, relaxation, "dr-shift-gf")
-
-
 def ista_step(problem, x, alpha):
     """Forward-backward step prox_g(x - alpha grad f(x))."""
-    _check_gate(problem, "ista", alpha)
+    check_step("ista", alpha, problem.grad_lipschitz, problem.rho)
     x = np.asarray(x, dtype=float)
     return problem.penalty.prox(x - alpha * problem.smooth.grad(x), alpha)
 
@@ -329,12 +278,14 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     """Iterate the configured variant from z0 = 0 until tol or max_iters.
 
     Records cost, step norm, fixed-point residual, and reference distance at
-    every iterate (including the initial point).  Raises DivergenceError as
-    soon as an iterate stops being finite, and StepSizeError when alpha fails
-    the variant's gate.
+    every iterate (including the initial point).  The step gate runs before
+    the first iteration: StepSizeError when alpha fails it, and
+    NonConvexShiftError when a shifted variant's rho exceeds s.  Raises
+    DivergenceError as soon as an iterate stops being finite; drsplit's own
+    errors raised inside a step propagate unchanged.
     """
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
-    _check_gate(problem, config.variant, alpha)
+    check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
 
     reference = None
     if config.record_reference is not None:
@@ -346,11 +297,12 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     if config.variant == "ista":
         step = lambda x: problem.penalty.prox(x - alpha * problem.smooth.grad(x), alpha)
+        extract = lambda z: z
     else:
         operator = double_reflection(problem, alpha, config.variant)
         lam = config.relaxation
         step = lambda z: (1.0 - lam) * z + lam * operator(z)
-    extract = primal_extraction(problem, alpha, config.variant)
+        extract = prox_pair(problem, alpha, config.variant)[0]
 
     # Residuals are audited at a fixed step so they compare across variants.
     sigma = problem.grad_lipschitz
@@ -375,6 +327,8 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     for n in range(1, config.max_iters + 1):
         try:
             z_new = step(z)
+        except DrsplitError:
+            raise
         except (ValueError, FloatingPointError) as exc:
             # overflow inside a prox solve surfaces as a non-finite-input error
             raise DivergenceError(

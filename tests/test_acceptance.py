@@ -20,6 +20,7 @@ from drsplit import (
     SolverConfig,
     build_instance,
     build_subspace_demo,
+    check_step,
     contraction_rate_main,
     contraction_rate_shift,
     double_reflection,
@@ -29,10 +30,10 @@ from drsplit import (
     run,
     run_experiment,
     shift_rate_floor,
-    validate_step_main,
+    step_bound,
 )
 from drsplit.experiment import derive_seeds
-from drsplit.solver import dr_step_main_fg, dr_step_shift_fg
+from drsplit.solver import dr_step
 from oracles import grid_prox
 
 
@@ -188,10 +189,10 @@ def test_criterion_8_convex_limit_regression():
         alpha = 0.8
         z_main = z_shift = rng.normal(size=6)
         for _ in range(100):
-            z_main = dr_step_main_fg(problem, z_main, alpha)
-            z_shift = dr_step_shift_fg(problem, z_shift, alpha)
+            z_main = dr_step(problem, z_main, alpha, "dr-main-fg")
+            z_shift = dr_step(problem, z_shift, alpha, "dr-shift-fg")
             assert np.linalg.norm(z_main - z_shift) <= 1e-12
 
         sigma = problem.grad_lipschitz
-        check = validate_step_main(1e12, sigma, 0.0)
-        assert check.ok and math.isinf(check.bound)
+        check_step("dr-main-fg", 1e12, sigma, 0.0)
+        assert math.isinf(step_bound("dr-main-fg", sigma, 0.0))

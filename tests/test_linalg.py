@@ -7,7 +7,6 @@ from drsplit import (
     LinearMap,
     RankDeficiencyError,
     convolution_matrix,
-    gram_extreme_eigenvalues,
     solve_spd,
 )
 from oracles import eig_extremes_via_charpoly
@@ -87,10 +86,10 @@ class TestLinearMap:
 
 class TestGramExtremes:
     def test_identity(self):
-        assert gram_extreme_eigenvalues(LinearMap(np.eye(3))) == (1.0, 1.0)
+        assert LinearMap(np.eye(3)).gram_extremes() == (1.0, 1.0)
 
     def test_diagonal(self):
-        s, sigma = gram_extreme_eigenvalues(LinearMap(np.diag([1.0, 2.0])))
+        s, sigma = LinearMap(np.diag([1.0, 2.0])).gram_extremes()
         assert s == pytest.approx(1.0, rel=1e-12)
         assert sigma == pytest.approx(4.0, rel=1e-12)
 

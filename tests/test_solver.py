@@ -7,26 +7,26 @@ import pytest
 from drsplit import (
     DivergenceError,
     FirmPenalty,
+    FactorizationError,
     LinearMap,
+    NonConvexShiftError,
     Problem,
+    QuadraticPlusPenalty,
     QuadraticTerm,
     SoftPenalty,
     SolverConfig,
     StepSizeError,
+    SubspaceConstraint,
+    VARIANTS,
     ZeroPenalty,
+    check_step,
     double_reflection,
     ista_step,
     reflect,
     run,
-    validate_step_main,
-    validate_step_shift,
+    step_bound,
 )
-from drsplit.solver import (
-    dr_step_main_fg,
-    dr_step_main_gf,
-    dr_step_shift_fg,
-    dr_step_shift_gf,
-)
+from drsplit.solver import dr_step
 from oracles import grid_minimize
 
 
@@ -67,7 +67,7 @@ class TestPlantedMinimizer:
         alpha = 0.5
         z = x_star + alpha * problem.smooth.grad(x_star)
         for lam in (0.3, 0.5, 0.9):
-            np.testing.assert_allclose(dr_step_main_gf(problem, z, alpha, lam), z, atol=1e-10)
+            np.testing.assert_allclose(dr_step(problem, z, alpha, "dr-main-gf", lam), z, atol=1e-10)
         # the driver point recovers the minimizer through the f-prox
         np.testing.assert_allclose(problem.smooth.prox(z, alpha), x_star, atol=1e-12)
 
@@ -76,7 +76,7 @@ class TestPlantedMinimizer:
         alpha = 0.5
         z = x_star + alpha * problem.smooth.grad(x_star)
         q = 2 * x_star - z
-        np.testing.assert_allclose(dr_step_main_fg(problem, q, alpha, 0.5), q, atol=1e-10)
+        np.testing.assert_allclose(dr_step(problem, q, alpha, "dr-main-fg", 0.5), q, atol=1e-10)
         np.testing.assert_allclose(problem.penalty.prox(q, alpha), x_star, atol=1e-12)
 
     def test_ista_fixed_point_one_dim(self):
@@ -105,39 +105,52 @@ class TestReflect:
 
 class TestStepValidators:
     def test_main_bound_value(self):
-        check = validate_step_main(0.4, sigma=4.0, rho=1.0)
-        assert check.ok and check.bound == pytest.approx(0.5)
-        assert not validate_step_main(0.51, 4.0, 1.0).ok
+        check_step("dr-main-fg", 0.4, sigma=4.0, rho=1.0)
+        assert step_bound("dr-main-fg", 4.0, 1.0) == pytest.approx(0.5)
+        with pytest.raises(StepSizeError):
+            check_step("dr-main-fg", 0.51, 4.0, 1.0)
 
     def test_main_unbounded_at_zero_modulus(self):
-        check = validate_step_main(1e9, sigma=4.0, rho=0.0)
-        assert check.ok and math.isinf(check.bound)
+        check_step("dr-main-fg", 1e9, sigma=4.0, rho=0.0)
+        assert math.isinf(step_bound("dr-main-fg", 4.0, 0.0))
 
     def test_main_boundary_inclusive(self):
-        assert validate_step_main(1.0, sigma=1.0, rho=1.0).ok
+        check_step("dr-main-fg", 1.0, sigma=1.0, rho=1.0)
 
     def test_main_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            validate_step_main(0.1, sigma=1.0, rho=2.0)
+            check_step("dr-main-fg", 0.1, sigma=1.0, rho=2.0)
 
     def test_shift_strict(self):
-        assert validate_step_shift(0.999, 1.0).ok
-        assert not validate_step_shift(1.0, 1.0).ok
+        check_step("dr-shift-fg", 0.999, None, 1.0)
+        with pytest.raises(StepSizeError):
+            check_step("dr-shift-fg", 1.0, None, 1.0)
 
     def test_shift_zero_modulus(self):
-        assert validate_step_shift(1e12, 0.0).ok
+        check_step("dr-shift-fg", 1e12, None, 0.0)
+
+    def test_shift_rejects_nonconvex_shift(self):
+        check_step("dr-shift-gf", 0.5, None, 0.5, s=0.5)
+        with pytest.raises(NonConvexShiftError):
+            check_step("dr-shift-gf", 0.5, None, 0.5, s=0.0)
+
+    def test_every_variant_has_a_bound(self):
+        for variant in VARIANTS:
+            assert step_bound(variant, 4.0, 1.0) > 0
+        with pytest.raises(ValueError):
+            step_bound("dr-unknown", 4.0, 1.0)
 
 
 class TestGates:
     def test_main_step_gate_enforced(self, planted):
         problem, _ = planted
         with pytest.raises(StepSizeError):
-            dr_step_main_fg(problem, np.zeros(2), alpha=5.0)
+            dr_step(problem, np.zeros(2), 5.0, "dr-main-fg")
 
     def test_shift_step_gate_enforced(self, planted):
         problem, _ = planted
         with pytest.raises(StepSizeError):
-            dr_step_shift_fg(problem, np.zeros(2), alpha=2.0)  # alpha * rho = 1
+            dr_step(problem, np.zeros(2), 2.0, "dr-shift-fg")  # alpha * rho = 1
 
     def test_ista_gate(self, planted):
         problem, _ = planted
@@ -147,7 +160,7 @@ class TestGates:
     def test_relaxation_range(self, planted):
         problem, _ = planted
         with pytest.raises(ValueError):
-            dr_step_main_fg(problem, np.zeros(2), alpha=0.5, relaxation=1.0)
+            dr_step(problem, np.zeros(2), 0.5, "dr-main-fg", relaxation=1.0)
         with pytest.raises(ValueError):
             SolverConfig("dr-main-fg", relaxation=0.0)
 
@@ -206,10 +219,10 @@ class TestShiftReducesToMain:
         z = rng.normal(size=4)
         a = 0.7
         np.testing.assert_allclose(
-            dr_step_shift_fg(problem, z, a), dr_step_main_fg(problem, z, a), atol=1e-9
+            dr_step(problem, z, a, "dr-shift-fg"), dr_step(problem, z, a, "dr-main-fg"), atol=1e-9
         )
         np.testing.assert_allclose(
-            dr_step_shift_gf(problem, z, a), dr_step_main_gf(problem, z, a), atol=1e-9
+            dr_step(problem, z, a, "dr-shift-gf"), dr_step(problem, z, a, "dr-main-gf"), atol=1e-9
         )
 
     @pytest.mark.parametrize("penalty", [SoftPenalty(0.5), ZeroPenalty()])
@@ -219,8 +232,8 @@ class TestShiftReducesToMain:
         problem = Problem(QuadraticTerm(h, rng.normal(size=6)), penalty)
         z_main = z_shift = rng.normal(size=4)
         for _ in range(100):
-            z_main = dr_step_main_fg(problem, z_main, 0.8)
-            z_shift = dr_step_shift_fg(problem, z_shift, 0.8)
+            z_main = dr_step(problem, z_main, 0.8, "dr-main-fg")
+            z_shift = dr_step(problem, z_shift, 0.8, "dr-shift-fg")
             assert np.linalg.norm(z_main - z_shift) <= 1e-12
 
 
@@ -249,7 +262,7 @@ def test_fejer_monotone_distance_to_limit(exp1_problem):
     z = np.zeros(exp1_problem.dim)
     dist = np.linalg.norm(z - limit)
     for _ in range(500):
-        z = dr_step_main_fg(exp1_problem, z, alpha, 0.5)
+        z = dr_step(exp1_problem, z, alpha, "dr-main-fg", 0.5)
         new_dist = np.linalg.norm(z - limit)
         assert new_dist <= dist + 1e-10
         dist = new_dist
@@ -289,6 +302,22 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"iteration \d+"):
                 run(problem, SolverConfig("dr-main-fg", alpha=1.0, max_iters=50))
+
+    def test_nonconvex_shift_is_not_divergence(self):
+        y = np.random.default_rng(3).normal(size=8)
+        problem = Problem(SubspaceConstraint(8, [0, 2, 4]), QuadraticPlusPenalty(y, FirmPenalty(1.0, 1.5)))
+        with pytest.raises(NonConvexShiftError):
+            run(problem, SolverConfig("dr-shift-fg", alpha=0.5, max_iters=5))
+
+    def test_own_errors_inside_a_step_propagate_unwrapped(self):
+        class BrokenTerm(QuadraticTerm):
+            # only the step itself calls the f-prox of dr-main-fg
+            def prox(self, x, alpha):
+                raise FactorizationError("broken on purpose")
+
+        problem = Problem(BrokenTerm(LinearMap(np.eye(3)), np.ones(3)), ZeroPenalty())
+        with pytest.raises(FactorizationError):
+            run(problem, SolverConfig("dr-main-fg", alpha=1.0, max_iters=5))
 
     def test_gate_violation_raises(self, exp1_problem):
         with pytest.raises(StepSizeError):
