@@ -11,6 +11,11 @@ Two stock configurations are provided: ``EXP1`` (ratio 15.96, rho = s) and
 instance with an ISTA reference (10k iterations) plus the configured DR
 variants at 0.99x their step bounds and reports iterations-to-threshold of
 the distance to the reference minimizer.
+
+The seeds of one spec share the operator H; only y and tau differ.  So
+``run_experiment`` solves up to BLOCK_SEEDS seeds at a time as one block
+problem (``block_problem``) through the same ``solver.run``, and each seed's
+numbers and files are byte-identical to those of a run on that seed alone.
 """
 
 from __future__ import annotations
@@ -30,9 +35,13 @@ from .errors import DivergenceError, FilterDesignError
 from .linalg import LinearMap, convolution_matrix
 from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty
 from .smooth import QuadraticTerm, SubspaceConstraint, support_mask
-from .solver import Problem, SolverConfig, run, step_bound
+from .solver import IterationTrace, Problem, SolverConfig, run, step_bound
 
 logger = logging.getLogger(__name__)
+
+# Most seeds solved as one block: bounds the memory of a block's traces when
+# an experiment runs many seeds.
+BLOCK_SEEDS = 20
 
 
 def generate_sparse_signal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,6 +203,19 @@ def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
     )
 
 
+def block_problem(instances) -> Problem:
+    """One block problem over instances that share their filter and rho:
+    the observations stacked to (B, m), the weights tau to a (B, 1) column."""
+    first = instances[0]
+    for inst in instances[1:]:
+        if inst.filter_taps != first.filter_taps or inst.penalty.rho != first.penalty.rho:
+            raise ValueError(f"seed {inst.seed} does not share the filter and rho of seed {first.seed}")
+    return Problem(
+        QuadraticTerm(first.operator, np.stack([inst.y for inst in instances])),
+        FirmPenalty(np.array([[inst.penalty.tau] for inst in instances]), first.penalty.rho),
+    )
+
+
 def build_subspace_demo(y, support, penalty: SeparablePenalty) -> tuple[Problem, np.ndarray]:
     """Constrained problem min 0.5||y - x||^2 + i_K(x) + phi(x) split for the
     shifted variants as f = i_K, g = 0.5||y - x||^2 + phi.
@@ -293,6 +315,7 @@ class ExperimentReport:
                 "main_faster_count": wins,
                 "seeds_compared": total,
                 "dr_beats_ista_every_seed": self.dr_beats_ista_every_seed(),
+                "failed_seeds": len(self.results) - len(self.ok_results()),
             },
         }
 
@@ -301,14 +324,58 @@ class ExperimentReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
+def _solve(problem: Problem, spec: ExperimentSpec, sigma: float) -> dict[str, IterationTrace]:
+    """The ISTA reference, then the traces of ISTA and of every DR variant
+    against it, on one instance or on a block."""
+    x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters)).final_x
+    traces = {
+        "ista": run(problem, SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref))
+    }
+    for variant in spec.variants:
+        bound = step_bound(variant, sigma, problem.rho)
+        alpha = spec.alpha_fraction * bound if math.isfinite(bound) else None
+        traces[variant] = run(
+            problem,
+            SolverConfig(
+                variant,
+                alpha=alpha,
+                relaxation=spec.relaxation,
+                max_iters=spec.max_iters,
+                record_reference=x_ref,
+            ),
+        )
+    return traces
+
+
+def _solve_block(instances, spec: ExperimentSpec, sigma: float) -> list:
+    """Per instance, its traces by solver name, or the DivergenceError that
+    aborted it.  A block that diverges is solved again one seed at a time, so
+    the seeds that do converge still complete."""
+    try:
+        blocks = {name: t.split() for name, t in _solve(block_problem(instances), spec, sigma).items()}
+        return [{name: rows[b] for name, rows in blocks.items()} for b in range(len(instances))]
+    except DivergenceError as exc:
+        logger.info("a block of %d seeds diverged (%s); solving them one at a time", len(instances), exc)
+    outcomes = []
+    for inst in instances:
+        try:
+            outcomes.append(_solve(inst.problem(), spec, sigma))
+        except DivergenceError as exc:
+            logger.warning("seed %d aborted: %s", inst.seed, exc)
+            outcomes.append(exc)
+    return outcomes
+
+
 def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> ExperimentReport:
     """Run every seeded instance of the experiment recipe and aggregate the results.
 
     Per seed: build the instance, compute the ISTA reference minimizer, then
     run ISTA and the configured DR variants (at alpha_fraction x their step
     bounds) against it, recording iterations until the distance to the
-    reference drops below spec.dist_threshold.  A diverging solver aborts the
-    seed with a logged diagnostic; remaining seeds still run.  When out_dir
+    reference drops below spec.dist_threshold.  Seeds are solved in blocks of
+    at most BLOCK_SEEDS, each seed with the same results as alone.  A
+    diverging solver aborts the seed with a logged diagnostic; remaining
+    seeds still run, and the aggregate counts the failed seeds.  When out_dir
     is given, instances, per-variant trace CSVs, and the aggregate report are
     written there.
     """
@@ -317,55 +384,37 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
 
+    seeds = derive_seeds(master_seed, spec.n_seeds)
     results = []
     achieved = math.nan
-    for idx, seed in enumerate(derive_seeds(master_seed, spec.n_seeds)):
-        instance = build_instance(spec, seed)
-        problem = instance.problem()
-        s, sigma = instance.operator.gram_extremes()
+    for start in range(0, len(seeds), BLOCK_SEEDS):
+        chunk = seeds[start : start + BLOCK_SEEDS]
+        instances = [build_instance(spec, seed) for seed in chunk]
+        s, sigma = instances[0].operator.gram_extremes()
         achieved = sigma / s
-        traces = {}
-        try:
-            reference = run(problem, SolverConfig("ista", max_iters=spec.reference_iters))
-            x_ref = reference.final_x
-            traces["ista"] = run(
-                problem,
-                SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref),
-            )
-            for variant in spec.variants:
-                bound = step_bound(variant, sigma, problem.rho)
-                alpha = spec.alpha_fraction * bound if math.isfinite(bound) else None
-                traces[variant] = run(
-                    problem,
-                    SolverConfig(
-                        variant,
-                        alpha=alpha,
-                        relaxation=spec.relaxation,
-                        max_iters=spec.max_iters,
-                        record_reference=x_ref,
-                    ),
+        outcomes = _solve_block(instances, spec, sigma)
+        for idx, seed, instance, traces in zip(range(start, len(seeds)), chunk, instances, outcomes):
+            if isinstance(traces, DivergenceError):
+                results.append(
+                    SeedResult(
+                        seed=seed, iterations_to_threshold={}, final_cost={}, final_dist={}, failed=str(traces)
+                    )
                 )
-        except DivergenceError as exc:
-            logger.warning("seed %d aborted: %s", seed, exc)
+                continue
             results.append(
-                SeedResult(seed=seed, iterations_to_threshold={}, final_cost={}, final_dist={}, failed=str(exc))
+                SeedResult(
+                    seed=seed,
+                    iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
+                    final_cost={k: t.final_cost for k, t in traces.items()},
+                    final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
+                )
             )
-            continue
-
-        results.append(
-            SeedResult(
-                seed=seed,
-                iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
-                final_cost={k: t.final_cost for k, t in traces.items()},
-                final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
-            )
-        )
-        if out_path is not None:
-            seed_dir = out_path / f"seed_{idx:03d}"
-            seed_dir.mkdir(exist_ok=True)
-            instance.save(seed_dir / "instance.json")
-            for name, trace in traces.items():
-                trace.to_csv(seed_dir / f"{name}.csv")
+            if out_path is not None:
+                seed_dir = out_path / f"seed_{idx:03d}"
+                seed_dir.mkdir(exist_ok=True)
+                instance.save(seed_dir / "instance.json")
+                for name, trace in traces.items():
+                    trace.to_csv(seed_dir / f"{name}.csv")
 
     report = ExperimentReport(
         spec=spec, master_seed=master_seed, achieved_ratio=achieved, results=tuple(results)

@@ -2,6 +2,11 @@
 
 Vectors and matrices are plain float64 ``numpy`` arrays; ``LinearMap`` wraps a
 dense matrix together with lazily cached extreme eigenvalues of its Gram matrix.
+Operators also act on a block of B row vectors, shape (B, n).  Block results
+are built from calls that give, per row, the same bits as the call on that
+row alone: ``matvec`` and ``row_norm`` below.  ``X @ M.T``,
+``np.linalg.norm(X, axis=1)`` and ``einsum`` round differently per row and
+are not used.
 """
 
 from __future__ import annotations
@@ -21,6 +26,28 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     return v
+
+
+def as_rows(x) -> np.ndarray:
+    """Coerce to a float64 vector (n,) or a block of row vectors (B, n)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a (B, n) block of vectors, got shape {v.shape}")
+    return v
+
+
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a vector x, or for each row of a (B, n) block.
+
+    The stacked matmul runs one matrix-vector product per row, so each row
+    equals ``m @ row`` bit for bit.
+    """
+    return np.matmul(m, x[..., None])[..., 0]
+
+
+def row_norm(v: np.ndarray):
+    """Euclidean norm over the last axis; per row bit-equal to np.linalg.norm."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -73,16 +100,20 @@ class LinearMap:
         return self.matrix.shape[1]
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        if x.size != self.cols:
-            raise ValueError(f"dimension mismatch: operator has {self.cols} columns, vector has {x.size}")
-        return self.matrix @ x
+        """H x for a vector or for each row of a (B, cols) block."""
+        x = as_rows(x)
+        if x.shape[-1] != self.cols:
+            raise ValueError(
+                f"dimension mismatch: operator has {self.cols} columns, vector has {x.shape[-1]}"
+            )
+        return matvec(self.matrix, x)
 
     def adjoint_apply(self, v) -> np.ndarray:
-        v = as_vector(v)
-        if v.size != self.rows:
-            raise ValueError(f"dimension mismatch: operator has {self.rows} rows, vector has {v.size}")
-        return self.matrix.T @ v
+        """Hᵀ v for a vector or for each row of a (B, rows) block."""
+        v = as_rows(v)
+        if v.shape[-1] != self.rows:
+            raise ValueError(f"dimension mismatch: operator has {self.rows} rows, vector has {v.shape[-1]}")
+        return matvec(self.matrix.T, v)
 
     def gram(self) -> np.ndarray:
         """The (cached) Gram matrix HᵀH."""

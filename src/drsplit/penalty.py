@@ -12,6 +12,10 @@ penalty here exposes
 ``shifted_prox`` is the operator used by the quadratic-shifted splitting: for
 beta = alpha / (1 + alpha rho) it equals ``prox(x * beta / alpha, beta)``, and
 its step gate ``beta * rho < 1`` holds for every alpha > 0.
+
+Every operation is elementwise, so it also acts on a (B, n) block of points
+row by row; ``value`` then returns one total per row.  ``FirmPenalty`` takes
+its weight tau as a scalar or as a (B, 1) column, one weight per row.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ class SeparablePenalty:
     def prox(self, x, alpha: float):
         raise NotImplementedError
 
-    def value(self, x) -> float:
-        return float(np.sum(self.pointwise(np.asarray(x, dtype=float))))
+    def value(self, x):
+        """Sum of the pointwise penalty over the last axis (one total per row of a block)."""
+        return np.sum(self.pointwise(np.asarray(x, dtype=float)), axis=-1)
 
     def shifted_prox(self, x, alpha: float):
         if alpha <= 0:
@@ -47,22 +52,41 @@ class FirmPenalty(SeparablePenalty):
 
     Pointwise value tau*|t| - rho*t^2/2 inside |t| < tau/rho, constant
     tau^2/(2 rho) outside; rho-weakly convex, bounded, even, and
-    nondecreasing in |t|.
+    nondecreasing in |t|.  tau is a scalar, or a (B, 1) column that gives
+    each row of a (B, n) block its own weight; rho is shared.
     """
 
-    def __init__(self, tau: float, rho: float):
-        if not (tau > 0 and np.isfinite(tau)):
+    def __init__(self, tau, rho: float):
+        tau = np.asarray(tau, dtype=float)
+        if tau.ndim not in (0, 2) or tau.shape[1:] not in ((), (1,)):
+            raise ValueError(f"tau must be a scalar or a (B, 1) column, got shape {tau.shape}")
+        if not np.all((tau > 0) & np.isfinite(tau)):
             raise ValueError(f"tau must be positive, got {tau}")
         if not (rho > 0 and np.isfinite(rho)):
             raise ValueError(f"rho must be positive, got {rho}")
-        self.tau = float(tau)
+        if tau.ndim:
+            tau = tau.copy()
+            tau.setflags(write=False)
+            # Square each weight as a Python float, as a scalar penalty does:
+            # numpy's square and libm's pow differ in the last bit on about
+            # one value in a thousand.
+            self._tau_sq = np.array([[t**2] for t in tau[:, 0].tolist()])
+        else:
+            tau = float(tau)
+            self._tau_sq = tau**2
+        self.tau = tau
         self.rho = float(rho)
         self.modulus = self.rho
+
+    @property
+    def block_shape(self) -> tuple:
+        """() for a scalar weight, (B,) for a (B, 1) column of weights."""
+        return np.shape(self.tau)[:-1]
 
     def pointwise(self, t):
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
-        plateau = self.tau**2 / (2.0 * self.rho)
+        plateau = self._tau_sq / (2.0 * self.rho)
         return np.where(a < self.tau / self.rho, self.tau * a - 0.5 * self.rho * a * a, plateau)
 
     def prox(self, x, alpha: float):

@@ -8,17 +8,26 @@ prox of f - (rho/2)|.|^2, computed through the rescaling
     prox_{f - rho/2|.|^2}(x, a) = prox_f(x / (1 - a rho), a / (1 - a rho)),
 
 valid for a*rho < 1 and rho not exceeding the strong convexity of f.
+
+``QuadraticTerm`` also holds a block of B observations y, shape (B, m), that
+share one operator H; its methods then act on (B, n) blocks of points row by
+row, with the same bits per row as a term built on that row's observation.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NonConvexShiftError, StepSizeError
-from .linalg import LinearMap, as_vector
+from .linalg import LinearMap, as_rows, as_vector, matvec
+
+# Cholesky factors a QuadraticTerm keeps, one per step size; the least
+# recently used one is evicted first.
+FACTOR_CACHE_SIZE = 8
 
 
 def support_mask(dim: int, support) -> np.ndarray:
@@ -60,27 +69,34 @@ class QuadraticTerm:
     Strongly convex with modulus s = lambda_min(HᵀH); the gradient is
     Lipschitz with constant sigma = lambda_max(HᵀH).  Prox evaluations solve
     (I + alpha HᵀH) z = x + alpha Hᵀy with a Cholesky factorization cached
-    per step value, so iterating at a fixed step factorizes once.
+    per step value, so iterating at a fixed step factorizes once; the cache
+    keeps the FACTOR_CACHE_SIZE most recently used steps.  y of shape (B, m)
+    makes a block of B terms that share H.
     """
 
     def __init__(self, operator, y):
         if not isinstance(operator, LinearMap):
             operator = LinearMap(operator)
         self.operator = operator
-        self.y = as_vector(y).copy()
-        if self.y.size != operator.rows:
+        self.y = as_rows(y).copy()
+        if self.y.shape[-1] != operator.rows:
             raise ValueError(
-                f"dimension mismatch: operator has {operator.rows} rows, y has {self.y.size}"
+                f"dimension mismatch: operator has {operator.rows} rows, y has {self.y.shape[-1]}"
             )
         self.y.setflags(write=False)
         self._gram = operator.gram()
         self._hty = operator.adjoint_apply(self.y)
-        self._factors: dict[float, tuple] = {}
+        self._factors: OrderedDict[float, tuple] = OrderedDict()
         self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
         return self.operator.cols
+
+    @property
+    def block_shape(self) -> tuple:
+        """() for one observation, (B,) for a block of B observations."""
+        return self.y.shape[:-1]
 
     @property
     def strong_convexity(self) -> float:
@@ -90,27 +106,35 @@ class QuadraticTerm:
     def grad_lipschitz(self) -> float:
         return self.operator.gram_extremes()[1]
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """f(x), one value per row of a block."""
         r = self.y - self.operator.apply(x)
-        return 0.5 * float(r @ r)
+        return 0.5 * np.vecdot(r, r)
 
     def grad(self, x) -> np.ndarray:
-        x = as_vector(x)
-        return self._gram @ x - self._hty
+        return matvec(self._gram, as_rows(x)) - self._hty
 
     def _factor(self, alpha: float):
-        factor = self._factors.get(alpha)
-        if factor is None:
-            a = np.eye(self.dim) + alpha * self._gram
-            with self._lock:
-                factor = self._factors.setdefault(alpha, cho_factor(a))
+        with self._lock:
+            factor = self._factors.get(alpha)
+            if factor is not None:
+                self._factors.move_to_end(alpha)
+                return factor
+        factor = cho_factor(np.eye(self.dim) + alpha * self._gram)
+        with self._lock:
+            factor = self._factors.setdefault(alpha, factor)
+            self._factors.move_to_end(alpha)
+            while len(self._factors) > FACTOR_CACHE_SIZE:
+                self._factors.popitem(last=False)
         return factor
 
     def prox(self, x, alpha: float) -> np.ndarray:
         if alpha <= 0:
             raise StepSizeError(f"alpha must be positive, got {alpha}")
-        x = as_vector(x)
-        return cho_solve(self._factor(alpha), x + alpha * self._hty)
+        rhs = as_rows(x) + alpha * self._hty
+        # Rows of a block are the columns of one multi-right-hand-side solve,
+        # which gives each column the bits of its own single solve.
+        return cho_solve(self._factor(alpha), rhs.T).T
 
     def shifted_prox(self, x, alpha: float, rho: float) -> np.ndarray:
         return _shifted_prox(self, x, alpha, rho)

@@ -13,18 +13,27 @@ weakly convex (modulus rho):
   Extraction uses the corresponding shifted prox.
 
 ``ista`` is the forward-backward baseline x <- prox_g(x - alpha grad f(x)).
+
+A ``Problem`` may hold a block of B problems that share everything but
+their data: a ``QuadraticTerm`` with observations of shape (B, m) and a
+``FirmPenalty`` with a (B, 1) column of weights.  ``run`` then iterates all
+rows at once, in the same loop, on (B, n) arrays, and each row gets the bits
+a run on that row's problem alone would give; ``IterationTrace.split``
+returns the per-row traces.  A row that meets the tolerance stops there and
+keeps its final point while the others go on.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError, DrsplitError, NonConvexShiftError, StepSizeError
+from .linalg import row_norm
 
 # Every DR variant is a reflection order and a choice of proxes: plain (f, g)
 # or the convexified pair f - (rho/2)|.|^2, g + (rho/2)|.|^2.
@@ -53,6 +62,14 @@ class Problem:
         return self.smooth.dim
 
     @property
+    def shape(self) -> tuple:
+        """Shape of an iterate: (dim,), or (B, dim) for a block of B problems."""
+        lead = np.broadcast_shapes(
+            getattr(self.smooth, "block_shape", ()), getattr(self.penalty, "block_shape", ())
+        )
+        return (*lead, self.dim)
+
+    @property
     def rho(self) -> float:
         return float(self.penalty.modulus)
 
@@ -64,16 +81,18 @@ class Problem:
     def strong_convexity(self):
         return getattr(self.smooth, "strong_convexity", None)
 
-    def cost(self, x) -> float:
+    def cost(self, x):
+        """h(x), one value per row of a block."""
         return self.smooth.value(x) + self.penalty.value(x)
 
     def has_gradient(self) -> bool:
         return callable(getattr(self.smooth, "grad", None))
 
-    def fixed_point_residual(self, x, alpha: float) -> float:
-        """|| x - prox_g(x - alpha grad f(x), alpha) ||, zero exactly at minimizers."""
-        step = np.asarray(x, dtype=float) - alpha * self.smooth.grad(x)
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.penalty.prox(step, alpha)))
+    def fixed_point_residual(self, x, alpha: float):
+        """|| x - prox_g(x - alpha grad f(x), alpha) ||, zero exactly at minimizers
+        (one value per row of a block)."""
+        x = np.asarray(x, dtype=float)
+        return row_norm(x - self.penalty.prox(x - alpha * self.smooth.grad(x), alpha))
 
 
 def step_bound(variant: str, sigma, rho: float) -> float:
@@ -204,6 +223,34 @@ class SolverConfig:
             raise ValueError(f"relaxation must lie in (0, 1), got {self.relaxation}")
 
 
+class _Columns:
+    """The four trace columns, each grown in place to twice its length when
+    full, and cut to the rows written at the end."""
+
+    FIRST_ROWS = 256
+
+    def __init__(self, lead: tuple, max_rows: int):
+        self.max_rows = max_rows
+        self.data = [np.empty((min(max_rows, self.FIRST_ROWS), *lead)) for _ in range(4)]
+        self.rows = 0
+
+    def append(self, *values) -> None:
+        if self.rows == len(self.data[0]):
+            self._resize(min(2 * self.rows, self.max_rows))
+        for column, value in zip(self.data, values):
+            column[self.rows] = value
+        self.rows += 1
+
+    def trimmed(self) -> list[np.ndarray]:
+        self._resize(self.rows)
+        return self.data
+
+    def _resize(self, rows: int) -> None:
+        # In place: no view of a column exists until trimmed() hands them out.
+        for column in self.data:
+            column.resize((rows, *column.shape[1:]), refcheck=False)
+
+
 @dataclass
 class IterationTrace:
     """Per-iteration history of a solver run plus the final points.
@@ -212,6 +259,10 @@ class IterationTrace:
     ||z^n - z^(n-1)|| (nan at n = 0), the fixed-point residual at the audit
     step 1/sigma (nan when the smooth term has no gradient), and the distance
     to the reference point when one was given.
+
+    A block run gives one trace whose columns have shape (rows, B), whose
+    final points have shape (B, n), and whose ``converged`` and ``row_iters``
+    hold one entry per row; ``split`` cuts it into one trace per row.
     """
 
     variant: str
@@ -226,22 +277,52 @@ class IterationTrace:
     dist_to_ref: np.ndarray
     final_x: np.ndarray
     final_z: np.ndarray
-    converged: bool
+    converged: bool | np.ndarray
+    row_iters: np.ndarray | None = None
 
     @property
     def n_iters(self) -> int:
         return int(self.iterations[-1])
 
+    def split(self) -> list["IterationTrace"]:
+        """One trace per row of a block trace, each ending at its row's last
+        iteration; ``[self]`` for the trace of a single problem."""
+        if self.row_iters is None:
+            return [self]
+        # Each row trace views the block's arrays rather than copying them.
+        return [
+            replace(
+                self,
+                iterations=self.iterations[: k + 1],
+                cost=self.cost[: k + 1, b],
+                step_norm=self.step_norm[: k + 1, b],
+                fp_residual=self.fp_residual[: k + 1, b],
+                dist_to_ref=self.dist_to_ref[: k + 1, b],
+                final_x=self.final_x[b],
+                final_z=self.final_z[b],
+                converged=bool(self.converged[b]),
+                row_iters=None,
+            )
+            for b, k in enumerate(self.row_iters.tolist())
+        ]
+
     @property
     def final_cost(self) -> float:
+        self._require_single("final_cost")
         return float(self.cost[-1])
+
+    def _require_single(self, what: str) -> None:
+        if self.row_iters is not None:
+            raise ValueError(f"{what} of a block trace: split() it into row traces first")
 
     def iterations_to(self, threshold: float):
         """First iteration index with dist_to_ref <= threshold, else None."""
+        self._require_single("iterations_to")
         hits = np.nonzero(self.dist_to_ref <= threshold)[0]
         return int(self.iterations[hits[0]]) if hits.size else None
 
     def to_csv(self, path) -> None:
+        self._require_single("to_csv")
         with open(path, "w") as fh:
             fh.write("iter,cost,step_norm,fp_residual,dist_to_ref\n")
             for i in range(self.iterations.size):
@@ -283,26 +364,36 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     NonConvexShiftError when a shifted variant's rho exceeds s.  Raises
     DivergenceError as soon as an iterate stops being finite; drsplit's own
     errors raised inside a step propagate unchanged.
+
+    For a block problem the reference has the iterate shape (B, n), each row
+    stops on its own once its step norm meets tol, and the loop ends when
+    every row has stopped; one non-finite row raises DivergenceError for the
+    whole block.
     """
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
     check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
+    shape = problem.shape
+    lead = shape[:-1]
 
     reference = None
     if config.record_reference is not None:
         reference = np.asarray(config.record_reference, dtype=float)
-        if reference.size != problem.dim:
-            raise ValueError(
-                f"reference has {reference.size} entries, problem dimension is {problem.dim}"
-            )
+        if reference.shape != shape:
+            raise ValueError(f"reference has shape {reference.shape}, iterates have shape {shape}")
 
     if config.variant == "ista":
-        step = lambda x: problem.penalty.prox(x - alpha * problem.smooth.grad(x), alpha)
+        step = lambda x, z: problem.penalty.prox(z - alpha * problem.smooth.grad(z), alpha)
         extract = lambda z: z
     else:
-        operator = double_reflection(problem, alpha, config.variant)
+        first, second = prox_pair(problem, alpha, config.variant)
         lam = config.relaxation
-        step = lambda z: (1.0 - lam) * z + lam * operator(z)
-        extract = prox_pair(problem, alpha, config.variant)[0]
+
+        def step(x, z):
+            # The double reflection of z, reusing its primal point x = first(z).
+            w = 2.0 * x - z
+            return (1.0 - lam) * z + lam * (2.0 * second(w) - w)
+
+        extract = first
 
     # Residuals are audited at a fixed step so they compare across variants.
     sigma = problem.grad_lipschitz
@@ -310,23 +401,24 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     if problem.has_gradient() and sigma is not None and problem.rho < sigma:
         audit_alpha = 1.0 / sigma
 
-    cost, step_norms, residuals, dists = [], [], [], []
+    columns = _Columns(lead, config.max_iters + 1)
 
     def record(x, step_norm):
-        cost.append(problem.cost(x))
-        step_norms.append(step_norm)
-        residuals.append(
-            problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan
+        columns.append(
+            problem.cost(x),
+            step_norm,
+            problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan,
+            row_norm(x - reference) if reference is not None else math.nan,
         )
-        dists.append(float(np.linalg.norm(x - reference)) if reference is not None else math.nan)
 
-    z = np.zeros(problem.dim)
+    z = np.zeros(shape)
     x = extract(z)
     record(x, math.nan)
-    converged = False
+    converged = np.zeros(lead, dtype=bool)
+    row_iters = np.full(lead, config.max_iters)
     for n in range(1, config.max_iters + 1):
         try:
-            z_new = step(z)
+            z_new = step(x, z)
         except DrsplitError:
             raise
         except (ValueError, FloatingPointError) as exc:
@@ -336,27 +428,35 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             ) from exc
         if not np.all(np.isfinite(z_new)):
             raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
-        delta = float(np.linalg.norm(z_new - z))
-        z = z_new
+        delta = row_norm(z_new - z)
+        if not converged.any():
+            z = z_new
+        else:  # rows that met tol keep their final point
+            z = np.where(converged[..., None], z, z_new)
         x = extract(z)
         record(x, delta)
-        if delta <= config.tol:
-            converged = True
-            break
+        stopped = delta <= config.tol
+        if stopped.any():
+            stopped &= ~converged
+            converged |= stopped
+            row_iters[stopped] = n
+            if converged.all():
+                break
 
-    n_rows = len(cost)
+    cost, step_norm, fp_residual, dist_to_ref = columns.trimmed()
     return IterationTrace(
         variant=config.variant,
         alpha=alpha,
         relaxation=config.relaxation,
         max_iters=config.max_iters,
         tol=config.tol,
-        iterations=np.arange(n_rows),
-        cost=np.asarray(cost),
-        step_norm=np.asarray(step_norms),
-        fp_residual=np.asarray(residuals),
-        dist_to_ref=np.asarray(dists),
+        iterations=np.arange(columns.rows),
+        cost=cost,
+        step_norm=step_norm,
+        fp_residual=fp_residual,
+        dist_to_ref=dist_to_ref,
         final_x=x,
         final_z=z.copy(),
-        converged=converged,
+        converged=converged if lead else bool(converged),
+        row_iters=row_iters if lead else None,
     )

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from drsplit import (
     SubspaceQuadraticTerm,
     project_onto_support,
 )
+from drsplit.smooth import FACTOR_CACHE_SIZE
 from oracles import central_difference_gradient
 
 
@@ -97,6 +101,45 @@ class TestQuadProx:
         f, _ = random_term(7)
         with pytest.raises(StepSizeError):
             f.prox(np.zeros(5), 0.0)
+
+    def test_factor_cache_is_bounded(self):
+        f, rng = random_term(9)
+        x = rng.normal(size=5)
+        alphas = np.linspace(0.01, 3.0, 100)
+        swept = [f.prox(x, alpha) for alpha in alphas]
+        assert len(f._factors) <= FACTOR_CACHE_SIZE
+        # evicted steps are factorized again with the same bits
+        for alpha, got in zip(alphas[::7], swept[::7]):
+            fresh, _ = random_term(9)
+            np.testing.assert_array_equal(got, fresh.prox(x, alpha))
+            np.testing.assert_array_equal(f.prox(x, alpha), got)
+        assert len(f._factors) <= FACTOR_CACHE_SIZE
+
+    def test_factor_cache_under_threads(self):
+        f, rng = random_term(10)
+        x = rng.normal(size=5)
+        alphas = np.linspace(0.05, 2.0, 24)
+        expected = {alpha: random_term(10)[0].prox(x, alpha) for alpha in alphas}
+        mismatches = []
+
+        def sweep(offset):
+            for alpha in np.roll(alphas, offset):
+                if not np.array_equal(f.prox(x, alpha), expected[alpha]):
+                    mismatches.append(alpha)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(7 * i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert len(f._factors) <= FACTOR_CACHE_SIZE
 
 
 class TestShiftedProx:
