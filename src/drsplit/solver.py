@@ -175,9 +175,10 @@ def double_reflection(problem: Problem, alpha: float, variant: str) -> Callable:
     """
     first, second = prox_pair(problem, alpha, variant)
 
-    def op(z):
+    def op(z, x=None):
+        """T(z); pass x = first(z) when it is already known to skip that prox."""
         z = np.asarray(z, dtype=float)
-        w = 2.0 * first(z) - z
+        w = 2.0 * (first(z) if x is None else x) - z
         return 2.0 * second(w) - w
 
     return op
@@ -385,15 +386,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         step = lambda x, z: problem.penalty.prox(z - alpha * problem.smooth.grad(z), alpha)
         extract = lambda z: z
     else:
-        first, second = prox_pair(problem, alpha, config.variant)
+        operator = double_reflection(problem, alpha, config.variant)
         lam = config.relaxation
-
-        def step(x, z):
-            # The double reflection of z, reusing its primal point x = first(z).
-            w = 2.0 * x - z
-            return (1.0 - lam) * z + lam * (2.0 * second(w) - w)
-
-        extract = first
+        # x = first(z) is the primal point already extracted from z.
+        step = lambda x, z: (1.0 - lam) * z + lam * operator(z, x)
+        extract = prox_pair(problem, alpha, config.variant)[0]
 
     # Residuals are audited at a fixed step so they compare across variants.
     sigma = problem.grad_lipschitz

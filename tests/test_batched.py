@@ -174,3 +174,26 @@ def test_diverging_seed_is_named_and_counted(monkeypatch):
         assert report.results[i] == clean.results[i]
     assert report.to_json_dict()["aggregate"]["failed_seeds"] == 1
     assert clean.to_json_dict()["aggregate"]["failed_seeds"] == 0
+
+
+def test_seed_diverging_in_a_late_run_leaves_no_files(tmp_path, monkeypatch):
+    # The block writes each run's CSVs as it ends, so a divergence in the
+    # last DR run comes after the earlier runs have written theirs.
+    spec = dataclasses.replace(EXP1, n_seeds=3, max_iters=200, reference_iters=600)
+    clean = run_experiment(spec, master_seed=4, out_dir=tmp_path / "clean")
+    bad_y = experiment.build_instance(spec, derive_seeds(4, 3)[1]).y
+
+    def run_failing_bad_seed(problem, config):
+        if config.variant == spec.variants[-1] and any(np.array_equal(y, bad_y) for y in np.atleast_2d(problem.smooth.y)):
+            raise DivergenceError("forced divergence")
+        return run(problem, config)
+
+    monkeypatch.setattr(experiment, "run", run_failing_bad_seed)
+    report = run_experiment(spec, master_seed=4, out_dir=tmp_path / "failing")
+    assert report.results[1].failed == "forced divergence"
+    assert [report.results[i] for i in (0, 2)] == [clean.results[i] for i in (0, 2)]
+    written, expected = tree(tmp_path / "failing"), tree(tmp_path / "clean")
+    assert json.loads(written.pop("report.json"))["aggregate"]["failed_seeds"] == 1
+    expected.pop("report.json")
+    assert written == {k: v for k, v in expected.items() if not k.startswith("seed_001")}
+    assert not (tmp_path / "failing" / "seed_001").exists()
