@@ -5,7 +5,7 @@ constants of the smooth term, rho the weak-convexity modulus of the penalty,
 gamma = s/sigma and eta = rho/sigma.  The rate calculators bound the raw
 (unrelaxed) double-reflection operators produced by
 ``solver.double_reflection``; relaxed iterations inherit the bounds through
-averaging but are not rated here.
+averaging but are not rated here.  ``certify`` checks them on the benchmarks.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import experiment, solver
 from .errors import BoundInapplicableError, StepSizeError
 
 
@@ -133,6 +134,50 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
     if usable == 0:
         raise ValueError("degenerate sampler: all sampled pairs coincide")
     return worst
+
+
+def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) of the empirical-vs-theoretical Lipschitz checks
+    on instance ``derive_seeds(seed, 1)[0]`` of EXP1 (nonexpansiveness of both
+    direct orders at their step bound) and of EXP2 (weak reflection bound
+    attained, direct and shifted rates dominate).  Each empirical constant
+    samples ``pairs`` pairs (at least 10000 for the scalar reflection)."""
+    checks = []
+    instance_seed = experiment.derive_seeds(seed, 1)[0]
+
+    def vec_sampler(dim, radius):
+        return lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius)
+
+    inst1 = experiment.build_instance(experiment.EXP1, seed=instance_seed)
+    prob1 = inst1.problem()
+    _, sigma1 = inst1.operator.gram_extremes()
+    radius1 = 3.0 * inst1.penalty.tau / inst1.penalty.rho
+    for variant in ("dr-main-fg", "dr-main-gf"):
+        op = solver.double_reflection(prob1, solver.step_bound(variant, sigma1, prob1.rho), variant)
+        emp = empirical_lipschitz(op, vec_sampler(prob1.dim, radius1), pairs, seed)
+        checks.append((f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1"))
+
+    inst2 = experiment.build_instance(experiment.EXP2, seed=instance_seed)
+    prob2 = inst2.problem()
+    s2, sigma2 = inst2.operator.gram_extremes()
+    penalty, rho2 = inst2.penalty, prob2.rho
+    alpha_t = 1.0 / math.sqrt(sigma2 * s2)
+    radius2 = 3.0 * penalty.tau / penalty.rho
+    weak = lambda t: solver.reflect(penalty.prox, t, alpha_t)
+    emp = empirical_lipschitz(weak, lambda rng: rng.uniform(-radius2, radius2, size=1), max(pairs, 10000), seed)
+    bound = reflection_bound_weak(alpha_t, rho2)
+    detail = f"empirical={emp:.12f} bound={bound:.12f}"
+    checks.append(("weak reflection bound attained", 0.99 * bound <= emp <= bound + 1e-9, detail))
+
+    # Each rate holds up to its largest step: 1/sqrt(sigma*s) direct, 1/s shifted.
+    for name, variant, alpha, rate in (
+        ("direct rate dominates", "dr-main-fg", alpha_t, contraction_rate_main(alpha_t, s2, rho2, sigma2)),
+        ("shifted rate dominates", "dr-shift-fg", 1.0 / s2, contraction_rate_shift(1.0 / s2, s2, rho2, sigma2)),
+    ):
+        op = solver.double_reflection(prob2, alpha, variant)
+        emp = empirical_lipschitz(op, vec_sampler(prob2.dim, radius2), pairs, seed)
+        checks.append((name, emp <= rate + 1e-9, f"empirical={emp:.12f} rate={rate:.12f}"))
+    return checks
 
 
 def rate_table(s: float, sigma: float, rho: float, alphas) -> list[dict]:

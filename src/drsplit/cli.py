@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -14,23 +13,36 @@ import numpy as np
 from . import analysis, experiment, solver
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=int, default=20, help="number of seeded instances")
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
+# exp1/exp2 flags: (flag, the ExperimentSpec field it sets and defaults to, type, help).
+SPEC_FLAGS = (
+    ("--seeds", "n_seeds", _count(0), "number of seeded instances"),
+    ("--alpha-frac", "alpha_fraction", float, "fraction of each variant's step bound"),
+    ("--lambda", "relaxation", float, "relaxation weight in (0,1)"),
+    ("--iters", "max_iters", _count(0), "max DR iterations per run"),
+)
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser, spec: experiment.ExperimentSpec) -> None:
+    for flag, name, kind, help_text in SPEC_FLAGS:
+        p.add_argument(flag, dest=name, type=kind, default=getattr(spec, name), help=help_text)
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--alpha-frac", type=float, default=0.99, help="fraction of each variant's step bound")
-    p.add_argument("--lambda", dest="relaxation", type=float, default=0.5, help="relaxation weight in (0,1)")
-    p.add_argument("--iters", type=int, default=5000, help="max DR iterations per run")
     p.add_argument("--out-dir", default=None, help="directory for instances, traces, and report.json")
+    p.set_defaults(func=lambda a: _run_experiment(spec, a))
 
 
 def _run_experiment(base: experiment.ExperimentSpec, args) -> int:
-    spec = dataclasses.replace(
-        base,
-        n_seeds=args.seeds,
-        alpha_fraction=args.alpha_frac,
-        relaxation=args.relaxation,
-        max_iters=args.iters,
-    )
+    spec = dataclasses.replace(base, **{name: getattr(args, name) for _, name, _, _ in SPEC_FLAGS})
     report = experiment.run_experiment(spec, master_seed=args.master_seed, out_dir=args.out_dir)
     json.dump(report.to_json_dict()["aggregate"], sys.stdout, indent=2)
     print()
@@ -66,68 +78,11 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _certify_checks(pairs: int, seed: int):
-    """Empirical-vs-theoretical Lipschitz checks on the two stock benchmarks."""
-    checks = []
-
-    # Direct compositions are nonexpansive at the largest admitted step.
-    inst1 = experiment.build_instance(experiment.EXP1, seed=experiment.derive_seeds(seed, 1)[0])
-    prob1 = inst1.problem()
-    s1, sigma1 = inst1.operator.gram_extremes()
-    alpha1 = 1.0 / math.sqrt(sigma1 * prob1.rho)
-    radius1 = 3.0 * inst1.penalty.tau / inst1.penalty.rho
-    n = prob1.dim
-
-    def vec_sampler(radius):
-        return lambda rng: rng.normal(size=n) * rng.uniform(0.0, radius)
-
-    for variant in ("dr-main-fg", "dr-main-gf"):
-        emp = analysis.empirical_lipschitz(
-            solver.double_reflection(prob1, alpha1, variant), vec_sampler(radius1), pairs, seed
-        )
-        checks.append((f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1"))
-
-    # Shifted/weak reflection bounds on the better-conditioned benchmark.
-    inst2 = experiment.build_instance(experiment.EXP2, seed=experiment.derive_seeds(seed, 1)[0])
-    prob2 = inst2.problem()
-    s2, sigma2 = inst2.operator.gram_extremes()
-    rho2, tau2 = inst2.penalty.rho, inst2.penalty.tau
-    alpha_t = 1.0 / math.sqrt(sigma2 * s2)
-    radius2 = 3.0 * tau2 / rho2
-
-    ug = lambda z: 2.0 * inst2.penalty.prox(z, alpha_t) - z
-    scalar_sampler = lambda rng: rng.uniform(-radius2, radius2, size=1)
-    emp_ug = analysis.empirical_lipschitz(ug, scalar_sampler, max(pairs, 10000), seed)
-    bound_ug = analysis.reflection_bound_weak(alpha_t, rho2)
-    checks.append(
-        (
-            "weak reflection bound attained",
-            0.99 * bound_ug <= emp_ug <= bound_ug + 1e-9,
-            f"empirical={emp_ug:.12f} bound={bound_ug:.12f}",
-        )
-    )
-
-    emp_t = analysis.empirical_lipschitz(
-        solver.double_reflection(prob2, alpha_t, "dr-main-fg"), vec_sampler(radius2), pairs, seed
-    )
-    rate_t = analysis.contraction_rate_main(alpha_t, s2, rho2, sigma2)
-    checks.append(("direct rate dominates", emp_t <= rate_t + 1e-9, f"empirical={emp_t:.12f} rate={rate_t:.12f}"))
-
-    alpha_v = 1.0 / s2
-    emp_v = analysis.empirical_lipschitz(
-        solver.double_reflection(prob2, alpha_v, "dr-shift-fg"), vec_sampler(radius2), pairs, seed
-    )
-    rate_v = analysis.contraction_rate_shift(alpha_v, s2, rho2, sigma2)
-    checks.append(("shifted rate dominates", emp_v <= rate_v + 1e-9, f"empirical={emp_v:.12f} rate={rate_v:.12f}"))
-    return checks
-
-
 def _cmd_certify(args) -> int:
-    failures = 0
-    for name, ok, detail in _certify_checks(args.pairs, args.seed):
+    checks = analysis.certify(args.pairs, args.seed)
+    for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += not ok
-    return 1 if failures else 0
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,19 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("exp1", help="ill-conditioned benchmark (sigma/s = 15.96, rho = s)")
-    _add_experiment_flags(p1)
-    p1.set_defaults(func=lambda a: _run_experiment(experiment.EXP1, a))
+    _add_experiment_flags(p1, experiment.EXP1)
 
     p2 = sub.add_parser("exp2", help="moderate benchmark (sigma/s = 5.44, rho = s/2)")
-    _add_experiment_flags(p2)
-    p2.set_defaults(func=lambda a: _run_experiment(experiment.EXP2, a))
+    _add_experiment_flags(p2, experiment.EXP2)
 
     ps = sub.add_parser("solve", help="solve one serialized instance")
     ps.add_argument("--instance", required=True, help="instance JSON file")
     ps.add_argument("--variant", required=True, choices=solver.VARIANTS)
     ps.add_argument("--alpha", type=float, default=None)
     ps.add_argument("--lambda", dest="relaxation", type=float, default=0.5)
-    ps.add_argument("--iters", type=int, default=5000)
+    ps.add_argument("--iters", type=_count(0), default=5000)
     ps.add_argument("--tol", type=float, default=0.0)
     ps.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
     ps.set_defaults(func=_cmd_solve)
@@ -157,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sigma", type=float, required=True, help="gradient Lipschitz constant")
     pr.add_argument("--rho", type=float, required=True, help="weak-convexity modulus of the penalty")
     pr.add_argument("--alpha-max", type=float, default=None, help="grid upper end (default 1/s)")
-    pr.add_argument("--steps", type=int, default=50)
+    pr.add_argument("--steps", type=_count(1), default=50)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_rates)
 
     pc = sub.add_parser("certify", help="empirical Lipschitz checks; nonzero exit on violation")
-    pc.add_argument("--pairs", type=int, default=1000)
+    pc.add_argument("--pairs", type=_count(1), default=1000)
     pc.add_argument("--seed", type=int, default=0)
     pc.set_defaults(func=_cmd_certify)
     return parser

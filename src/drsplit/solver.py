@@ -363,8 +363,9 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     every iterate (including the initial point).  The step gate runs before
     the first iteration: StepSizeError when alpha fails it, and
     NonConvexShiftError when a shifted variant's rho exceeds s.  Raises
-    DivergenceError as soon as an iterate stops being finite; drsplit's own
-    errors raised inside a step propagate unchanged.
+    DivergenceError as soon as an iterate stops being finite or a prox solve,
+    the extraction of x0 included, meets a non-finite value; drsplit's own
+    errors raised there propagate unchanged.
 
     For a block problem the reference has the iterate shape (B, n), each row
     stops on its own once its step norm meets tol, and the loop ends when
@@ -408,21 +409,22 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             row_norm(x - reference) if reference is not None else math.nan,
         )
 
+    def guarded(n, fn, *args):
+        try:
+            return fn(*args)
+        except DrsplitError:
+            raise
+        except (ValueError, FloatingPointError) as exc:
+            # a non-finite input to a prox solve surfaces as one of these
+            raise DivergenceError(f"non-finite value at iteration {n} of {config.variant}: {exc}") from exc
+
     z = np.zeros(shape)
-    x = extract(z)
+    x = guarded(0, extract, z)
     record(x, math.nan)
     converged = np.zeros(lead, dtype=bool)
     row_iters = np.full(lead, config.max_iters)
     for n in range(1, config.max_iters + 1):
-        try:
-            z_new = step(x, z)
-        except DrsplitError:
-            raise
-        except (ValueError, FloatingPointError) as exc:
-            # overflow inside a prox solve surfaces as a non-finite-input error
-            raise DivergenceError(
-                f"non-finite value at iteration {n} of {config.variant}: {exc}"
-            ) from exc
+        z_new = guarded(n, step, x, z)
         if not np.all(np.isfinite(z_new)):
             raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
         delta = row_norm(z_new - z)
@@ -430,7 +432,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             z = z_new
         else:  # rows that met tol keep their final point
             z = np.where(converged[..., None], z, z_new)
-        x = extract(z)
+        x = guarded(n, extract, z)
         record(x, delta)
         stopped = delta <= config.tol
         if stopped.any():

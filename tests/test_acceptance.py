@@ -2,6 +2,7 @@
 one pass/fail line (visible with pytest -s, or on failure)."""
 
 import dataclasses
+import functools
 import math
 import time
 from contextlib import contextmanager
@@ -22,16 +23,13 @@ from drsplit import (
     build_subspace_demo,
     check_step,
     contraction_rate_main,
-    contraction_rate_shift,
-    double_reflection,
-    empirical_lipschitz,
     min_rate_main,
-    reflection_bound_weak,
     run,
     run_experiment,
     shift_rate_floor,
     step_bound,
 )
+from drsplit.analysis import certify
 from drsplit.experiment import derive_seeds
 from drsplit.solver import dr_step
 from oracles import grid_prox
@@ -48,10 +46,6 @@ def criterion(number, description, budget_seconds):
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE {number} PASS - {description} ({elapsed:.1f}s)")
     assert elapsed < budget_seconds, f"criterion {number} exceeded its {budget_seconds}s budget"
-
-
-def vector_sampler(dim, radius):
-    return lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius)
 
 
 def test_criterion_1_prox_oracle_equivalence():
@@ -75,55 +69,33 @@ def test_criterion_1_prox_oracle_equivalence():
             assert np.linalg.norm(w + alpha * (f.grad(w) - rho * w) - x) <= 1e-9 * (1 + np.linalg.norm(x))
 
 
-def test_criterion_2_nonexpansiveness(exp1_instance, exp1_problem):
+@functools.cache
+def certified():
+    """The checks of one analysis.certify call, shared by criteria 2 and 3;
+    seed 0 certifies the same instances as the conftest fixtures."""
+    return certify(pairs=1000, seed=0)
+
+
+def assert_checks_pass(checks, names):
+    assert [name for name, _, _ in checks] == names
+    for name, passed, detail in checks:
+        assert passed, f"{name}: {detail}"
+
+
+def test_criterion_2_nonexpansiveness():
     with criterion(2, "both direct compositions are nonexpansive at the step bound", 30):
-        s, sigma = exp1_instance.operator.gram_extremes()
-        alpha = 1.0 / math.sqrt(sigma * exp1_problem.rho)
-        radius = 3.0 * exp1_instance.penalty.tau / exp1_instance.penalty.rho
-        for variant, seed in (("dr-main-fg", 10), ("dr-main-gf", 11)):
-            op = double_reflection(exp1_problem, alpha, variant)
-            rng = np.random.default_rng(seed)
-            sample = vector_sampler(exp1_problem.dim, radius)
-            checked = 0
-            while checked < 1000:
-                z0, z1 = sample(rng), sample(rng)
-                gap = np.linalg.norm(z0 - z1)
-                if gap < 1e-12:
-                    continue
-                checked += 1
-                assert np.linalg.norm(op(z0) - op(z1)) <= (1 + 1e-12) * gap
+        assert_checks_pass(
+            certified()[:2],
+            ["nonexpansive dr-main-fg (ratio 15.96)", "nonexpansive dr-main-gf (ratio 15.96)"],
+        )
 
 
-def test_criterion_3_bound_attainment_and_dominance(exp2_instance, exp2_problem):
+def test_criterion_3_bound_attainment_and_dominance():
     with criterion(3, "empirical Lipschitz constants attain/respect the closed-form bounds", 60):
-        s, sigma = exp2_instance.operator.gram_extremes()
-        rho, tau = exp2_problem.rho, exp2_instance.penalty.tau
-        radius = 3.0 * tau / rho
-        alpha_t = 1.0 / math.sqrt(sigma * s)
-
-        penalty = exp2_instance.penalty
-        weak_reflection = lambda t: 2.0 * penalty.prox(t, alpha_t) - t
-        emp_ug = empirical_lipschitz(weak_reflection, lambda rng: rng.uniform(-radius, radius, size=1), 10000, seed=3)
-        bound_ug = reflection_bound_weak(alpha_t, rho)
-        assert emp_ug <= bound_ug + 1e-9
-        assert emp_ug >= 0.99 * bound_ug
-
-        emp_t = empirical_lipschitz(
-            double_reflection(exp2_problem, alpha_t, "dr-main-fg"),
-            vector_sampler(exp2_problem.dim, radius),
-            1000,
-            seed=4,
+        assert_checks_pass(
+            certified()[2:],
+            ["weak reflection bound attained", "direct rate dominates", "shifted rate dominates"],
         )
-        assert emp_t <= contraction_rate_main(alpha_t, s, rho, sigma) + 1e-9
-
-        alpha_v = 1.0 / s
-        emp_v = empirical_lipschitz(
-            double_reflection(exp2_problem, alpha_v, "dr-shift-fg"),
-            vector_sampler(exp2_problem.dim, radius),
-            1000,
-            seed=5,
-        )
-        assert emp_v <= contraction_rate_shift(alpha_v, s, rho, sigma) + 1e-9
 
 
 def test_criterion_4_convergence_and_cross_variant_agreement():

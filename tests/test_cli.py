@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from drsplit import EXP2, build_instance
-from drsplit.cli import main
+from drsplit import EXP1, EXP2, build_instance
+from drsplit.cli import build_parser, main
 
 
 def test_rates_command(tmp_path, capsys):
@@ -79,3 +79,35 @@ def test_certify_command_passes(capsys):
     lines = [l for l in captured.strip().splitlines() if l]
     assert len(lines) == 5
     assert all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize("command, spec", [("exp1", EXP1), ("exp2", EXP2)])
+def test_experiment_flag_defaults_come_from_the_spec(command, spec):
+    args = vars(build_parser().parse_args([command]))
+    for name in ("n_seeds", "alpha_fraction", "relaxation", "max_iters"):
+        assert args[name] == getattr(spec, name)
+
+
+RATES = ["rates", "--s", "2.0", "--sigma", "8.0", "--rho", "0.5", "--out", "rates.csv"]
+SOLVE = ["solve", "--instance", "instance.json", "--variant", "ista"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, lowest",
+    [
+        (["certify"], "--pairs", 1),
+        (RATES, "--steps", 1),
+        (["exp1"], "--seeds", 0),
+        (["exp2"], "--seeds", 0),
+        (["exp1"], "--iters", 0),
+        (["exp2"], "--iters", 0),
+        (SOLVE, "--iters", 0),
+    ],
+)
+def test_out_of_range_count_is_a_usage_error(argv, flag, lowest, capsys):
+    parser = build_parser()
+    parser.parse_args(argv + [flag, str(lowest)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, str(lowest - 1)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= {lowest}, got {lowest - 1}" in capsys.readouterr().err

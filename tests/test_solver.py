@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from drsplit import (
+    EXP2,
     DivergenceError,
     FirmPenalty,
     FactorizationError,
@@ -19,6 +21,7 @@ from drsplit import (
     SubspaceConstraint,
     VARIANTS,
     ZeroPenalty,
+    build_instance,
     check_step,
     double_reflection,
     ista_step,
@@ -302,6 +305,16 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"iteration \d+"):
                 run(problem, SolverConfig("dr-main-fg", alpha=1.0, max_iters=50))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_finite_data_is_divergence(self, variant):
+        # -gf variants extract x0 = prox_f(0), a solve on the data itself
+        inst = build_instance(EXP2, seed=4)
+        y = inst.y.copy()
+        y[5] = np.nan
+        problem = dataclasses.replace(inst, y=y).problem()
+        with pytest.raises(DivergenceError, match=rf"iteration \d+ of {variant}"):
+            run(problem, SolverConfig(variant, max_iters=5))
 
     def test_nonconvex_shift_is_not_divergence(self):
         y = np.random.default_rng(3).normal(size=8)
