@@ -24,11 +24,19 @@ def _count(minimum: int):
     return count
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a float in the open interval (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
 # exp1/exp2 flags: (flag, the ExperimentSpec field it sets and defaults to, type, help).
 SPEC_FLAGS = (
     ("--seeds", "n_seeds", _count(0), "number of seeded instances"),
-    ("--alpha-frac", "alpha_fraction", float, "fraction of each variant's step bound"),
-    ("--lambda", "relaxation", float, "relaxation weight in (0,1)"),
+    ("--alpha-frac", "alpha_fraction", _fraction, "fraction of each variant's step bound, in (0,1)"),
+    ("--lambda", "relaxation", _fraction, "relaxation weight in (0,1)"),
     ("--iters", "max_iters", _count(0), "max DR iterations per run"),
 )
 
@@ -99,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--instance", required=True, help="instance JSON file")
     ps.add_argument("--variant", required=True, choices=solver.VARIANTS)
     ps.add_argument("--alpha", type=float, default=None)
-    ps.add_argument("--lambda", dest="relaxation", type=float, default=0.5)
+    ps.add_argument("--lambda", dest="relaxation", type=_fraction, default=0.5)
     ps.add_argument("--iters", type=_count(0), default=5000)
     ps.add_argument("--tol", type=float, default=0.0)
     ps.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")

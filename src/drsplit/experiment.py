@@ -16,6 +16,8 @@ The seeds of one spec share the operator H; only y and tau differ.  So
 ``run_experiment`` solves up to BLOCK_SEEDS seeds at a time as one block
 problem (``block_problem``) through the same ``solver.run``, and each seed's
 numbers and files are byte-identical to those of a run on that seed alone.
+A block that diverges is solved again as one-seed blocks, so one bad seed
+fails alone.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from .errors import DivergenceError, FilterDesignError
 from .linalg import LinearMap, convolution_matrix
 from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty
 from .smooth import QuadraticTerm, SubspaceConstraint, support_mask
-from .solver import IterationTrace, Problem, SolverConfig, run, step_bound
+from .solver import Problem, SolverConfig, run, step_bound
 
 logger = logging.getLogger(__name__)
 
-# Most seeds solved as one block.  A block run's trace columns grow with its
-# seeds (10k ISTA rows x 4 columns x 8 B each): at 20 seeds the stock specs
-# peaked about 12% above the single-seed loop's RSS, at 10 about 5%.
+# Most seeds solved as one block.  A block run's trace columns hold a row per
+# iteration for each of its seeds (10k ISTA rows x 4 columns x 8 B per seed):
+# at 20 seeds per block the stock specs peaked about 13% above their RSS at
+# one seed per block, at 10 about 8%.
 BLOCK_SEEDS = 10
 
 
@@ -250,13 +253,7 @@ class SeedResult:
     failed: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "iterations_to_threshold": self.iterations_to_threshold,
-            "final_cost": self.final_cost,
-            "final_dist": self.final_dist,
-            "failed": self.failed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -325,65 +322,58 @@ class ExperimentReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _solve(problem: Problem, spec: ExperimentSpec, sigma: float, seed_dirs=None) -> list[dict]:
-    """The ISTA reference, then ISTA and every DR variant against it, on one
-    instance or on a block; per row, the SeedResult fields by solver name.
+def _solve(instances, spec: ExperimentSpec, seed_dirs) -> list[SeedResult]:
+    """Solve instances that share their operator as one block: the ISTA
+    reference, then ISTA and every DR variant against it; one SeedResult per
+    instance.
 
-    Each run is cut to its rows' numbers as soon as it ends, and writes each
-    row's trace CSV into that row's entry of seed_dirs when given, so only one
-    run's trace columns are alive at a time.
+    Each run is cut to its seeds' numbers as soon as it ends, and writes each
+    seed's trace CSV into that seed's entry of seed_dirs (None: no files), so
+    only one run's trace columns are alive at a time.  A block that diverges
+    is solved again as one-seed blocks, so the seeds that do converge still
+    complete; a failed seed is left with no trace CSVs and, when it ends up
+    empty, no seed directory.
     """
-    x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters)).final_x
-    configs = {"ista": SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref)}
-    for variant in spec.variants:
-        bound = step_bound(variant, sigma, problem.rho)
-        configs[variant] = SolverConfig(
-            variant,
-            alpha=spec.alpha_fraction * bound if math.isfinite(bound) else None,
-            relaxation=spec.relaxation,
-            max_iters=spec.max_iters,
-            record_reference=x_ref,
-        )
-    rows = [
-        {"iterations_to_threshold": {}, "final_cost": {}, "final_dist": {}}
-        for _ in range(math.prod(problem.shape[:-1]))
-    ]
-    for name, config in configs.items():
-        traces = run(problem, config).split()
-        for b, (fields, trace) in enumerate(zip(rows, traces)):
-            fields["iterations_to_threshold"][name] = trace.iterations_to(spec.dist_threshold)
-            fields["final_cost"][name] = trace.final_cost
-            fields["final_dist"][name] = float(trace.dist_to_ref[-1])
-            if seed_dirs is not None:
-                seed_dirs[b].mkdir(exist_ok=True)
-                trace.to_csv(seed_dirs[b] / f"{name}.csv")
-        del traces, trace
-    return rows
-
-
-def _solve_block(instances, spec: ExperimentSpec, sigma: float, seed_dirs=None) -> list:
-    """Per instance, its SeedResult fields, or the DivergenceError that
-    aborted it.  A block that diverges is solved again one seed at a time, so
-    the seeds that do converge still complete; a failed seed is left with no
-    trace CSVs and, when it ends up empty, no seed directory."""
+    problem = block_problem(instances)
+    results = [SeedResult(inst.seed, {}, {}, {}) for inst in instances]
     try:
-        return _solve(block_problem(instances), spec, sigma, seed_dirs)
+        x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters)).final_x
+        configs = {"ista": SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref)}
+        sigma = problem.grad_lipschitz
+        for variant in spec.variants:
+            bound = step_bound(variant, sigma, problem.rho)
+            configs[variant] = SolverConfig(
+                variant,
+                alpha=spec.alpha_fraction * bound if math.isfinite(bound) else None,
+                relaxation=spec.relaxation,
+                max_iters=spec.max_iters,
+                record_reference=x_ref,
+            )
+        for name, config in configs.items():
+            for result, trace, seed_dir in zip(results, run(problem, config).split(), seed_dirs):
+                result.iterations_to_threshold[name] = trace.iterations_to(spec.dist_threshold)
+                result.final_cost[name] = trace.final_cost
+                result.final_dist[name] = float(trace.dist_to_ref[-1])
+                if seed_dir is not None:
+                    seed_dir.mkdir(exist_ok=True)
+                    trace.to_csv(seed_dir / f"{name}.csv")
+            del trace  # free this run's trace columns before the next run allocates its own
     except DivergenceError as exc:
-        logger.info("a block of %d seeds diverged (%s); solving them one at a time", len(instances), exc)
-    outcomes = []
-    for b, inst in enumerate(instances):
-        seed_dir = None if seed_dirs is None else seed_dirs[b]
-        try:
-            outcomes.append(_solve(inst.problem(), spec, sigma, None if seed_dir is None else [seed_dir])[0])
-        except DivergenceError as exc:
-            logger.warning("seed %d aborted: %s", inst.seed, exc)
-            outcomes.append(exc)
-            if seed_dir is not None and seed_dir.is_dir():
-                for name in ("ista", *spec.variants):
-                    (seed_dir / f"{name}.csv").unlink(missing_ok=True)
-                if not any(seed_dir.iterdir()):
-                    seed_dir.rmdir()
-    return outcomes
+        if len(instances) > 1:
+            logger.info("a block of %d seeds diverged (%s); solving them one at a time", len(instances), exc)
+            return [_solve([inst], spec, [seed_dir])[0] for inst, seed_dir in zip(instances, seed_dirs)]
+        logger.warning("seed %d aborted: %s", instances[0].seed, exc)
+        seed_dir = seed_dirs[0]
+        if seed_dir is not None and seed_dir.is_dir():
+            for name in ("ista", *spec.variants):
+                (seed_dir / f"{name}.csv").unlink(missing_ok=True)
+            if not any(seed_dir.iterdir()):
+                seed_dir.rmdir()
+        return [SeedResult(instances[0].seed, {}, {}, {}, failed=str(exc))]
+    for inst, seed_dir in zip(instances, seed_dirs):
+        if seed_dir is not None:
+            inst.save(seed_dir / "instance.json")
+    return results
 
 
 def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> ExperimentReport:
@@ -408,25 +398,13 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
     results = []
     achieved = math.nan
     for start in range(0, len(seeds), BLOCK_SEEDS):
-        chunk = seeds[start : start + BLOCK_SEEDS]
-        instances = [build_instance(spec, seed) for seed in chunk]
-        s, sigma = instances[0].operator.gram_extremes()
-        achieved = sigma / s
-        seed_dirs = None
-        if out_path is not None:
-            seed_dirs = [out_path / f"seed_{idx:03d}" for idx in range(start, start + len(chunk))]
-        outcomes = _solve_block(instances, spec, sigma, seed_dirs)
-        for b, (seed, instance, fields) in enumerate(zip(chunk, instances, outcomes)):
-            if isinstance(fields, DivergenceError):
-                results.append(
-                    SeedResult(
-                        seed=seed, iterations_to_threshold={}, final_cost={}, final_dist={}, failed=str(fields)
-                    )
-                )
-                continue
-            results.append(SeedResult(seed=seed, **fields))
-            if seed_dirs is not None:
-                instance.save(seed_dirs[b] / "instance.json")
+        instances = [build_instance(spec, seed) for seed in seeds[start : start + BLOCK_SEEDS]]
+        achieved = instances[0].condition_ratio()
+        seed_dirs = [
+            None if out_path is None else out_path / f"seed_{idx:03d}"
+            for idx in range(start, start + len(instances))
+        ]
+        results += _solve(instances, spec, seed_dirs)
 
     report = ExperimentReport(
         spec=spec, master_seed=master_seed, achieved_ratio=achieved, results=tuple(results)

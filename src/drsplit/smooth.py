@@ -2,8 +2,9 @@
 
 Smooth terms expose ``value``, ``prox``, ``shifted_prox`` and, when the term
 is differentiable, ``grad`` plus the curvature constants ``strong_convexity``
-(s) and ``grad_lipschitz`` (sigma).  ``shifted_prox(x, alpha, rho)`` is the
-prox of f - (rho/2)|.|^2, computed through the rescaling
+(s) and ``grad_lipschitz`` (sigma).  ``shifted_prox(x, alpha, rho)``, written
+once on the ``SmoothTerm`` base class, is the prox of f - (rho/2)|.|^2,
+computed through the rescaling
 
     prox_{f - rho/2|.|^2}(x, a) = prox_f(x / (1 - a rho), a / (1 - a rho)),
 
@@ -47,23 +48,29 @@ def project_onto_support(x, support) -> np.ndarray:
     return np.where(support_mask(x.size, support), x, 0.0)
 
 
-def _shifted_prox(term, x, alpha: float, rho: float):
-    if alpha <= 0:
-        raise StepSizeError(f"alpha must be positive, got {alpha}")
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if alpha * rho >= 1.0:
-        raise StepSizeError(f"alpha * rho = {alpha * rho:.6g} >= 1: shifted prox undefined")
-    s = term.strong_convexity
-    if s is not None and rho > s:
-        raise NonConvexShiftError(
-            f"shift rho = {rho:.6g} exceeds the strong convexity s = {s:.6g}"
-        )
-    scale = 1.0 - alpha * rho
-    return term.prox(np.asarray(x, dtype=float) / scale, alpha / scale)
+class SmoothTerm:
+    """Base class: ``shifted_prox`` from a subclass's ``prox(x, alpha)`` and
+    ``strong_convexity`` (s, or None when unknown)."""
+
+    def shifted_prox(self, x, alpha: float, rho: float) -> np.ndarray:
+        """prox of f - (rho/2)|.|^2: needs alpha > 0, rho >= 0, alpha*rho < 1
+        and rho no larger than the strong convexity."""
+        if alpha <= 0:
+            raise StepSizeError(f"alpha must be positive, got {alpha}")
+        if rho < 0:
+            raise ValueError(f"rho must be nonnegative, got {rho}")
+        if alpha * rho >= 1.0:
+            raise StepSizeError(f"alpha * rho = {alpha * rho:.6g} >= 1: shifted prox undefined")
+        s = self.strong_convexity
+        if s is not None and rho > s:
+            raise NonConvexShiftError(
+                f"shift rho = {rho:.6g} exceeds the strong convexity s = {s:.6g}"
+            )
+        scale = 1.0 - alpha * rho
+        return self.prox(np.asarray(x, dtype=float) / scale, alpha / scale)
 
 
-class QuadraticTerm:
+class QuadraticTerm(SmoothTerm):
     """f(x) = 0.5 * ||y - H x||^2 for a full-column-rank operator H.
 
     Strongly convex with modulus s = lambda_min(HᵀH); the gradient is
@@ -136,11 +143,8 @@ class QuadraticTerm:
         # which gives each column the bits of its own single solve.
         return cho_solve(self._factor(alpha), rhs.T).T
 
-    def shifted_prox(self, x, alpha: float, rho: float) -> np.ndarray:
-        return _shifted_prox(self, x, alpha, rho)
 
-
-class SubspaceQuadraticTerm:
+class SubspaceQuadraticTerm(SmoothTerm):
     """f(x) = 0.5 * ||y - x||^2 + i_K(x) for a coordinate subspace K.
 
     Not differentiable (the indicator), so it cannot drive gradient-based
@@ -173,11 +177,8 @@ class SubspaceQuadraticTerm:
         z = as_vector(z)
         return np.where(self.mask, (z + alpha * self.y) / (1.0 + alpha), 0.0)
 
-    def shifted_prox(self, x, alpha: float, rho: float) -> np.ndarray:
-        return _shifted_prox(self, x, alpha, rho)
 
-
-class SubspaceConstraint:
+class SubspaceConstraint(SmoothTerm):
     """f = i_K, the indicator of a coordinate subspace; prox is the projection."""
 
     def __init__(self, dim: int, support):
@@ -196,6 +197,3 @@ class SubspaceConstraint:
 
     def prox(self, z, alpha: float) -> np.ndarray:
         return np.where(self.mask, as_vector(z), 0.0)
-
-    def shifted_prox(self, x, alpha: float, rho: float) -> np.ndarray:
-        return _shifted_prox(self, x, alpha, rho)

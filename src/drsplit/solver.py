@@ -21,6 +21,9 @@ rows at once, in the same loop, on (B, n) arrays, and each row gets the bits
 a run on that row's problem alone would give; ``IterationTrace.split``
 returns the per-row traces.  A row that meets the tolerance stops there and
 keeps its final point while the others go on.
+
+``run`` allocates its four trace columns at max_iters + 1 rows when it starts,
+writes one row per iterate and returns them cut to the rows it wrote.
 """
 
 from __future__ import annotations
@@ -224,34 +227,6 @@ class SolverConfig:
             raise ValueError(f"relaxation must lie in (0, 1), got {self.relaxation}")
 
 
-class _Columns:
-    """The four trace columns, each grown in place to twice its length when
-    full, and cut to the rows written at the end."""
-
-    FIRST_ROWS = 256
-
-    def __init__(self, lead: tuple, max_rows: int):
-        self.max_rows = max_rows
-        self.data = [np.empty((min(max_rows, self.FIRST_ROWS), *lead)) for _ in range(4)]
-        self.rows = 0
-
-    def append(self, *values) -> None:
-        if self.rows == len(self.data[0]):
-            self._resize(min(2 * self.rows, self.max_rows))
-        for column, value in zip(self.data, values):
-            column[self.rows] = value
-        self.rows += 1
-
-    def trimmed(self) -> list[np.ndarray]:
-        self._resize(self.rows)
-        return self.data
-
-    def _resize(self, rows: int) -> None:
-        # In place: no view of a column exists until trimmed() hands them out.
-        for column in self.data:
-            column.resize((rows, *column.shape[1:]), refcheck=False)
-
-
 @dataclass
 class IterationTrace:
     """Per-iteration history of a solver run plus the final points.
@@ -399,15 +374,15 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     if problem.has_gradient() and sigma is not None and problem.rho < sigma:
         audit_alpha = 1.0 / sigma
 
-    columns = _Columns(lead, config.max_iters + 1)
+    # One row per iterate the run may reach; a run that stops early never
+    # writes the rest, so their pages are never touched.
+    cost, step_norm, fp_residual, dist_to_ref = (np.empty((config.max_iters + 1, *lead)) for _ in range(4))
 
-    def record(x, step_norm):
-        columns.append(
-            problem.cost(x),
-            step_norm,
-            problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan,
-            row_norm(x - reference) if reference is not None else math.nan,
-        )
+    def record(n, x, delta):
+        cost[n] = problem.cost(x)
+        step_norm[n] = delta
+        fp_residual[n] = problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan
+        dist_to_ref[n] = row_norm(x - reference) if reference is not None else math.nan
 
     def guarded(n, fn, *args):
         try:
@@ -418,9 +393,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             # a non-finite input to a prox solve surfaces as one of these
             raise DivergenceError(f"non-finite value at iteration {n} of {config.variant}: {exc}") from exc
 
+    n = 0
     z = np.zeros(shape)
-    x = guarded(0, extract, z)
-    record(x, math.nan)
+    x = guarded(n, extract, z)
+    record(n, x, math.nan)
     converged = np.zeros(lead, dtype=bool)
     row_iters = np.full(lead, config.max_iters)
     for n in range(1, config.max_iters + 1):
@@ -433,7 +409,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         else:  # rows that met tol keep their final point
             z = np.where(converged[..., None], z, z_new)
         x = guarded(n, extract, z)
-        record(x, delta)
+        record(n, x, delta)
         stopped = delta <= config.tol
         if stopped.any():
             stopped &= ~converged
@@ -442,18 +418,17 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             if converged.all():
                 break
 
-    cost, step_norm, fp_residual, dist_to_ref = columns.trimmed()
     return IterationTrace(
         variant=config.variant,
         alpha=alpha,
         relaxation=config.relaxation,
         max_iters=config.max_iters,
         tol=config.tol,
-        iterations=np.arange(columns.rows),
-        cost=cost,
-        step_norm=step_norm,
-        fp_residual=fp_residual,
-        dist_to_ref=dist_to_ref,
+        iterations=np.arange(n + 1),
+        cost=cost[: n + 1],
+        step_norm=step_norm[: n + 1],
+        fp_residual=fp_residual[: n + 1],
+        dist_to_ref=dist_to_ref[: n + 1],
         final_x=x,
         final_z=z.copy(),
         converged=converged if lead else bool(converged),

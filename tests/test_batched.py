@@ -136,7 +136,7 @@ def tree(path) -> dict:
     return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 2])
+@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 2, 1])
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_run_experiment_matches_single_seed_loop(name, block_seeds, tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", block_seeds)
@@ -150,7 +150,10 @@ def test_run_experiment_matches_single_seed_loop(name, block_seeds, tmp_path, mo
     assert data["aggregate"]["failed_seeds"] == 0
 
 
-def test_diverging_seed_is_named_and_counted(monkeypatch):
+# At one seed per block the fallback path solves every seed.
+@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
+def test_diverging_seed_is_named_and_counted(block_seeds, monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_SEEDS", block_seeds)
     spec = dataclasses.replace(EXP2, n_seeds=3, max_iters=200, reference_iters=600)
     seeds = derive_seeds(3, 3)
     build = experiment.build_instance
@@ -176,7 +179,9 @@ def test_diverging_seed_is_named_and_counted(monkeypatch):
     assert clean.to_json_dict()["aggregate"]["failed_seeds"] == 0
 
 
-def test_seed_diverging_in_a_late_run_leaves_no_files(tmp_path, monkeypatch):
+@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
+def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_SEEDS", block_seeds)
     # The block writes each run's CSVs as it ends, so a divergence in the
     # last DR run comes after the earlier runs have written theirs.
     spec = dataclasses.replace(EXP1, n_seeds=3, max_iters=200, reference_iters=600)

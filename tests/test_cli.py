@@ -111,3 +111,25 @@ def test_out_of_range_count_is_a_usage_error(argv, flag, lowest, capsys):
         main(argv + [flag, str(lowest - 1)])
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= {lowest}, got {lowest - 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["exp1"], "--lambda"),
+        (["exp2"], "--lambda"),
+        (["exp1"], "--alpha-frac"),
+        (["exp2"], "--alpha-frac"),
+        (SOLVE, "--lambda"),
+    ],
+    ids=["exp1-lambda", "exp2-lambda", "exp1-alpha-frac", "exp2-alpha-frac", "solve-lambda"],
+)
+def test_fraction_outside_the_open_unit_interval_is_a_usage_error(argv, flag, capsys):
+    parser = build_parser()
+    for inside in ("1e-9", "0.999999"):
+        parser.parse_args(argv + [flag, inside])
+    for outside in ("0", "1", "1.5", "-0.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, outside])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must lie in (0, 1), got {float(outside)}" in capsys.readouterr().err

@@ -1,10 +1,14 @@
-"""Property tests of the certified inequalities on random small instances."""
+"""Property tests on random small instances: the certified rate
+inequalities, the firm prox against grid oracles, and the shifted-prox
+rescaling identity of smooth terms."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import grid_prox, grid_shifted_prox
 
 from drsplit import (
     FirmPenalty,
@@ -63,3 +67,54 @@ def test_shifted_rate_bounds_the_shifted_operator(instance, fraction):
     alpha = fraction / s
     rate = contraction_rate_shift(alpha, s, rho, sigma)
     assert worst_ratio(problem, alpha, "dr-shift-fg", s, rho, tau) <= rate + 1e-9
+
+
+# Fractions of the gate edge alpha*rho < 1, up to 0.999: nearer the edge the
+# prox objective's curvature (1 - alpha*rho)/alpha is too flat for the grid
+# oracle to place its minimizer within 1e-6.
+GATE_FRACTION = st.floats(1e-3, 0.999) | st.just(0.999)
+
+
+@st.composite
+def firm_scalars(draw):
+    """(penalty, t, alpha) with alpha*rho < 1; t reaches past the knee tau/rho."""
+    tau, rho = draw(st.floats(0.1, 2.0)), draw(st.floats(0.2, 2.0))
+    return FirmPenalty(tau, rho), draw(st.floats(-1.5, 1.5)) * tau / rho, draw(GATE_FRACTION) / rho
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(firm_scalars())
+def test_firm_prox_matches_grid_oracle(case):
+    p, t, alpha = case
+    expected = grid_prox(p.pointwise, t, alpha, p.tau / p.rho)
+    assert float(p.prox(np.array([t]), alpha)[0]) == pytest.approx(expected, abs=1e-6)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(firm_scalars())
+def test_firm_shifted_prox_matches_grid_oracle(case):
+    p, t, alpha = case
+    expected = grid_shifted_prox(p.pointwise, t, alpha, p.rho, p.tau / p.rho)
+    assert float(p.shifted_prox(np.array([t]), alpha)[0]) == pytest.approx(expected, abs=1e-6)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0) | st.just(1.0),
+    st.floats(1e-6, 0.999999) | st.just(0.999999),
+)
+def test_quadratic_shifted_prox_is_stationary(n, extra_rows, seed, rho_fraction, step_fraction):
+    # z = shifted_prox(x, alpha, rho) minimizes |z - x|^2 / (2 alpha) + f(z) - (rho/2)|z|^2,
+    # checked on the stationarity condition rather than on the rescaling.
+    rng = np.random.default_rng(seed)
+    f = QuadraticTerm(rng.normal(size=(n + extra_rows, n)), rng.normal(size=n + extra_rows))
+    s = f.strong_convexity
+    rho, alpha = rho_fraction * s, step_fraction / s
+    x = rng.normal(size=n)
+    z = f.shifted_prox(x, alpha, rho)
+    terms = ((z - x) / alpha, f.grad(z), -rho * z)
+    scale = sum(np.linalg.norm(term) for term in terms)
+    assert np.linalg.norm(sum(terms)) <= 1e-9 * scale
