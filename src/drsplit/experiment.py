@@ -8,9 +8,12 @@ of the strong convexity s.
 
 Two stock configurations are provided: ``EXP1`` (ratio 15.96, rho = s) and
 ``EXP2`` (ratio 5.44, rho = s/2).  ``run_experiment`` solves every seeded
-instance with an ISTA reference (10k iterations) plus the configured DR
-variants at 0.99x their step bounds and reports iterations-to-threshold of
-the distance to the reference minimizer.
+instance with an unaudited ISTA reference (10k iterations) plus ISTA and
+the configured DR variants at 0.99x their step bounds, and reports
+iterations-to-threshold of the distance to the reference minimizer.  Each
+of these traced runs stops at the first iterate within the distance
+threshold, so its final cost, final distance and trace CSV end at that
+threshold-crossing row.
 
 The seeds of one spec share the operator H; only y and tau differ.  So
 ``run_experiment`` solves up to BLOCK_SEEDS seeds at a time as one block
@@ -42,9 +45,11 @@ from .solver import Problem, SolverConfig, run, step_bound
 logger = logging.getLogger(__name__)
 
 # Most seeds solved as one block.  A block run's trace columns hold a row per
-# iteration for each of its seeds (10k ISTA rows x 4 columns x 8 B per seed):
-# at 20 seeds per block the stock specs peaked about 13% above their RSS at
-# one seed per block, at 10 about 8%.
+# iteration for each of its seeds; the unaudited reference writes one 10k-row
+# column (8 B per row and seed) and the traced runs only the rows up to their
+# threshold crossing.  With run_experiment at 20 seeds, the stock specs peaked
+# at 60.4-60.5 MB at one seed per block, 63.0-63.5 MB at 10 and 63.6-64.0 MB
+# at 20 (OPENBLAS_NUM_THREADS=1, x86-64).
 BLOCK_SEEDS = 10
 
 
@@ -324,8 +329,9 @@ class ExperimentReport:
 
 def _solve(instances, spec: ExperimentSpec, seed_dirs) -> list[SeedResult]:
     """Solve instances that share their operator as one block: the ISTA
-    reference, then ISTA and every DR variant against it; one SeedResult per
-    instance.
+    reference, unaudited, then ISTA and every DR variant against it, each
+    row stopping at the first iterate within spec.dist_threshold; one
+    SeedResult per instance.
 
     Each run is cut to its seeds' numbers as soon as it ends, and writes each
     seed's trace CSV into that seed's entry of seed_dirs (None: no files), so
@@ -337,8 +343,12 @@ def _solve(instances, spec: ExperimentSpec, seed_dirs) -> list[SeedResult]:
     problem = block_problem(instances)
     results = [SeedResult(inst.seed, {}, {}, {}) for inst in instances]
     try:
-        x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters)).final_x
-        configs = {"ista": SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref)}
+        x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
+        configs = {
+            "ista": SolverConfig(
+                "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold
+            )
+        }
         sigma = problem.grad_lipschitz
         for variant in spec.variants:
             bound = step_bound(variant, sigma, problem.rho)
@@ -348,6 +358,7 @@ def _solve(instances, spec: ExperimentSpec, seed_dirs) -> list[SeedResult]:
                 relaxation=spec.relaxation,
                 max_iters=spec.max_iters,
                 record_reference=x_ref,
+                stop_dist=spec.dist_threshold,
             )
         for name, config in configs.items():
             for result, trace, seed_dir in zip(results, run(problem, config).split(), seed_dirs):
@@ -379,10 +390,13 @@ def _solve(instances, spec: ExperimentSpec, seed_dirs) -> list[SeedResult]:
 def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> ExperimentReport:
     """Run every seeded instance of the experiment recipe and aggregate the results.
 
-    Per seed: build the instance, compute the ISTA reference minimizer, then
-    run ISTA and the configured DR variants (at alpha_fraction x their step
-    bounds) against it, recording iterations until the distance to the
-    reference drops below spec.dist_threshold.  Seeds are solved in blocks of
+    Per seed: build the instance, compute the ISTA reference minimizer
+    without an audit, then run ISTA and the configured DR variants (at
+    alpha_fraction x their step bounds) against it until the distance to the
+    reference drops to spec.dist_threshold, recording iterations to it.  A
+    run that crosses the threshold stops there, so its final_cost,
+    final_dist and trace CSV are those of the crossing iterate; one that
+    never crosses runs to its iteration limit.  Seeds are solved in blocks of
     at most BLOCK_SEEDS, each seed with the same results as alone.  A
     diverging solver aborts the seed with a logged diagnostic; remaining
     seeds still run, and the aggregate counts the failed seeds.  When out_dir

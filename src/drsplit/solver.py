@@ -24,6 +24,13 @@ keeps its final point while the others go on.
 
 ``run`` allocates its four trace columns at max_iters + 1 rows when it starts,
 writes one row per iterate and returns them cut to the rows it wrote.
+
+Two options serve callers that read less than the full history: a row
+stops at the first iterate whose distance to the reference meets
+``stop_dist``, and ``audit=False`` records only the step norm (the other
+columns come back as NaN).  ``run_experiment`` uses both: its reference run
+is unaudited and its traced runs stop at the distance threshold.  The
+defaults keep every iterate and every column.
 """
 
 from __future__ import annotations
@@ -207,7 +214,12 @@ def ista_step(problem, x, alpha):
 class SolverConfig:
     """Run parameters: variant, step alpha (None = variant default),
     relaxation weight in (0,1), iteration/tolerance limits, and an optional
-    reference point for distance recording."""
+    reference point for distance recording.
+
+    ``stop_dist`` (needs the reference) stops a row after the first iterate
+    whose distance to the reference is at most stop_dist.  ``audit=False``
+    records only the step norm and leaves the cost, fixed-point residual and
+    distance columns NaN, so it excludes a reference and stop_dist."""
 
     variant: str
     alpha: float | None = None
@@ -215,6 +227,8 @@ class SolverConfig:
     max_iters: int = 1000
     tol: float = 0.0
     record_reference: np.ndarray | None = field(default=None, repr=False)
+    stop_dist: float | None = None
+    audit: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -223,6 +237,13 @@ class SolverConfig:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.tol < 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        if not self.audit and (self.record_reference is not None or self.stop_dist is not None):
+            raise ValueError("audit=False excludes record_reference and stop_dist: it records no distance")
+        if self.stop_dist is not None:
+            if self.stop_dist < 0:
+                raise ValueError(f"stop_dist must be nonnegative, got {self.stop_dist}")
+            if self.record_reference is None:
+                raise ValueError("stop_dist needs record_reference")
         if self.variant != "ista" and not 0.0 < self.relaxation < 1.0:
             raise ValueError(f"relaxation must lie in (0, 1), got {self.relaxation}")
 
@@ -234,11 +255,17 @@ class IterationTrace:
     Row n holds the cost at the primal extraction of iterate n, the step norm
     ||z^n - z^(n-1)|| (nan at n = 0), the fixed-point residual at the audit
     step 1/sigma (nan when the smooth term has no gradient), and the distance
-    to the reference point when one was given.
+    to the reference point when one was given.  An unaudited run leaves
+    every column but the step norm NaN.
+
+    ``converged`` says that the step norm met tol.  ``stop_reason`` says why
+    the run stopped: ``"tol"`` (also when stop_dist was met at the same
+    iterate), ``"stop_dist"`` or ``"max_iters"``.
 
     A block run gives one trace whose columns have shape (rows, B), whose
-    final points have shape (B, n), and whose ``converged`` and ``row_iters``
-    hold one entry per row; ``split`` cuts it into one trace per row.
+    final points have shape (B, n), and whose ``converged``, ``stop_reason``
+    and ``row_iters`` hold one entry per row; ``split`` cuts it into one trace
+    per row.
     """
 
     variant: str
@@ -254,6 +281,7 @@ class IterationTrace:
     final_x: np.ndarray
     final_z: np.ndarray
     converged: bool | np.ndarray
+    stop_reason: str | np.ndarray
     row_iters: np.ndarray | None = None
 
     @property
@@ -277,6 +305,7 @@ class IterationTrace:
                 final_x=self.final_x[b],
                 final_z=self.final_z[b],
                 converged=bool(self.converged[b]),
+                stop_reason=str(self.stop_reason[b]),
                 row_iters=None,
             )
             for b, k in enumerate(self.row_iters.tolist())
@@ -332,10 +361,12 @@ class IterationTrace:
 
 
 def run(problem: Problem, config: SolverConfig) -> IterationTrace:
-    """Iterate the configured variant from z0 = 0 until tol or max_iters.
+    """Iterate the configured variant from z0 = 0 until tol, stop_dist or
+    max_iters.
 
     Records cost, step norm, fixed-point residual, and reference distance at
-    every iterate (including the initial point).  The step gate runs before
+    every iterate (including the initial point); with ``audit=False`` only
+    the step norm.  The step gate runs before
     the first iteration: StepSizeError when alpha fails it, and
     NonConvexShiftError when a shifted variant's rho exceeds s.  Raises
     DivergenceError as soon as an iterate stops being finite or a prox solve,
@@ -343,14 +374,15 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     errors raised there propagate unchanged.
 
     For a block problem the reference has the iterate shape (B, n), each row
-    stops on its own once its step norm meets tol, and the loop ends when
-    every row has stopped; one non-finite row raises DivergenceError for the
-    whole block.
+    stops on its own once its step norm meets tol or its distance meets
+    stop_dist, and the loop ends when every row has stopped; one non-finite
+    row raises DivergenceError for the whole block.
     """
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
     check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
     shape = problem.shape
     lead = shape[:-1]
+    max_iters, tol, stop_dist, audit = config.max_iters, config.tol, config.stop_dist, config.audit
 
     reference = None
     if config.record_reference is not None:
@@ -376,13 +408,16 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     # One row per iterate the run may reach; a run that stops early never
     # writes the rest, so their pages are never touched.
-    cost, step_norm, fp_residual, dist_to_ref = (np.empty((config.max_iters + 1, *lead)) for _ in range(4))
+    step_norm = np.empty((max_iters + 1, *lead))
+    if audit:
+        cost, fp_residual, dist_to_ref = (np.empty((max_iters + 1, *lead)) for _ in range(3))
 
     def record(n, x, delta):
-        cost[n] = problem.cost(x)
         step_norm[n] = delta
-        fp_residual[n] = problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan
-        dist_to_ref[n] = row_norm(x - reference) if reference is not None else math.nan
+        if audit:
+            cost[n] = problem.cost(x)
+            fp_residual[n] = problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan
+            dist_to_ref[n] = row_norm(x - reference) if reference is not None else math.nan
 
     def guarded(n, fn, *args):
         try:
@@ -393,37 +428,43 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             # a non-finite input to a prox solve surfaces as one of these
             raise DivergenceError(f"non-finite value at iteration {n} of {config.variant}: {exc}") from exc
 
-    n = 0
     z = np.zeros(shape)
-    x = guarded(n, extract, z)
-    record(n, x, math.nan)
+    x = guarded(0, extract, z)
+    delta = np.full(lead, math.nan)
+    stopped = np.zeros(lead, dtype=bool)
     converged = np.zeros(lead, dtype=bool)
-    row_iters = np.full(lead, config.max_iters)
-    for n in range(1, config.max_iters + 1):
-        z_new = guarded(n, step, x, z)
-        if not np.all(np.isfinite(z_new)):
-            raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
-        delta = row_norm(z_new - z)
-        if not converged.any():
-            z = z_new
-        else:  # rows that met tol keep their final point
-            z = np.where(converged[..., None], z, z_new)
-        x = guarded(n, extract, z)
+    row_iters = np.full(lead, max_iters)
+    for n in range(max_iters + 1):
+        if n:
+            z_new = guarded(n, step, x, z)
+            if not np.all(np.isfinite(z_new)):
+                raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
+            delta = row_norm(z_new - z)
+            if not stopped.any():
+                z = z_new
+            else:  # stopped rows keep their final point
+                z = np.where(stopped[..., None], z, z_new)
+            x = guarded(n, extract, z)
         record(n, x, delta)
-        stopped = delta <= config.tol
-        if stopped.any():
-            stopped &= ~converged
-            converged |= stopped
-            row_iters[stopped] = n
-            if converged.all():
+        met_tol = delta <= tol
+        stop = met_tol if stop_dist is None else met_tol | (dist_to_ref[n] <= stop_dist)
+        if stop.any():
+            stop = stop & ~stopped
+            stopped |= stop
+            converged |= stop & met_tol
+            row_iters[stop] = n
+            if stopped.all():
                 break
 
+    if not audit:  # the unrecorded columns read as NaN: one read-only view, no memory
+        cost = fp_residual = dist_to_ref = np.broadcast_to(math.nan, (n + 1, *lead))
+    stop_reason = np.where(converged, "tol", np.where(stopped, "stop_dist", "max_iters"))
     return IterationTrace(
         variant=config.variant,
         alpha=alpha,
         relaxation=config.relaxation,
-        max_iters=config.max_iters,
-        tol=config.tol,
+        max_iters=max_iters,
+        tol=tol,
         iterations=np.arange(n + 1),
         cost=cost[: n + 1],
         step_norm=step_norm[: n + 1],
@@ -432,5 +473,6 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         final_x=x,
         final_z=z.copy(),
         converged=converged if lead else bool(converged),
+        stop_reason=stop_reason if lead else str(stop_reason),
         row_iters=row_iters if lead else None,
     )

@@ -72,6 +72,40 @@ def test_block_rows_match_single_runs(block, variant, tol, tmp_path):
         assert len(stops) > 1 and trace.n_iters == max(stops)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_block_rows_stop_at_the_distance_threshold(block, variant, tmp_path):
+    instances, problem, reference, singles = block
+    threshold = 1e-6
+    config = SolverConfig(variant, max_iters=400, record_reference=reference.final_x)
+    trace = run(problem, dataclasses.replace(config, stop_dist=threshold))
+    reasons = []
+    for row, whole, inst, ref in zip(trace.split(), run(problem, config).split(), instances, singles):
+        k = whole.iterations_to(threshold)
+        assert row.iterations_to(threshold) == k
+        assert row.n_iters == (config.max_iters if k is None else k)
+        assert csv_bytes(whole, tmp_path / "whole.csv").startswith(csv_bytes(row, tmp_path / "row.csv"))
+        cut = run(inst.problem(), dataclasses.replace(config, record_reference=ref.final_x, max_iters=row.n_iters))
+        np.testing.assert_array_equal(row.final_x, cut.final_x)
+        np.testing.assert_array_equal(row.final_z, cut.final_z)
+        reasons.append(row.stop_reason)
+        assert row.stop_reason == ("max_iters" if k is None else "stop_dist")
+    assert "stop_dist" in reasons and trace.n_iters == max(trace.row_iters)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unaudited_block_run_keeps_iterates_and_step_norms(block, variant):
+    _, problem, _, _ = block
+    config = SolverConfig(variant, max_iters=400, tol=1e-7)
+    audited = run(problem, config)
+    bare = run(problem, dataclasses.replace(config, audit=False))
+    for name in ("final_x", "final_z", "row_iters", "step_norm", "converged", "stop_reason"):
+        np.testing.assert_array_equal(getattr(bare, name), getattr(audited, name))
+    assert "tol" in audited.stop_reason
+    for name in ("cost", "fp_residual", "dist_to_ref"):
+        column = getattr(bare, name)
+        assert column.shape == audited.step_norm.shape and np.isnan(column).all()
+
+
 def test_block_trace_must_be_split_first(block, tmp_path):
     _, _, reference, _ = block
     with pytest.raises(ValueError, match="split"):
@@ -88,7 +122,8 @@ def test_block_problem_rejects_foreign_filter():
 
 
 def single_seed_experiment(spec, master_seed, out_path):
-    """The per-seed loop run_experiment ran before seeds were blocked."""
+    """The per-seed loop run_experiment ran before seeds were blocked, with
+    its unaudited reference and runs that stop at the distance threshold."""
     results = []
     for idx, seed in enumerate(derive_seeds(master_seed, spec.n_seeds)):
         instance = experiment.build_instance(spec, seed)
@@ -96,9 +131,12 @@ def single_seed_experiment(spec, master_seed, out_path):
         s, sigma = instance.operator.gram_extremes()
         traces = {}
         try:
-            x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters)).final_x
+            x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
             traces["ista"] = run(
-                problem, SolverConfig("ista", max_iters=spec.reference_iters, record_reference=x_ref)
+                problem,
+                SolverConfig(
+                    "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold
+                ),
             )
             for variant in spec.variants:
                 bound = step_bound(variant, sigma, problem.rho)
@@ -111,6 +149,7 @@ def single_seed_experiment(spec, master_seed, out_path):
                         relaxation=spec.relaxation,
                         max_iters=spec.max_iters,
                         record_reference=x_ref,
+                        stop_dist=spec.dist_threshold,
                     ),
                 )
         except DivergenceError as exc:

@@ -350,6 +350,47 @@ class TestRun:
             SolverConfig("dr-unknown")
 
 
+class TestStopDistAndAudit:
+    THRESHOLD = 1e-6
+
+    @pytest.fixture(scope="class")
+    def reference(self, exp1_problem):
+        return run(exp1_problem, SolverConfig("ista", max_iters=5000, audit=False)).final_x
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stop_dist_trace_is_a_prefix_of_the_full_trace(self, exp1_problem, reference, variant):
+        config = SolverConfig(variant, max_iters=1000, record_reference=reference)
+        full = run(exp1_problem, config)
+        stopped = run(exp1_problem, dataclasses.replace(config, stop_dist=self.THRESHOLD))
+        k = full.iterations_to(self.THRESHOLD)
+        assert k is not None and stopped.n_iters == k == stopped.iterations_to(self.THRESHOLD)
+        assert stopped.stop_reason == "stop_dist" and not stopped.converged
+        for column in ("iterations", "cost", "step_norm", "fp_residual", "dist_to_ref"):
+            np.testing.assert_array_equal(getattr(stopped, column), getattr(full, column)[: k + 1])
+        cut = run(exp1_problem, dataclasses.replace(config, max_iters=k))
+        np.testing.assert_array_equal(stopped.final_x, cut.final_x)
+        np.testing.assert_array_equal(stopped.final_z, cut.final_z)
+
+    def test_stop_reasons(self, exp1_problem, reference):
+        capped = run(exp1_problem, SolverConfig("dr-main-fg", max_iters=5))
+        assert capped.stop_reason == "max_iters" and capped.n_iters == 5
+        tol = run(exp1_problem, SolverConfig("dr-main-fg", max_iters=2000, tol=1e-9))
+        assert tol.stop_reason == "tol" and tol.converged and tol.n_iters < 2000
+        # the initial point is checked too
+        at_start = run(exp1_problem, SolverConfig("dr-main-fg", max_iters=5, record_reference=reference, stop_dist=1e9))
+        assert at_start.stop_reason == "stop_dist" and at_start.n_iters == 0
+
+    def test_inconsistent_options_rejected(self, reference):
+        with pytest.raises(ValueError, match="stop_dist must be nonnegative"):
+            SolverConfig("ista", record_reference=reference, stop_dist=-1e-6)
+        with pytest.raises(ValueError, match="stop_dist needs record_reference"):
+            SolverConfig("ista", stop_dist=1e-6)
+        with pytest.raises(ValueError, match="audit=False excludes"):
+            SolverConfig("ista", record_reference=reference, audit=False)
+        with pytest.raises(ValueError, match="audit=False excludes"):
+            SolverConfig("ista", record_reference=reference, stop_dist=1e-6, audit=False)
+
+
 class TestTraceSerialization:
     def test_csv_schema_and_roundtrip(self, exp1_problem, tmp_path):
         trace = run(exp1_problem, SolverConfig("dr-main-fg", max_iters=20))
