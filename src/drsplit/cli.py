@@ -13,23 +13,26 @@ import numpy as np
 from . import analysis, experiment, solver
 
 
-def _count(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+def _checked(kind, ok, rule: str):
+    """argparse type: a ``kind`` value for which ``ok`` holds; ``rule`` says
+    what it must do."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value}")
         return value
 
-    return count
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
-def _fraction(text: str) -> float:
-    """argparse type: a float in the open interval (0, 1)."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
-    return value
+def _count(minimum: int):
+    return _checked(int, lambda v: v >= minimum, f"be >= {minimum}")
+
+
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_positive = _checked(float, lambda v: v > 0.0, "be > 0")
+_nonnegative = _checked(float, lambda v: v >= 0.0, "be >= 0")
 
 
 # exp1/exp2 flags: (flag, the ExperimentSpec field it sets and defaults to, type, help).
@@ -109,15 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--alpha", type=float, default=None)
     ps.add_argument("--lambda", dest="relaxation", type=_fraction, default=0.5)
     ps.add_argument("--iters", type=_count(0), default=5000)
-    ps.add_argument("--tol", type=float, default=0.0)
+    ps.add_argument("--tol", type=_nonnegative, default=0.0)
     ps.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
     ps.set_defaults(func=_cmd_solve)
 
     pr = sub.add_parser("rates", help="emit contraction-rate tables as CSV")
-    pr.add_argument("--s", type=float, required=True, help="strong convexity of the smooth term")
-    pr.add_argument("--sigma", type=float, required=True, help="gradient Lipschitz constant")
-    pr.add_argument("--rho", type=float, required=True, help="weak-convexity modulus of the penalty")
-    pr.add_argument("--alpha-max", type=float, default=None, help="grid upper end (default 1/s)")
+    pr.add_argument("--s", type=_positive, required=True, help="strong convexity of the smooth term")
+    pr.add_argument("--sigma", type=_positive, required=True, help="gradient Lipschitz constant, >= s")
+    pr.add_argument("--rho", type=_nonnegative, required=True, help="weak-convexity modulus of the penalty")
+    pr.add_argument("--alpha-max", type=_positive, default=None, help="grid upper end (default 1/s)")
     pr.add_argument("--steps", type=_count(1), default=50)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_rates)
@@ -130,7 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "rates" and args.sigma < args.s:
+        parser.error(f"rates needs --sigma >= --s, got --sigma {args.sigma} and --s {args.s}")
     return args.func(args)
 
 

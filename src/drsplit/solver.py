@@ -31,6 +31,15 @@ stops at the first iterate whose distance to the reference meets
 columns come back as NaN).  ``run_experiment`` uses both: its reference run
 is unaudited and its traced runs stop at the distance threshold.  The
 defaults keep every iterate and every column.
+
+A run of at least 2 * CYCLE_WINDOW iterations skips exact floating-point
+cycles.  From iteration CYCLE_WINDOW on it keeps an anchor iterate, renewed
+every CYCLE_WINDOW iterations; a running row whose z equals it bit for bit
+repeats with that period p from then on (its step and columns depend on z
+alone) and will never meet tol or stop_dist.  It steps on until its z is
+z_max_iters, stops as ``"max_iters"`` with ``row_iters = max_iters``, and
+its columns are filled by repeating its last p rows: every bit is that of
+the full iteration.  ``IterationTrace.period`` is p, or 0.
 """
 
 from __future__ import annotations
@@ -58,6 +67,11 @@ VARIANTS = DR_VARIANTS + ("ista",)
 
 # Margin below the step-size bound used when no explicit alpha is given.
 DEFAULT_ALPHA_FRACTION = 0.99
+
+# Iterations between renewals of run()'s cycle anchor, the longest period it
+# finds.  It looks only in runs of two windows or more (a shorter one could
+# skip less than one); stock-spec ISTA periods reach 280 (EXP2) and 30 (EXP1).
+CYCLE_WINDOW = 512
 
 
 @dataclass(frozen=True)
@@ -260,7 +274,8 @@ class IterationTrace:
 
     ``converged`` says that the step norm met tol.  ``stop_reason`` says why
     the run stopped: ``"tol"`` (also when stop_dist was met at the same
-    iterate), ``"stop_dist"`` or ``"max_iters"``.
+    iterate), ``"stop_dist"`` or ``"max_iters"``.  ``period`` is the length
+    of the exact cycle the run skipped through to max_iters, 0 when none.
 
     A block run gives one trace whose columns have shape (rows, B), whose
     final points have shape (B, n), and whose ``converged``, ``stop_reason``
@@ -283,6 +298,7 @@ class IterationTrace:
     converged: bool | np.ndarray
     stop_reason: str | np.ndarray
     row_iters: np.ndarray | None = None
+    period: int | np.ndarray = 0
 
     @property
     def n_iters(self) -> int:
@@ -307,6 +323,7 @@ class IterationTrace:
                 converged=bool(self.converged[b]),
                 stop_reason=str(self.stop_reason[b]),
                 row_iters=None,
+                period=int(self.period[b]),
             )
             for b, k in enumerate(self.row_iters.tolist())
         ]
@@ -376,7 +393,8 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     For a block problem the reference has the iterate shape (B, n), each row
     stops on its own once its step norm meets tol or its distance meets
     stop_dist, and the loop ends when every row has stopped; one non-finite
-    row raises DivergenceError for the whole block.
+    row raises DivergenceError for the whole block.  Rows in an exact cycle
+    skip ahead to max_iters (see the module docstring).
     """
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
     check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
@@ -434,6 +452,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     stopped = np.zeros(lead, dtype=bool)
     converged = np.zeros(lead, dtype=bool)
     row_iters = np.full(lead, max_iters)
+    # Cycle skip (module docstring): until the loop ends, a cycling row's
+    # row_iters is where its z equals z_max_iters; dues holds those iterations.
+    period = np.zeros(lead, dtype=int)
+    window = CYCLE_WINDOW if max_iters >= 2 * CYCLE_WINDOW else max_iters + 1
+    dues = set()
     for n in range(max_iters + 1):
         if n:
             z_new = guarded(n, step, x, z)
@@ -448,6 +471,18 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         record(n, x, delta)
         met_tol = delta <= tol
         stop = met_tol if stop_dist is None else met_tol | (dist_to_ref[n] <= stop_dist)
+        if n >= window:
+            bits = z.view(np.int64)
+            if n > window:
+                hit = (bits == anchor).all(-1)
+                if hit.any() and (hit := hit & ~(stopped | stop)).any():
+                    period[hit] = n - anchor_n
+                    row_iters[hit] = n + (max_iters - n) % period[hit]
+                    dues.update(row_iters[hit].tolist())
+                if n in dues:
+                    stop = stop | (period > 0) & (row_iters == n)
+            if n % CYCLE_WINDOW == 0:
+                anchor, anchor_n = bits.copy(), n
         if stop.any():
             stop = stop & ~stopped
             stopped |= stop
@@ -456,23 +491,35 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             if stopped.all():
                 break
 
+    end = n + 1
+    if period.any():  # cycling rows reach max_iters: fill every row's columns up to it
+        end = max_iters + 1
+        if n < max_iters:  # the next row of a stopped row, which then repeats
+            record(n + 1, x, row_norm(step(x, z) - z))
+        lasts = np.where(period > 0, row_iters, min(n + 1, max_iters))
+        for b, (p, last) in enumerate(zip(np.maximum(period, 1).flat, lasts.flat)):
+            for c in (step_norm, cost, fp_residual, dist_to_ref) if audit else (step_norm,):
+                c = c.reshape(len(c), -1)[:, b]  # row b's column, a view
+                c[last + 1 : end] = np.resize(c[last - p + 1 : last + 1], end - last - 1)
+        row_iters[period > 0] = max_iters
     if not audit:  # the unrecorded columns read as NaN: one read-only view, no memory
-        cost = fp_residual = dist_to_ref = np.broadcast_to(math.nan, (n + 1, *lead))
-    stop_reason = np.where(converged, "tol", np.where(stopped, "stop_dist", "max_iters"))
+        cost = fp_residual = dist_to_ref = np.broadcast_to(math.nan, (end, *lead))
+    stop_reason = np.where(converged, "tol", np.where(stopped & (period == 0), "stop_dist", "max_iters"))
     return IterationTrace(
         variant=config.variant,
         alpha=alpha,
         relaxation=config.relaxation,
         max_iters=max_iters,
         tol=tol,
-        iterations=np.arange(n + 1),
-        cost=cost[: n + 1],
-        step_norm=step_norm[: n + 1],
-        fp_residual=fp_residual[: n + 1],
-        dist_to_ref=dist_to_ref[: n + 1],
+        iterations=np.arange(end),
+        cost=cost[:end],
+        step_norm=step_norm[:end],
+        fp_residual=fp_residual[:end],
+        dist_to_ref=dist_to_ref[:end],
         final_x=x,
         final_z=z.copy(),
         converged=converged if lead else bool(converged),
         stop_reason=stop_reason if lead else str(stop_reason),
         row_iters=row_iters if lead else None,
+        period=period if lead else int(period),
     )

@@ -133,3 +133,33 @@ def test_fraction_outside_the_open_unit_interval_is_a_usage_error(argv, flag, ca
             main(argv + [flag, outside])
         assert exc.value.code == 2
         assert f"argument {flag}: must lie in (0, 1), got {float(outside)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, rule, inside, outside",
+    [
+        (SOLVE, "--tol", ">= 0", "0", "-1"),
+        (RATES, "--s", "> 0", "1e-9", "0"),
+        (RATES, "--sigma", "> 0", "8", "0"),
+        (RATES, "--alpha-max", "> 0", "1e-9", "-1"),
+        (RATES, "--rho", ">= 0", "0", "-1"),
+    ],
+    ids=["solve-tol", "rates-s", "rates-sigma", "rates-alpha-max", "rates-rho"],
+)
+def test_out_of_range_real_is_a_usage_error(argv, flag, rule, inside, outside, capsys):
+    build_parser().parse_args(argv + [flag, inside])
+    for bad in (outside, "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be {rule}, got {float(bad)}" in capsys.readouterr().err
+
+
+def test_rates_sigma_below_s_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    argv = ["rates", "--rho", "0.5", "--out", str(out)]
+    assert main(argv + ["--s", "2", "--sigma", "2"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--s", "2", "--sigma", "1"])
+    assert exc.value.code == 2
+    assert "rates needs --sigma >= --s, got --sigma 1.0 and --s 2.0" in capsys.readouterr().err
