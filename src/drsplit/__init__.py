@@ -40,14 +40,9 @@ from .experiment import (
     generate_sparse_signal,
     run_experiment,
 )
-from .linalg import LinearMap, convolution_matrix, solve_spd
+from .linalg import LinearMap, convolution_matrix
 from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty, SoftPenalty, ZeroPenalty
-from .smooth import (
-    QuadraticTerm,
-    SubspaceConstraint,
-    SubspaceQuadraticTerm,
-    project_onto_support,
-)
+from .smooth import QuadraticTerm, SubspaceConstraint
 from .solver import (
     VARIANTS,
     IterationTrace,
@@ -85,7 +80,6 @@ __all__ = [
     "SolverConfig",
     "StepSizeError",
     "SubspaceConstraint",
-    "SubspaceQuadraticTerm",
     "VARIANTS",
     "ZeroPenalty",
     "add_noise_snr",
@@ -101,7 +95,6 @@ __all__ = [
     "generate_sparse_signal",
     "ista_step",
     "min_rate_main",
-    "project_onto_support",
     "rate_table",
     "reflect",
     "reflection_bound_smooth",
@@ -109,6 +102,5 @@ __all__ = [
     "run",
     "run_experiment",
     "shift_rate_floor",
-    "solve_spd",
     "step_bound",
 ]

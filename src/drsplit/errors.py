@@ -14,7 +14,7 @@ class RankDeficiencyError(DrsplitError, ValueError):
 
 
 class FactorizationError(DrsplitError, ValueError):
-    """Matrix is not symmetric positive definite."""
+    """A Cholesky solve failed: LAPACK returned a nonzero info."""
 
 
 class StepSizeError(DrsplitError, ValueError):

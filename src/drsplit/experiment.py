@@ -40,7 +40,7 @@ from .errors import DivergenceError, FilterDesignError
 from .linalg import LinearMap, convolution_matrix
 from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty
 from .smooth import QuadraticTerm, SubspaceConstraint, support_mask
-from .solver import Problem, SolverConfig, run, step_bound
+from .solver import Problem, SolverConfig, default_alpha, run
 
 logger = logging.getLogger(__name__)
 
@@ -349,12 +349,10 @@ def _solve(instances, spec: ExperimentSpec, seed_dirs) -> list[SeedResult]:
                 "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold
             )
         }
-        sigma = problem.grad_lipschitz
         for variant in spec.variants:
-            bound = step_bound(variant, sigma, problem.rho)
             configs[variant] = SolverConfig(
                 variant,
-                alpha=spec.alpha_fraction * bound if math.isfinite(bound) else None,
+                alpha=default_alpha(problem, variant, spec.alpha_fraction),
                 relaxation=spec.relaxation,
                 max_iters=spec.max_iters,
                 record_reference=x_ref,

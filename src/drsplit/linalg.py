@@ -1,4 +1,4 @@
-"""Dense linear algebra substrate: convolution operators, Gram spectra, SPD solves.
+"""Dense linear algebra substrate: convolution operators and Gram spectra.
 
 Vectors and matrices are plain float64 ``numpy`` arrays; ``LinearMap`` wraps a
 dense matrix together with lazily cached extreme eigenvalues of its Gram matrix.
@@ -12,9 +12,8 @@ are not used.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import FactorizationError, InvalidFilterError, RankDeficiencyError
+from .errors import InvalidFilterError, RankDeficiencyError
 
 # Relative floor under which the least Gram eigenvalue counts as zero.
 RANK_TOL = 1e-12
@@ -141,19 +140,3 @@ class LinearMap:
             self._extremes = (s, sigma)
         return self._extremes
 
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A z = b for symmetric positive definite A via Cholesky."""
-    a = as_matrix(a)
-    b = as_vector(b)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] != b.size:
-        raise ValueError(f"dimension mismatch: matrix is {a.shape}, vector has {b.size}")
-    if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
-        raise FactorizationError("matrix is not symmetric")
-    try:
-        factor = cho_factor(a)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
-    return cho_solve(factor, b)

@@ -108,7 +108,10 @@ class FirmPenalty(SeparablePenalty):
 
 
 class SoftPenalty(SeparablePenalty):
-    """Scaled absolute value tau*|t|; the rho -> 0 limit of the firm penalty."""
+    """Scaled absolute value tau*|t|; the rho -> 0 limit of the firm penalty.
+
+    Kept as the convex g of that limit: the rate property tests draw it at
+    rho = 0, where a firm penalty cannot be built."""
 
     modulus = 0.0
 
@@ -131,7 +134,9 @@ class SoftPenalty(SeparablePenalty):
 
 
 class ZeroPenalty(SeparablePenalty):
-    """g identically zero; prox is the identity."""
+    """g identically zero; prox is the identity.
+
+    Kept as the trivial g, under which a run exercises the smooth side alone."""
 
     modulus = 0.0
 

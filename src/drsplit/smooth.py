@@ -13,6 +13,9 @@ valid for a*rho < 1 and rho not exceeding the strong convexity of f.
 ``QuadraticTerm`` also holds a block of B observations y, shape (B, m), that
 share one operator H; its methods then act on (B, n) blocks of points row by
 row, with the same bits per row as a term built on that row's observation.
+Its prox calls LAPACK ``dpotrs`` on a cached Cholesky factor and does not
+scan its input for non-finite values: a NaN in comes back as a NaN out, and
+``solver.run`` reports it as divergence.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
-from .errors import NonConvexShiftError, StepSizeError
+from .errors import FactorizationError, NonConvexShiftError, StepSizeError
 from .linalg import LinearMap, as_rows, as_vector, matvec
 
 # Cholesky factors a QuadraticTerm keeps, one per step size; the least
@@ -40,12 +44,6 @@ def support_mask(dim: int, support) -> np.ndarray:
             raise ValueError(f"support indices must lie in [0, {dim})")
         mask[idx] = True
     return mask
-
-
-def project_onto_support(x, support) -> np.ndarray:
-    """Orthogonal projection onto a coordinate subspace (prox of its indicator)."""
-    x = as_vector(x)
-    return np.where(support_mask(x.size, support), x, 0.0)
 
 
 class SmoothTerm:
@@ -75,10 +73,10 @@ class QuadraticTerm(SmoothTerm):
 
     Strongly convex with modulus s = lambda_min(HᵀH); the gradient is
     Lipschitz with constant sigma = lambda_max(HᵀH).  Prox evaluations solve
-    (I + alpha HᵀH) z = x + alpha Hᵀy with a Cholesky factorization cached
-    per step value, so iterating at a fixed step factorizes once; the cache
-    keeps the FACTOR_CACHE_SIZE most recently used steps.  y of shape (B, m)
-    makes a block of B terms that share H.
+    (I + alpha HᵀH) z = x + alpha Hᵀy with LAPACK ``dpotrs`` on a Cholesky
+    factor cached per step value, so iterating at a fixed step factorizes
+    once; the cache keeps the FACTOR_CACHE_SIZE most recently used steps.
+    y of shape (B, m) makes a block of B terms that share H.
     """
 
     def __init__(self, operator, y):
@@ -141,41 +139,11 @@ class QuadraticTerm(SmoothTerm):
         rhs = as_rows(x) + alpha * self._hty
         # Rows of a block are the columns of one multi-right-hand-side solve,
         # which gives each column the bits of its own single solve.
-        return cho_solve(self._factor(alpha), rhs.T).T
-
-
-class SubspaceQuadraticTerm(SmoothTerm):
-    """f(x) = 0.5 * ||y - x||^2 + i_K(x) for a coordinate subspace K.
-
-    Not differentiable (the indicator), so it cannot drive gradient-based
-    iterations; its prox is the projected shrinkage
-    P_K((z + alpha*y) / (1 + alpha)).
-    """
-
-    def __init__(self, y, support):
-        self.y = as_vector(y).copy()
-        self.y.setflags(write=False)
-        self.mask = support_mask(self.y.size, support)
-        self.mask.setflags(write=False)
-        # On K the quadratic keeps its unit curvature.
-        self.strong_convexity = 1.0
-        self.grad_lipschitz = None
-
-    @property
-    def dim(self) -> int:
-        return self.y.size
-
-    def value(self, x) -> float:
-        x = as_vector(x)
-        if np.any(x[~self.mask] != 0.0):
-            return float("inf")
-        return 0.5 * float(np.sum((self.y - x) ** 2))
-
-    def prox(self, z, alpha: float) -> np.ndarray:
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
-        z = as_vector(z)
-        return np.where(self.mask, (z + alpha * self.y) / (1.0 + alpha), 0.0)
+        c, lower = self._factor(alpha)
+        z, info = dpotrs(c, rhs.T, lower=lower)
+        if info:
+            raise FactorizationError(f"dpotrs rejected its argument {-info}")
+        return z.T
 
 
 class SubspaceConstraint(SmoothTerm):

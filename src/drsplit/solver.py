@@ -44,14 +44,13 @@ the full iteration.  ``IterationTrace.period`` is p, or 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, DrsplitError, NonConvexShiftError, StepSizeError
+from .errors import DivergenceError, NonConvexShiftError, StepSizeError
 from .linalg import row_norm
 
 # Every DR variant is a reflection order and a choice of proxes: plain (f, g)
@@ -64,9 +63,6 @@ DR_TABLE = {
 }
 DR_VARIANTS = tuple(DR_TABLE)
 VARIANTS = DR_VARIANTS + ("ista",)
-
-# Margin below the step-size bound used when no explicit alpha is given.
-DEFAULT_ALPHA_FRACTION = 0.99
 
 # Iterations between renewals of run()'s cycle anchor, the longest period it
 # finds.  It looks only in runs of two windows or more (a shorter one could
@@ -154,14 +150,15 @@ def check_step(variant: str, alpha: float, sigma, rho: float, s=None) -> None:
         raise StepSizeError(f"alpha = {alpha:.6g} violates the {kind} {bound:.6g} of {variant}")
 
 
-def default_alpha(problem: Problem, variant: str) -> float:
-    """0.99x the variant's step bound; 1/sigma for ista or when unbounded."""
+def default_alpha(problem: Problem, variant: str, fraction: float = 0.99) -> float:
+    """fraction x the variant's step bound; the bound 1/sigma itself for
+    ista, and 1/sigma when the bound is infinite."""
     sigma = problem.grad_lipschitz
     bound = step_bound(variant, sigma, problem.rho)
     if variant == "ista":
         return bound
     if math.isfinite(bound):
-        return DEFAULT_ALPHA_FRACTION * bound
+        return fraction * bound
     if sigma is not None:
         return 1.0 / sigma
     raise StepSizeError(f"{variant} has no finite step bound here; pass alpha explicitly")
@@ -353,28 +350,21 @@ class IterationTrace:
                     f"{self.fp_residual[i]:.17g},{self.dist_to_ref[i]:.17g}\n"
                 )
 
-    def config_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "alpha": self.alpha,
-            "relaxation": self.relaxation,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-        }
-
     def to_json_dict(self) -> dict:
         return {
-            "config": self.config_dict(),
+            "config": {
+                "variant": self.variant,
+                "alpha": self.alpha,
+                "relaxation": self.relaxation,
+                "max_iters": self.max_iters,
+                "tol": self.tol,
+            },
             "iterations": self.n_iters,
             "converged": self.converged,
             "final_cost": self.final_cost,
             "final_x": [float(v) for v in self.final_x],
             "final_z": [float(v) for v in self.final_z],
         }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
 
 def run(problem: Problem, config: SolverConfig) -> IterationTrace:
@@ -385,10 +375,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     every iterate (including the initial point); with ``audit=False`` only
     the step norm.  The step gate runs before
     the first iteration: StepSizeError when alpha fails it, and
-    NonConvexShiftError when a shifted variant's rho exceeds s.  Raises
-    DivergenceError as soon as an iterate stops being finite or a prox solve,
-    the extraction of x0 included, meets a non-finite value; drsplit's own
-    errors raised there propagate unchanged.
+    NonConvexShiftError when a shifted variant's rho exceeds s.  Divergence
+    means a non-finite x0 or z, and raises DivergenceError naming the
+    iteration and the variant; the proxes do not scan their input, so a NaN
+    in the data is found there too.  Any other exception raised inside a
+    step propagates as raised.
 
     For a block problem the reference has the iterate shape (B, n), each row
     stops on its own once its step norm meets tol or its distance meets
@@ -437,17 +428,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             fp_residual[n] = problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan
             dist_to_ref[n] = row_norm(x - reference) if reference is not None else math.nan
 
-    def guarded(n, fn, *args):
-        try:
-            return fn(*args)
-        except DrsplitError:
-            raise
-        except (ValueError, FloatingPointError) as exc:
-            # a non-finite input to a prox solve surfaces as one of these
-            raise DivergenceError(f"non-finite value at iteration {n} of {config.variant}: {exc}") from exc
-
     z = np.zeros(shape)
-    x = guarded(0, extract, z)
+    x = extract(z)
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError(f"non-finite x0 at iteration 0 of {config.variant}")
     delta = np.full(lead, math.nan)
     stopped = np.zeros(lead, dtype=bool)
     converged = np.zeros(lead, dtype=bool)
@@ -459,7 +443,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     dues = set()
     for n in range(max_iters + 1):
         if n:
-            z_new = guarded(n, step, x, z)
+            z_new = step(x, z)
             if not np.all(np.isfinite(z_new)):
                 raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
             delta = row_norm(z_new - z)
@@ -467,7 +451,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
                 z = z_new
             else:  # stopped rows keep their final point
                 z = np.where(stopped[..., None], z, z_new)
-            x = guarded(n, extract, z)
+            x = extract(z)
         record(n, x, delta)
         met_tol = delta <= tol
         stop = met_tol if stop_dist is None else met_tol | (dist_to_ref[n] <= stop_dist)

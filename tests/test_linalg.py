@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from drsplit import (
-    FactorizationError,
     InvalidFilterError,
     LinearMap,
     RankDeficiencyError,
     convolution_matrix,
-    solve_spd,
 )
 from oracles import eig_extremes_via_charpoly
 
@@ -127,34 +125,3 @@ class TestGramExtremes:
             quad = w @ g @ w
             assert s - 1e-8 <= quad <= sigma + 1e-8
 
-
-class TestSolveSpd:
-    def test_identity(self):
-        b = np.array([3.0, -1.0])
-        np.testing.assert_array_equal(solve_spd(np.eye(2), b), b)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(solve_spd(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0], atol=1e-14)
-
-    def test_random_spd_residual(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            m = rng.normal(size=(5, 5))
-            a = m @ m.T + 5 * np.eye(5)
-            b = rng.normal(size=5)
-            z = solve_spd(a, b)
-            assert np.linalg.norm(a @ z - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
-
-    def test_not_positive_definite(self):
-        with pytest.raises(FactorizationError):
-            solve_spd(np.diag([1.0, -1.0]), np.ones(2))
-
-    def test_not_symmetric(self):
-        with pytest.raises(FactorizationError):
-            solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            solve_spd(np.ones((2, 3)), np.ones(2))
-        with pytest.raises(ValueError):
-            solve_spd(np.eye(2), np.ones(3))

@@ -1,6 +1,6 @@
 """Property tests on random small instances: the certified rate
-inequalities, the firm prox against grid oracles, and the shifted-prox
-rescaling identity of smooth terms."""
+inequalities, the firm, soft and quadratic-plus-firm proxes against grid
+oracles, and the shifted-prox rescaling identity of smooth terms."""
 
 import math
 
@@ -14,6 +14,7 @@ from drsplit import (
     FirmPenalty,
     LinearMap,
     Problem,
+    QuadraticPlusPenalty,
     QuadraticTerm,
     SoftPenalty,
     contraction_rate_main,
@@ -96,6 +97,29 @@ def test_firm_shifted_prox_matches_grid_oracle(case):
     p, t, alpha = case
     expected = grid_shifted_prox(p.pointwise, t, alpha, p.rho, p.tau / p.rho)
     assert float(p.shifted_prox(np.array([t]), alpha)[0]) == pytest.approx(expected, abs=1e-6)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.floats(0.1, 2.0), st.floats(-3.0, 3.0), st.floats(1e-3, 4.0))
+def test_soft_prox_matches_grid_oracle(tau, t_scale, alpha):
+    p, t = SoftPenalty(tau), t_scale * tau * alpha
+    expected = grid_prox(p.pointwise, t, alpha, 0.0)  # no plateau: the grid spans 2|t|
+    assert float(p.prox(np.array([t]), alpha)[0]) == pytest.approx(expected, abs=1e-6)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(firm_scalars(), st.floats(-1.5, 1.5))
+def test_quadratic_plus_firm_prox_matches_grid_oracle(case, y_scale):
+    # The prox of g = 0.5 (y - .)^2 + firm at alpha is a firm prox at
+    # beta = alpha / (1 + alpha), and its objective has that one's curvature
+    # 1/beta - rho; beta is drawn as firm_scalars draws a step, kept below 1.
+    base, t, beta = case
+    beta = beta * min(base.rho, 1.0)
+    alpha, y = beta / (1.0 - beta), y_scale * base.tau / base.rho
+    g = QuadraticPlusPenalty(np.array([y]), base)
+    pointwise = lambda z: 0.5 * (y - z) ** 2 + base.pointwise(z)
+    expected = grid_prox(pointwise, t, alpha, base.tau / base.rho)
+    assert float(g.prox(np.array([t]), alpha)[0]) == pytest.approx(expected, abs=1e-6)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

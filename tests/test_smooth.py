@@ -10,8 +10,6 @@ from drsplit import (
     QuadraticTerm,
     StepSizeError,
     SubspaceConstraint,
-    SubspaceQuadraticTerm,
-    project_onto_support,
 )
 from drsplit.smooth import FACTOR_CACHE_SIZE
 from oracles import central_difference_gradient
@@ -187,52 +185,17 @@ class TestShiftedProx:
             f.shifted_prox(np.zeros(5), 1e-3, 2 * s)
 
 
-class TestSubspaceQuadratic:
-    def test_full_support_zero_observation(self):
-        f = SubspaceQuadraticTerm(np.zeros(4), range(4))
-        z = np.array([2.0, -4.0, 1.0, 0.0])
-        np.testing.assert_allclose(f.prox(z, 1.0), z / 2.0, atol=1e-14)
-
-    def test_empty_support(self):
-        f = SubspaceQuadraticTerm(np.ones(3), [])
-        np.testing.assert_array_equal(f.prox(np.array([1.0, 2.0, 3.0]), 0.7), np.zeros(3))
-
-    def test_half_support_against_scalar_calculus(self):
-        rng = np.random.default_rng(12)
-        y = rng.normal(size=6)
-        z = rng.normal(size=6) * 2
-        alpha = 1.7
-        f = SubspaceQuadraticTerm(y, [0, 2, 4])
-        out = f.prox(z, alpha)
-        for i in range(6):
-            if i in (0, 2, 4):
-                # minimize (x - z_i)^2/(2a) + (y_i - x)^2/2 over x
-                assert out[i] == pytest.approx((z[i] + alpha * y[i]) / (1 + alpha), rel=1e-12)
-            else:
-                assert out[i] == 0.0
-
-    def test_value_is_infinite_off_subspace(self):
-        f = SubspaceQuadraticTerm(np.zeros(2), [0])
-        assert f.value(np.array([1.0, 0.0])) == pytest.approx(0.5)
-        assert f.value(np.array([1.0, 0.5])) == np.inf
-
-    def test_prox_output_stays_in_subspace(self):
-        rng = np.random.default_rng(13)
-        f = SubspaceQuadraticTerm(rng.normal(size=5), [1, 3])
-        out = f.prox(rng.normal(size=5), 0.4)
-        assert out[0] == out[2] == out[4] == 0.0
-
-
 class TestProjection:
+    # SubspaceConstraint.prox is the orthogonal projection onto its subspace.
     def test_full_support(self):
         z = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(project_onto_support(z, [0, 1]), z)
+        np.testing.assert_array_equal(SubspaceConstraint(2, [0, 1]).prox(z, 1.0), z)
 
     def test_empty_support(self):
-        np.testing.assert_array_equal(project_onto_support(np.ones(2), []), np.zeros(2))
+        np.testing.assert_array_equal(SubspaceConstraint(2, []).prox(np.ones(2), 1.0), np.zeros(2))
 
     def test_single_coordinate(self):
-        np.testing.assert_array_equal(project_onto_support(np.array([3.0, 4.0]), [0]), [3.0, 0.0])
+        np.testing.assert_array_equal(SubspaceConstraint(2, [0]).prox(np.array([3.0, 4.0]), 1.0), [3.0, 0.0])
 
     def test_constraint_prox_ignores_step(self):
         c = SubspaceConstraint(3, [1])

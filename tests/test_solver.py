@@ -315,6 +315,9 @@ class TestRun:
         problem = dataclasses.replace(inst, y=y).problem()
         with pytest.raises(DivergenceError, match=rf"iteration \d+ of {variant}"):
             run(problem, SolverConfig(variant, max_iters=5))
+        if variant.endswith("-gf"):  # the x0 check alone, with no step taken
+            with pytest.raises(DivergenceError, match=rf"iteration 0 of {variant}"):
+                run(problem, SolverConfig(variant, max_iters=0))
 
     def test_nonconvex_shift_is_not_divergence(self):
         y = np.random.default_rng(3).normal(size=8)
@@ -331,6 +334,21 @@ class TestRun:
         problem = Problem(BrokenTerm(LinearMap(np.eye(3)), np.ones(3)), ZeroPenalty())
         with pytest.raises(FactorizationError):
             run(problem, SolverConfig("dr-main-fg", alpha=1.0, max_iters=5))
+
+        class BuggyPenalty(ZeroPenalty):
+            def prox(self, x, alpha):
+                raise ValueError("bug")
+
+        # A plain bug in a user's term is not divergence, whether the g-prox
+        # extracts x0 (dr-main-fg) or only the step calls it (unaudited gf).
+        problem = identity_problem(BuggyPenalty(), np.ones(3))
+        for config in (
+            SolverConfig("dr-main-fg", alpha=1.0, max_iters=5),
+            SolverConfig("dr-main-gf", alpha=1.0, max_iters=5, audit=False),
+        ):
+            with pytest.raises(ValueError, match="^bug$") as raised:
+                run(problem, config)
+            assert not isinstance(raised.value, DivergenceError)
 
     def test_gate_violation_raises(self, exp1_problem):
         with pytest.raises(StepSizeError):
@@ -405,11 +423,9 @@ class TestTraceSerialization:
         assert float(row[2]) == trace.step_norm[1]
         assert math.isnan(float(row[4]))  # no reference configured
 
-    def test_json_summary(self, exp1_problem, tmp_path):
+    def test_json_summary(self, exp1_problem):
         trace = run(exp1_problem, SolverConfig("dr-main-gf", max_iters=15, tol=1e-14))
-        path = tmp_path / "trace.json"
-        trace.save_json(path)
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(trace.to_json_dict()))  # and it serializes
         assert data["config"]["variant"] == "dr-main-gf"
         assert data["config"]["relaxation"] == 0.5
         assert data["iterations"] == trace.n_iters
