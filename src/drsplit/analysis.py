@@ -72,10 +72,12 @@ def contraction_rate_main(alpha: float, s: float, rho: float, sigma: float | Non
 
 
 def contraction_rate_shift(alpha: float, s: float, rho: float, sigma: float) -> float:
-    """Contraction factor of the shifted double reflection.
+    """Contraction factor of the shifted double reflection, valid for
+    alpha <= 1/s and rho < s.
 
-    max(|1 - a(sigma - rho)|/(1 + a(sigma - rho)),
-        (1 - a(s - rho))/(1 + a(s - rho))), valid for alpha <= 1/s, rho < s.
+    The shifted f has curvature in [s - rho, sigma - rho] and the shifted
+    g-reflection is nonexpansive, so the factor is
+    reflection_bound_smooth(alpha, s - rho, sigma - rho).
     """
     if alpha <= 0:
         raise StepSizeError(f"alpha must be positive, got {alpha}")
@@ -83,9 +85,7 @@ def contraction_rate_shift(alpha: float, s: float, rho: float, sigma: float) -> 
         raise BoundInapplicableError(f"need 0 <= rho < s <= sigma, got rho={rho}, s={s}, sigma={sigma}")
     if alpha > (1.0 / s) * (1 + 1e-12):
         raise BoundInapplicableError(f"alpha = {alpha:.6g} exceeds 1/s = {1.0 / s:.6g}")
-    wide = abs(1.0 - alpha * (sigma - rho)) / (1.0 + alpha * (sigma - rho))
-    narrow = (1.0 - alpha * (s - rho)) / (1.0 + alpha * (s - rho))
-    return max(wide, narrow)
+    return reflection_bound_smooth(alpha, s - rho, sigma - rho)
 
 
 def min_rate_main(gamma: float, eta: float) -> float:

@@ -47,7 +47,7 @@ SPEC_FLAGS = (
 def _add_experiment_flags(p: argparse.ArgumentParser, spec: experiment.ExperimentSpec) -> None:
     for flag, name, kind, help_text in SPEC_FLAGS:
         p.add_argument(flag, dest=name, type=kind, default=getattr(spec, name), help=help_text)
-    p.add_argument("--master-seed", type=int, default=0)
+    p.add_argument("--master-seed", type=_count(0), default=0)
     p.add_argument("--out-dir", default=None, help="directory for instances, traces, and report.json")
     p.set_defaults(func=lambda a: _run_experiment(spec, a))
 
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve one serialized instance")
     ps.add_argument("--instance", required=True, help="instance JSON file")
     ps.add_argument("--variant", required=True, choices=solver.VARIANTS)
-    ps.add_argument("--alpha", type=float, default=None)
+    ps.add_argument("--alpha", type=_positive, default=None)
     ps.add_argument("--lambda", dest="relaxation", type=_fraction, default=0.5)
     ps.add_argument("--iters", type=_count(0), default=5000)
     ps.add_argument("--tol", type=_nonnegative, default=0.0)
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("certify", help="empirical Lipschitz checks; nonzero exit on violation")
     pc.add_argument("--pairs", type=_count(1), default=1000)
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=_count(0), default=0)
     pc.set_defaults(func=_cmd_certify)
     return parser
 

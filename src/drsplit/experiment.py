@@ -397,7 +397,9 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
     never crosses runs to its iteration limit.  Seeds are solved in blocks of
     at most BLOCK_SEEDS, each seed with the same results as alone.  A
     diverging solver aborts the seed with a logged diagnostic; remaining
-    seeds still run, and the aggregate counts the failed seeds.  When out_dir
+    seeds still run, and the aggregate counts the failed seeds.  The
+    report's achieved_ratio is sigma/s of the spec's designed filter, which
+    every seed shares, so a run without seeds reports it too.  When out_dir
     is given, instances, per-variant trace CSVs, and the aggregate report are
     written there.
     """
@@ -406,12 +408,12 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
 
+    taps = design_filter(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)
+    s, sigma = LinearMap(convolution_matrix(taps, spec.signal_len)).gram_extremes()
     seeds = derive_seeds(master_seed, spec.n_seeds)
     results = []
-    achieved = math.nan
     for start in range(0, len(seeds), BLOCK_SEEDS):
         instances = [build_instance(spec, seed) for seed in seeds[start : start + BLOCK_SEEDS]]
-        achieved = instances[0].condition_ratio()
         seed_dirs = [
             None if out_path is None else out_path / f"seed_{idx:03d}"
             for idx in range(start, start + len(instances))
@@ -419,7 +421,7 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
         results += _solve(instances, spec, seed_dirs)
 
     report = ExperimentReport(
-        spec=spec, master_seed=master_seed, achieved_ratio=achieved, results=tuple(results)
+        spec=spec, master_seed=master_seed, achieved_ratio=sigma / s, results=tuple(results)
     )
     if out_path is not None:
         report.save(out_path / "report.json")

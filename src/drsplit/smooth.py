@@ -10,18 +10,17 @@ computed through the rescaling
 
 valid for a*rho < 1 and rho not exceeding the strong convexity of f.
 
-``QuadraticTerm`` also holds a block of B observations y, shape (B, m), that
-share one operator H; its methods then act on (B, n) blocks of points row by
-row, with the same bits per row as a term built on that row's observation.
-Its prox calls LAPACK ``dpotrs`` on a cached Cholesky factor and does not
-scan its input for non-finite values: a NaN in comes back as a NaN out, and
-``solver.run`` reports it as divergence.
+``QuadraticTerm`` reads s and sigma once, when it is built, and keeps one
+Cholesky factor: that of the last step its prox was called at.  It also
+holds a block of B observations y, shape (B, m), that share one operator H;
+its methods then act on (B, n) blocks of points row by row, with the same
+bits per row as a term built on that row's observation.  Its prox calls
+LAPACK ``dpotrs`` on the factor and does not scan its input for non-finite
+values: a NaN in comes back as a NaN out, and ``solver.run`` reports it as
+divergence.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -29,10 +28,6 @@ from scipy.linalg.lapack import dpotrs
 
 from .errors import FactorizationError, NonConvexShiftError, StepSizeError
 from .linalg import LinearMap, as_rows, as_vector, matvec
-
-# Cholesky factors a QuadraticTerm keeps, one per step size; the least
-# recently used one is evicted first.
-FACTOR_CACHE_SIZE = 8
 
 
 def support_mask(dim: int, support) -> np.ndarray:
@@ -72,11 +67,13 @@ class QuadraticTerm(SmoothTerm):
     """f(x) = 0.5 * ||y - H x||^2 for a full-column-rank operator H.
 
     Strongly convex with modulus s = lambda_min(HᵀH); the gradient is
-    Lipschitz with constant sigma = lambda_max(HᵀH).  Prox evaluations solve
-    (I + alpha HᵀH) z = x + alpha Hᵀy with LAPACK ``dpotrs`` on a Cholesky
-    factor cached per step value, so iterating at a fixed step factorizes
-    once; the cache keeps the FACTOR_CACHE_SIZE most recently used steps.
-    y of shape (B, m) makes a block of B terms that share H.
+    Lipschitz with constant sigma = lambda_max(HᵀH).  Both are computed at
+    construction, which raises RankDeficiencyError when H lacks full column
+    rank.  Prox evaluations solve (I + alpha HᵀH) z = x + alpha Hᵀy with
+    LAPACK ``dpotrs`` on the Cholesky factor of the last step used, so
+    iterating at a fixed step factorizes once; a call at another step
+    factorizes and replaces it.  y of shape (B, m) makes a block of B terms
+    that share H.
     """
 
     def __init__(self, operator, y):
@@ -89,10 +86,13 @@ class QuadraticTerm(SmoothTerm):
                 f"dimension mismatch: operator has {operator.rows} rows, y has {self.y.shape[-1]}"
             )
         self.y.setflags(write=False)
+        self.strong_convexity, self.grad_lipschitz = operator.gram_extremes()
         self._gram = operator.gram()
         self._hty = operator.adjoint_apply(self.y)
-        self._factors: OrderedDict[float, tuple] = OrderedDict()
-        self._lock = threading.Lock()
+        # (step, its cho_factor result), read and replaced as a whole, so
+        # concurrent callers may factorize twice but never get another
+        # step's factor.
+        self._last_factor: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -103,14 +103,6 @@ class QuadraticTerm(SmoothTerm):
         """() for one observation, (B,) for a block of B observations."""
         return self.y.shape[:-1]
 
-    @property
-    def strong_convexity(self) -> float:
-        return self.operator.gram_extremes()[0]
-
-    @property
-    def grad_lipschitz(self) -> float:
-        return self.operator.gram_extremes()[1]
-
     def value(self, x):
         """f(x), one value per row of a block."""
         r = self.y - self.operator.apply(x)
@@ -120,18 +112,11 @@ class QuadraticTerm(SmoothTerm):
         return matvec(self._gram, as_rows(x)) - self._hty
 
     def _factor(self, alpha: float):
-        with self._lock:
-            factor = self._factors.get(alpha)
-            if factor is not None:
-                self._factors.move_to_end(alpha)
-                return factor
-        factor = cho_factor(np.eye(self.dim) + alpha * self._gram)
-        with self._lock:
-            factor = self._factors.setdefault(alpha, factor)
-            self._factors.move_to_end(alpha)
-            while len(self._factors) > FACTOR_CACHE_SIZE:
-                self._factors.popitem(last=False)
-        return factor
+        last = self._last_factor
+        if last is None or last[0] != alpha:
+            last = (alpha, cho_factor(np.eye(self.dim) + alpha * self._gram))
+            self._last_factor = last
+        return last[1]
 
     def prox(self, x, alpha: float) -> np.ndarray:
         if alpha <= 0:

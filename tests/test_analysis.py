@@ -92,6 +92,16 @@ class TestShiftRate:
         with pytest.raises(BoundInapplicableError):
             contraction_rate_shift(0.6, 2.0, 0.5, 4.0)  # above 1/s
 
+    def test_bits_of_the_two_term_formula(self):
+        # max(|1 - a(sigma - rho)|/(1 + a(sigma - rho)), (1 - a(s - rho))/(1 + a(s - rho)))
+        for s in (0.3, 2.0):
+            for sigma in (s, 4.0, 50.0):
+                for rho in (0.0, 0.25 * s, 0.9 * s, s * (1 - 1e-12)):
+                    for alpha in (1e-6, 0.1 / s, 0.5 / s, 1.0 / s, (1.0 / s) * (1 + 1e-12)):
+                        wide = abs(1.0 - alpha * (sigma - rho)) / (1.0 + alpha * (sigma - rho))
+                        narrow = (1.0 - alpha * (s - rho)) / (1.0 + alpha * (s - rho))
+                        assert contraction_rate_shift(alpha, s, rho, sigma) == max(wide, narrow)
+
 
 class TestMinRateMain:
     def test_zero_at_unit_ratio(self):

@@ -102,6 +102,9 @@ SOLVE = ["solve", "--instance", "instance.json", "--variant", "ista"]
         (["exp1"], "--iters", 0),
         (["exp2"], "--iters", 0),
         (SOLVE, "--iters", 0),
+        (["certify"], "--seed", 0),
+        (["exp1"], "--master-seed", 0),
+        (["exp2"], "--master-seed", 0),
     ],
 )
 def test_out_of_range_count_is_a_usage_error(argv, flag, lowest, capsys):
@@ -143,8 +146,9 @@ def test_fraction_outside_the_open_unit_interval_is_a_usage_error(argv, flag, ca
         (RATES, "--sigma", "> 0", "8", "0"),
         (RATES, "--alpha-max", "> 0", "1e-9", "-1"),
         (RATES, "--rho", ">= 0", "0", "-1"),
+        (SOLVE, "--alpha", "> 0", "1e-9", "0"),
     ],
-    ids=["solve-tol", "rates-s", "rates-sigma", "rates-alpha-max", "rates-rho"],
+    ids=["solve-tol", "rates-s", "rates-sigma", "rates-alpha-max", "rates-rho", "solve-alpha"],
 )
 def test_out_of_range_real_is_a_usage_error(argv, flag, rule, inside, outside, capsys):
     build_parser().parse_args(argv + [flag, inside])

@@ -208,6 +208,15 @@ class TestRunExperiment:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["aggregate"]["seeds_compared"] == 2
 
+    def test_report_without_seeds_is_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        run_experiment(dataclasses.replace(EXP2, n_seeds=0), out_dir=tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        one = run_experiment(dataclasses.replace(EXP2, n_seeds=1, max_iters=0, reference_iters=0))
+        assert data["achieved_ratio"] == one.achieved_ratio
+
     def test_report_deterministic_under_master_seed(self):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=150, reference_iters=1500)
         a = run_experiment(spec, master_seed=5).to_json_dict()

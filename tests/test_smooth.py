@@ -1,17 +1,23 @@
+import dataclasses
 import sys
 import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from drsplit import (
+    EXP2,
     LinearMap,
     NonConvexShiftError,
     QuadraticTerm,
+    RankDeficiencyError,
     StepSizeError,
     SubspaceConstraint,
+    run_experiment,
 )
-from drsplit.smooth import FACTOR_CACHE_SIZE
+from drsplit import smooth
+from drsplit.analysis import certify
 from oracles import central_difference_gradient
 
 
@@ -53,6 +59,11 @@ class TestQuadraticValueGrad:
         f = QuadraticTerm(LinearMap(np.diag([1.0, 2.0])), np.zeros(2))
         assert f.strong_convexity == pytest.approx(1.0)
         assert f.grad_lipschitz == pytest.approx(4.0)
+
+    def test_rank_deficient_operator_fails_at_construction(self):
+        col = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(RankDeficiencyError):
+            QuadraticTerm(LinearMap(np.column_stack([col, 2 * col])), np.zeros(3))
 
 
 class TestQuadProx:
@@ -105,13 +116,13 @@ class TestQuadProx:
         x = rng.normal(size=5)
         alphas = np.linspace(0.01, 3.0, 100)
         swept = [f.prox(x, alpha) for alpha in alphas]
-        assert len(f._factors) <= FACTOR_CACHE_SIZE
-        # evicted steps are factorized again with the same bits
+        assert_holds_factor_of(f, alphas[-1])
+        # replaced steps are factorized again with the same bits
         for alpha, got in zip(alphas[::7], swept[::7]):
             fresh, _ = random_term(9)
             np.testing.assert_array_equal(got, fresh.prox(x, alpha))
             np.testing.assert_array_equal(f.prox(x, alpha), got)
-        assert len(f._factors) <= FACTOR_CACHE_SIZE
+        assert_holds_factor_of(f, alphas[::7][-1])
 
     def test_factor_cache_under_threads(self):
         f, rng = random_term(10)
@@ -137,7 +148,41 @@ class TestQuadProx:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
-        assert len(f._factors) <= FACTOR_CACHE_SIZE
+
+
+def assert_holds_factor_of(f, alpha):
+    """f keeps exactly the Cholesky factor of step alpha."""
+    step, (c, lower) = f._last_factor
+    assert step == alpha
+    expected, expected_lower = cho_factor(np.eye(f.dim) + alpha * f.operator.gram())
+    assert lower == expected_lower
+    np.testing.assert_array_equal(c, expected)
+
+
+class TestFactorTraffic:
+    # One factor per term suffices because each run iterates at one step:
+    # these counts are the factorizations the stock entry points need.
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(smooth, "cho_factor", counted)
+        return calls
+
+    def test_experiment_factorizes_once_per_dr_variant(self, factorizations):
+        spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=100, reference_iters=500)
+        run_experiment(spec, master_seed=3)
+        assert len(factorizations) == len(spec.variants) == 2
+
+    def test_certify_factorizes_once_per_step(self, factorizations):
+        # EXP1: both direct orders at one step; EXP2: the direct and the
+        # shifted step.
+        certify(10, 0)
+        assert len(factorizations) == 3
 
 
 class TestShiftedProx:
