@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from . import analysis, experiment, solver
+from .errors import NonConvexShiftError, StepSizeError
 
 
 def _checked(kind, ok, rule: str):
@@ -137,7 +138,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "rates" and args.sigma < args.s:
         parser.error(f"rates needs --sigma >= --s, got --sigma {args.sigma} and --s {args.s}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (StepSizeError, NonConvexShiftError) as exc:  # gates that need the loaded instance
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

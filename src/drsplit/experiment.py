@@ -15,12 +15,14 @@ of these traced runs stops at the first iterate within the distance
 threshold, so its final cost, final distance and trace CSV end at that
 threshold-crossing row.
 
-The seeds of one spec share the operator H; only y and tau differ.  So
+The seeds of one spec share the operator H, one ``LinearMap`` per filter
+design, cached with the design; only y and tau differ.  So
 ``run_experiment`` solves up to BLOCK_SEEDS seeds at a time as one block
 problem (``block_problem``) through the same ``solver.run``, and each seed's
 numbers and files are byte-identical to those of a run on that seed alone.
 A block that diverges is solved again as one-seed blocks, so one bad seed
-fails alone.
+fails alone.  A seed's files are written once its block has finished, and a
+failed seed writes none.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from .solver import Problem, SolverConfig, default_alpha, run
 logger = logging.getLogger(__name__)
 
 # Most seeds solved as one block.  A block run's trace columns hold a row per
-# iteration for each of its seeds; the unaudited reference writes one 10k-row
-# column (8 B per row and seed) and the traced runs only the rows up to their
-# threshold crossing.  With run_experiment at 20 seeds, the stock specs peaked
-# at 60.4-60.5 MB at one seed per block, 63.0-63.5 MB at 10 and 63.6-64.0 MB
-# at 20 (OPENBLAS_NUM_THREADS=1, x86-64).
+# iteration for each of its seeds, kept until the block has written its
+# seeds' files; the unaudited reference writes one 10k-row column (8 B per
+# row and seed) and the traced runs only the rows up to their threshold
+# crossing.  With run_experiment at 20 seeds into an out_dir, the stock specs
+# peaked at 61.4-61.7 MB at one seed per block, 61.7-62.2 MB at 10 and
+# 61.3-61.4 MB at 20 (OPENBLAS_NUM_THREADS=1, x86-64).
 BLOCK_SEEDS = 10
 
 
@@ -84,7 +87,10 @@ def _condition_ratio(a: float, length: int, signal_len: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol: float):
+def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol: float) -> tuple[tuple, LinearMap]:
+    """The bisected taps of one filter design and their convolution operator."""
+    if target_ratio <= 1.0:
+        raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     lo, hi = 1e-4, 0.95
     r_lo = _condition_ratio(lo, length, signal_len)
     r_hi = _condition_ratio(hi, length, signal_len)
@@ -97,7 +103,8 @@ def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol
         mid = 0.5 * (lo + hi)
         r = _condition_ratio(mid, length, signal_len)
         if abs(r - target_ratio) <= tol * target_ratio:
-            return tuple(mid ** np.arange(length))
+            taps = tuple(mid ** np.arange(length))
+            return taps, LinearMap(convolution_matrix(taps, signal_len))
         if r < target_ratio:
             lo = mid
         else:
@@ -108,9 +115,7 @@ def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol
 def design_filter(target_ratio: float, length: int = 31, signal_len: int = 90, tol: float = 0.02) -> np.ndarray:
     """Geometric filter (1, a, a^2, ...) with a bisected so the Gram condition
     ratio of the induced tall convolution matrix matches target_ratio."""
-    if target_ratio <= 1.0:
-        raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
-    return np.array(_design_filter_cached(float(target_ratio), int(length), int(signal_len), float(tol)))
+    return np.array(_design_filter_cached(float(target_ratio), int(length), int(signal_len), float(tol))[0])
 
 
 @dataclass(frozen=True)
@@ -190,10 +195,16 @@ class ProblemInstance:
             return cls.from_json_dict(json.load(fh))
 
 
+def _operator(spec: ExperimentSpec) -> LinearMap:
+    """spec's filter operator: one object per design, so HᵀH and (s, sigma) are computed once."""
+    return _design_filter_cached(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)[1]
+
+
 def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
-    """Assemble one seeded instance of the experiment recipe (deterministic in seed)."""
+    """Assemble one seeded instance of the experiment recipe (deterministic in
+    seed).  Every seed of the spec shares the one operator of its filter."""
     taps = design_filter(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)
-    operator = LinearMap(convolution_matrix(taps, spec.signal_len))
+    operator = _operator(spec)
     s, _ = operator.gram_extremes()
     rng = np.random.default_rng(seed)
     x = generate_sparse_signal(spec.signal_len, spec.sparsity, rng)
@@ -327,102 +338,85 @@ class ExperimentReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _solve(instances, spec: ExperimentSpec, seed_dirs) -> list[SeedResult]:
+def _solve(instances, spec: ExperimentSpec) -> list[tuple[SeedResult, dict]]:
     """Solve instances that share their operator as one block: the ISTA
     reference, unaudited, then ISTA and every DR variant against it, each
-    row stopping at the first iterate within spec.dist_threshold; one
-    SeedResult per instance.
+    row stopping at the first iterate within spec.dist_threshold.
 
-    Each run is cut to its seeds' numbers as soon as it ends, and writes each
-    seed's trace CSV into that seed's entry of seed_dirs (None: no files), so
-    only one run's trace columns are alive at a time.  A block that diverges
-    is solved again as one-seed blocks, so the seeds that do converge still
-    complete; a failed seed is left with no trace CSVs and, when it ends up
-    empty, no seed directory.
+    Returns one (SeedResult, traces) pair per instance, traces mapping each
+    run's name to that seed's row trace.  A block that diverges is solved
+    again as one-seed blocks, so the seeds that do converge still complete;
+    a seed that diverges alone gets a failed SeedResult and no traces.
     """
     problem = block_problem(instances)
-    results = [SeedResult(inst.seed, {}, {}, {}) for inst in instances]
     try:
         x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
-        configs = {
-            "ista": SolverConfig(
-                "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold
-            )
-        }
-        for variant in spec.variants:
-            configs[variant] = SolverConfig(
-                variant,
+        ista = SolverConfig(
+            "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold
+        )
+        dr = [
+            dataclasses.replace(
+                ista,
+                variant=variant,
                 alpha=default_alpha(problem, variant, spec.alpha_fraction),
                 relaxation=spec.relaxation,
                 max_iters=spec.max_iters,
-                record_reference=x_ref,
-                stop_dist=spec.dist_threshold,
             )
-        for name, config in configs.items():
-            for result, trace, seed_dir in zip(results, run(problem, config).split(), seed_dirs):
-                result.iterations_to_threshold[name] = trace.iterations_to(spec.dist_threshold)
-                result.final_cost[name] = trace.final_cost
-                result.final_dist[name] = float(trace.dist_to_ref[-1])
-                if seed_dir is not None:
-                    seed_dir.mkdir(exist_ok=True)
-                    trace.to_csv(seed_dir / f"{name}.csv")
-            del trace  # free this run's trace columns before the next run allocates its own
+            for variant in spec.variants
+        ]
+        rows = {config.variant: run(problem, config).split() for config in [ista, *dr]}
     except DivergenceError as exc:
         if len(instances) > 1:
             logger.info("a block of %d seeds diverged (%s); solving them one at a time", len(instances), exc)
-            return [_solve([inst], spec, [seed_dir])[0] for inst, seed_dir in zip(instances, seed_dirs)]
+            return [solved for inst in instances for solved in _solve([inst], spec)]
         logger.warning("seed %d aborted: %s", instances[0].seed, exc)
-        seed_dir = seed_dirs[0]
-        if seed_dir is not None and seed_dir.is_dir():
-            for name in ("ista", *spec.variants):
-                (seed_dir / f"{name}.csv").unlink(missing_ok=True)
-            if not any(seed_dir.iterdir()):
-                seed_dir.rmdir()
-        return [SeedResult(instances[0].seed, {}, {}, {}, failed=str(exc))]
-    for inst, seed_dir in zip(instances, seed_dirs):
-        if seed_dir is not None:
-            inst.save(seed_dir / "instance.json")
-    return results
+        return [(SeedResult(instances[0].seed, {}, {}, {}, failed=str(exc)), {})]
+    seed_traces = [dict(zip(rows, seed_rows)) for seed_rows in zip(*rows.values())]
+    return [
+        (SeedResult(
+            inst.seed,
+            iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
+            final_cost={k: t.final_cost for k, t in traces.items()},
+            final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
+        ), traces)
+        for inst, traces in zip(instances, seed_traces)
+    ]
 
 
 def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> ExperimentReport:
     """Run every seeded instance of the experiment recipe and aggregate the results.
 
-    Per seed: build the instance, compute the ISTA reference minimizer
-    without an audit, then run ISTA and the configured DR variants (at
-    alpha_fraction x their step bounds) against it until the distance to the
-    reference drops to spec.dist_threshold, recording iterations to it.  A
-    run that crosses the threshold stops there, so its final_cost,
-    final_dist and trace CSV are those of the crossing iterate; one that
-    never crosses runs to its iteration limit.  Seeds are solved in blocks of
-    at most BLOCK_SEEDS, each seed with the same results as alone.  A
-    diverging solver aborts the seed with a logged diagnostic; remaining
-    seeds still run, and the aggregate counts the failed seeds.  The
-    report's achieved_ratio is sigma/s of the spec's designed filter, which
-    every seed shares, so a run without seeds reports it too.  When out_dir
-    is given, instances, per-variant trace CSVs, and the aggregate report are
-    written there.
+    Seeds are solved in blocks of at most BLOCK_SEEDS (``_solve``), each with
+    the same results as alone.  A run that crosses spec.dist_threshold stops
+    there, so its final_cost, final_dist and trace CSV are those of the
+    crossing iterate; one that never crosses runs to its iteration limit.  A
+    diverging seed is aborted with a logged diagnostic; the remaining seeds
+    still run, and the aggregate counts the failed seeds.  achieved_ratio is
+    sigma/s of the operator every seed shares, so a run without seeds reports
+    it too.  With out_dir, each seed's instance and trace CSVs are written
+    there once its block has finished (a failed seed writes nothing), and
+    then the aggregate report.
     """
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
+    out_path = None if out_dir is None else Path(out_dir)
+    if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    taps = design_filter(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)
-    s, sigma = LinearMap(convolution_matrix(taps, spec.signal_len)).gram_extremes()
+    s, sigma = _operator(spec).gram_extremes()
     seeds = derive_seeds(master_seed, spec.n_seeds)
     results = []
     for start in range(0, len(seeds), BLOCK_SEEDS):
         instances = [build_instance(spec, seed) for seed in seeds[start : start + BLOCK_SEEDS]]
-        seed_dirs = [
-            None if out_path is None else out_path / f"seed_{idx:03d}"
-            for idx in range(start, start + len(instances))
-        ]
-        results += _solve(instances, spec, seed_dirs)
+        for idx, (inst, (result, traces)) in enumerate(zip(instances, _solve(instances, spec)), start):
+            results.append(result)
+            if out_path is None or result.failed is not None:
+                continue
+            seed_dir = out_path / f"seed_{idx:03d}"
+            seed_dir.mkdir(exist_ok=True)
+            inst.save(seed_dir / "instance.json")
+            for name, trace in traces.items():
+                trace.to_csv(seed_dir / f"{name}.csv")
 
-    report = ExperimentReport(
-        spec=spec, master_seed=master_seed, achieved_ratio=sigma / s, results=tuple(results)
-    )
+    report = ExperimentReport(spec, master_seed, achieved_ratio=sigma / s, results=tuple(results))
     if out_path is not None:
         report.save(out_path / "report.json")
     return report

@@ -218,17 +218,27 @@ def test_diverging_seed_is_named_and_counted(block_seeds, monkeypatch):
     assert clean.to_json_dict()["aggregate"]["failed_seeds"] == 0
 
 
+# Each run of a block, in the order it runs: the unaudited reference, the
+# ISTA trace run and the last DR variant.
+DIVERGING_RUN = {
+    "reference": lambda config: not config.audit,
+    "ista_trace": lambda config: config.variant == "ista" and config.audit,
+    "last_dr": lambda config: config.variant == EXP1.variants[-1],
+}
+
+
+@pytest.mark.parametrize("diverging", list(DIVERGING_RUN))
 @pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
-def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, tmp_path, monkeypatch):
+def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, diverging, tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", block_seeds)
-    # The block writes each run's CSVs as it ends, so a divergence in the
-    # last DR run comes after the earlier runs have written theirs.
+    # A block writes its seeds' files only once all its runs have ended, so
+    # a divergence in any run, the last DR run too, leaves the seed no files.
     spec = dataclasses.replace(EXP1, n_seeds=3, max_iters=200, reference_iters=600)
     clean = run_experiment(spec, master_seed=4, out_dir=tmp_path / "clean")
     bad_y = experiment.build_instance(spec, derive_seeds(4, 3)[1]).y
 
     def run_failing_bad_seed(problem, config):
-        if config.variant == spec.variants[-1] and any(np.array_equal(y, bad_y) for y in np.atleast_2d(problem.smooth.y)):
+        if DIVERGING_RUN[diverging](config) and any(np.array_equal(y, bad_y) for y in np.atleast_2d(problem.smooth.y)):
             raise DivergenceError("forced divergence")
         return run(problem, config)
 

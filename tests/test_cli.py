@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from drsplit import EXP1, EXP2, build_instance
+from drsplit import EXP1, EXP2, FirmPenalty, build_instance
 from drsplit.cli import build_parser, main
 
 
@@ -36,21 +37,30 @@ def test_solve_command(tmp_path, capsys):
     assert trace_path.read_text().startswith("iter,cost,step_norm,fp_residual,dist_to_ref")
 
 
-def test_solve_rejects_gate_violation(tmp_path):
+def test_solve_rejects_gate_violation(tmp_path, capsys):
     instance_path = tmp_path / "instance.json"
     inst = build_instance(EXP2, seed=4)
     inst.save(instance_path)
-    from drsplit import StepSizeError
+    alpha = 2.0 / inst.penalty.rho
 
-    with pytest.raises(StepSizeError):
-        main(
-            [
-                "solve",
-                "--instance", str(instance_path),
-                "--variant", "dr-shift-fg",
-                "--alpha", str(2.0 / inst.penalty.rho),
-            ]
-        )
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--instance", str(instance_path), "--variant", "dr-shift-fg", "--alpha", str(alpha)])
+    assert stop.value.code == 2
+    message = f"alpha = {alpha:.6g} violates the strict bound {1.0 / inst.penalty.rho:.6g} of dr-shift-fg"
+    assert f"drsplit: error: {message}\n" in capsys.readouterr().err
+
+
+def test_solve_rejects_nonconvex_shift(tmp_path, capsys):
+    inst = build_instance(EXP2, seed=4)
+    s = inst.operator.gram_extremes()[0]
+    instance_path = tmp_path / "instance.json"
+    dataclasses.replace(inst, penalty=FirmPenalty(inst.penalty.tau, 2.0 * s)).save(instance_path)
+
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--instance", str(instance_path), "--variant", "dr-shift-gf", "--alpha", str(0.1 / s)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"drsplit: error: shift rho = {2.0 * s:.6g} exceeds the strong convexity s = {s:.6g}\n" in err
 
 
 def test_exp2_command_writes_report(tmp_path, capsys):

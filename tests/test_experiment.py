@@ -18,6 +18,7 @@ from drsplit import (
     generate_sparse_signal,
     run_experiment,
 )
+from drsplit import linalg
 from drsplit.experiment import _condition_ratio, derive_seeds
 
 
@@ -131,6 +132,20 @@ class TestBuildInstance:
         assert inst.y.shape == (EXP1.signal_len + EXP1.filter_len - 1,)
         assert inst.ground_truth.shape == (EXP1.signal_len,)
         assert np.count_nonzero(inst.ground_truth) == EXP1.sparsity
+
+
+class TestSharedOperator:
+    def test_seeds_of_a_spec_share_one_operator(self):
+        assert build_instance(EXP2, seed=1).operator is build_instance(EXP2, seed=2).operator
+
+    def test_warm_run_computes_no_gram_spectrum(self, monkeypatch):
+        build_instance(EXP2, seed=0)  # warms the filter design cache
+        calls = []
+        eigvalsh = linalg.np.linalg.eigvalsh
+        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        report = run_experiment(dataclasses.replace(EXP2, n_seeds=3))
+        assert len(report.ok_results()) == 3
+        assert calls == []
 
 
 class TestInstanceSerialization:
