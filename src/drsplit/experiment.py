@@ -51,8 +51,11 @@ logger = logging.getLogger(__name__)
 # seeds' files; the unaudited reference writes one 10k-row column (8 B per
 # row and seed) and the traced runs only the rows up to their threshold
 # crossing.  With run_experiment at 20 seeds into an out_dir, the stock specs
-# peaked at 61.4-61.7 MB at one seed per block, 61.7-62.2 MB at 10 and
-# 61.3-61.4 MB at 20 (OPENBLAS_NUM_THREADS=1, x86-64).
+# peaked at 61.4-61.9 MB at one seed per block, 63.6-65.0 MB at 10 and
+# 64.3-65.4 MB at 20 (OPENBLAS_NUM_THREADS=1, x86-64).  Most of the rise
+# past one seed is memory the allocator keeps after run()'s 16-row audit
+# calls, whose temporaries pass 128 KB at 10 seeds: with 8 audit rows (or
+# 1), EXP1 peaked at 62.5 MB at 10 seeds per block.
 BLOCK_SEEDS = 10
 
 

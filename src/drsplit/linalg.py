@@ -2,7 +2,8 @@
 
 Vectors and matrices are plain float64 ``numpy`` arrays; ``LinearMap`` wraps a
 dense matrix together with lazily cached extreme eigenvalues of its Gram matrix.
-Operators also act on a block of B row vectors, shape (B, n).  Block results
+Operators also act on a block of B row vectors, shape (B, n), and on any
+stack of them, shape (..., n), such as k iterates of a block.  Block results
 are built from calls that give, per row, the same bits as the call on that
 row alone: ``matvec`` and ``row_norm`` below.  ``X @ M.T``,
 ``np.linalg.norm(X, axis=1)`` and ``einsum`` round differently per row and
@@ -28,15 +29,15 @@ def as_vector(x) -> np.ndarray:
 
 
 def as_rows(x) -> np.ndarray:
-    """Coerce to a float64 vector (n,) or a block of row vectors (B, n)."""
+    """Coerce to a float64 vector (n,) or a stack of row vectors (..., n)."""
     v = np.asarray(x, dtype=float)
-    if v.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a (B, n) block of vectors, got shape {v.shape}")
+    if v.ndim < 1:
+        raise ValueError(f"expected a vector or a (..., n) stack of vectors, got shape {v.shape}")
     return v
 
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a vector x, or for each row of a (B, n) block.
+    """m @ x for a vector x, or for each row of a (..., n) stack.
 
     The stacked matmul runs one matrix-vector product per row, so each row
     equals ``m @ row`` bit for bit.

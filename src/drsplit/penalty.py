@@ -13,9 +13,10 @@ penalty here exposes
 beta = alpha / (1 + alpha rho) it equals ``prox(x * beta / alpha, beta)``, and
 its step gate ``beta * rho < 1`` holds for every alpha > 0.
 
-Every operation is elementwise, so it also acts on a (B, n) block of points
-row by row; ``value`` then returns one total per row.  ``FirmPenalty`` takes
-its weight tau as a scalar or as a (B, 1) column, one weight per row.
+Every operation is elementwise, so it also acts on a (B, n) block of points,
+or any (..., n) stack of them, row by row; ``value`` then returns one total
+per row.  ``FirmPenalty`` takes its weight tau as a scalar or as a (B, 1)
+column, one weight per row.
 """
 
 from __future__ import annotations
@@ -170,9 +171,10 @@ class QuadraticPlusPenalty(SeparablePenalty):
         self.base = base
         self.modulus = max(base.modulus - 1.0, 0.0)
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """g(x), one value per row of a (..., n) stack."""
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(np.sum((self.y - x) ** 2)) + self.base.value(x)
+        return 0.5 * np.sum((self.y - x) ** 2, axis=-1) + self.base.value(x)
 
     def prox(self, x, alpha: float):
         if alpha <= 0:

@@ -18,6 +18,10 @@ bits per row as a term built on that row's observation.  Its prox calls
 LAPACK ``dpotrs`` on the factor and does not scan its input for non-finite
 values: a NaN in comes back as a NaN out, and ``solver.run`` reports it as
 divergence.
+
+``value`` and ``grad`` also take any (..., n) stack of points, such as the
+iterates that ``solver.run`` audits in one call, and return one result per
+row; so does ``SubspaceConstraint.value``.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class QuadraticTerm(SmoothTerm):
             operator = LinearMap(operator)
         self.operator = operator
         self.y = as_rows(y).copy()
+        if self.y.ndim > 2:
+            raise ValueError(f"expected an observation (m,) or a (B, m) block of them, got shape {self.y.shape}")
         if self.y.shape[-1] != operator.rows:
             raise ValueError(
                 f"dimension mismatch: operator has {operator.rows} rows, y has {self.y.shape[-1]}"
@@ -144,9 +150,10 @@ class SubspaceConstraint(SmoothTerm):
     def dim(self) -> int:
         return self.mask.size
 
-    def value(self, x) -> float:
-        x = as_vector(x)
-        return 0.0 if not np.any(x[~self.mask] != 0.0) else float("inf")
+    def value(self, x):
+        """0 on the subspace and inf off it, one value per row of a (..., n) stack."""
+        x = as_rows(x)
+        return np.where(np.any(x[..., ~self.mask] != 0.0, axis=-1), np.inf, 0.0)[()]
 
     def prox(self, z, alpha: float) -> np.ndarray:
         return np.where(self.mask, as_vector(z), 0.0)

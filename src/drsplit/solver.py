@@ -22,15 +22,24 @@ a run on that row's problem alone would give; ``IterationTrace.split``
 returns the per-row traces.  A row that meets the tolerance stops there and
 keeps its final point while the others go on.
 
-``run`` allocates its four trace columns at max_iters + 1 rows when it starts,
-writes one row per iterate and returns them cut to the rows it wrote.
+``run`` allocates its four trace columns at max_iters + 1 rows when it starts
+and returns them cut to the rows it wrote.  The loop writes the step norm of
+each iterate and keeps its primal point x in a buffer of AUDIT_ROWS
+iterates; each time the buffer fills, one stacked call each of
+``Problem.cost``, ``Problem.fixed_point_residual`` and ``row_norm`` fills the
+audit columns of those rows, and the rows left when the loop ends are
+audited then.  Every call acts row by row, so each column has the bits of
+auditing one iterate at a time.  The terms' ``value``, the smooth term's
+``grad`` and the penalty's ``prox`` therefore take a (k, *shape) stack of
+iterates, one result per row.
 
 Two options serve callers that read less than the full history: a row
 stops at the first iterate whose distance to the reference meets
-``stop_dist``, and ``audit=False`` records only the step norm (the other
-columns come back as NaN).  ``run_experiment`` uses both: its reference run
-is unaudited and its traced runs stop at the distance threshold.  The
-defaults keep every iterate and every column.
+``stop_dist`` (the distance is then computed per iterate, for the stop
+test), and ``audit=False`` records only the step norm (the other columns
+come back as NaN).  ``run_experiment`` uses both: its reference run is
+unaudited and its traced runs stop at the distance threshold.  The defaults
+keep every iterate and every column.
 
 A run of at least 2 * CYCLE_WINDOW iterations skips exact floating-point
 cycles.  From iteration CYCLE_WINDOW on it keeps an anchor iterate, renewed
@@ -69,6 +78,15 @@ VARIANTS = DR_VARIANTS + ("ista",)
 # skip less than one); stock-spec ISTA periods reach 280 (EXP2) and 30 (EXP1).
 CYCLE_WINDOW = 512
 
+# Iterates per stacked audit call in run().  The audit's dozen numpy calls
+# cost about as much on one row as on 16: on a 2-core x86-64 host, 16 rows
+# took a 58-iteration EXP2 solve from 5.8 to 3.4 ms and more rows were no
+# faster.  The stacked calls' temporaries grow with the row count: a pass of
+# the acceptance gate (6-seed blocks) peaked 0.8 MB higher at 16 rows and
+# 2.2 MB at 32, so a history of all max_iters + 1 iterates, audited after
+# the loop, is not kept.
+AUDIT_ROWS = 16
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -102,7 +120,7 @@ class Problem:
         return getattr(self.smooth, "strong_convexity", None)
 
     def cost(self, x):
-        """h(x), one value per row of a block."""
+        """h(x), one value per row of a block or of a stack of iterates."""
         return self.smooth.value(x) + self.penalty.value(x)
 
     def has_gradient(self) -> bool:
@@ -110,7 +128,7 @@ class Problem:
 
     def fixed_point_residual(self, x, alpha: float):
         """|| x - prox_g(x - alpha grad f(x), alpha) ||, zero exactly at minimizers
-        (one value per row of a block)."""
+        (one value per row of a block or of a stack of iterates)."""
         x = np.asarray(x, dtype=float)
         return row_norm(x - self.penalty.prox(x - alpha * self.smooth.grad(x), alpha))
 
@@ -342,13 +360,12 @@ class IterationTrace:
 
     def to_csv(self, path) -> None:
         self._require_single("to_csv")
+        columns = (self.iterations, self.cost, self.step_norm, self.fp_residual, self.dist_to_ref)
         with open(path, "w") as fh:
             fh.write("iter,cost,step_norm,fp_residual,dist_to_ref\n")
-            for i in range(self.iterations.size):
-                fh.write(
-                    f"{int(self.iterations[i])},{self.cost[i]:.17g},{self.step_norm[i]:.17g},"
-                    f"{self.fp_residual[i]:.17g},{self.dist_to_ref[i]:.17g}\n"
-                )
+            fh.writelines(
+                f"{i},{c:.17g},{s:.17g},{r:.17g},{d:.17g}\n" for i, c, s, r, d in zip(*(a.tolist() for a in columns))
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -373,8 +390,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     Records cost, step norm, fixed-point residual, and reference distance at
     every iterate (including the initial point); with ``audit=False`` only
-    the step norm.  The step gate runs before
-    the first iteration: StepSizeError when alpha fails it, and
+    the step norm.  Cost, residual and distance are computed AUDIT_ROWS
+    iterates at a time, on a stack of their primal points, with the bits of
+    one iterate at a time (see the module docstring).  The step gate runs
+    before the first iteration: StepSizeError when alpha fails it, and
     NonConvexShiftError when a shifted variant's rho exceeds s.  Divergence
     means a non-finite x0 or z, and raises DivergenceError naming the
     iteration and the variant; the proxes do not scan their input, so a NaN
@@ -420,13 +439,26 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     step_norm = np.empty((max_iters + 1, *lead))
     if audit:
         cost, fp_residual, dist_to_ref = (np.empty((max_iters + 1, *lead)) for _ in range(3))
+        xs = np.empty((AUDIT_ROWS, *shape))  # x of iterate n at row n % AUDIT_ROWS, until audited
+
+    def audit_rows(end):
+        """Fill the audit columns of the buffered rows, those from the last
+        multiple of AUDIT_ROWS below end up to end, with one call each."""
+        start = (end - 1) // AUDIT_ROWS * AUDIT_ROWS
+        h, rows = xs[: end - start], slice(start, end)
+        cost[rows] = problem.cost(h)
+        fp_residual[rows] = problem.fixed_point_residual(h, audit_alpha) if audit_alpha is not None else math.nan
+        if stop_dist is None:
+            dist_to_ref[rows] = row_norm(h - reference) if reference is not None else math.nan
 
     def record(n, x, delta):
         step_norm[n] = delta
         if audit:
-            cost[n] = problem.cost(x)
-            fp_residual[n] = problem.fixed_point_residual(x, audit_alpha) if audit_alpha is not None else math.nan
-            dist_to_ref[n] = row_norm(x - reference) if reference is not None else math.nan
+            xs[n % AUDIT_ROWS] = x
+            if stop_dist is not None:  # the stop test reads it now
+                dist_to_ref[n] = row_norm(x - reference)
+            if n % AUDIT_ROWS == AUDIT_ROWS - 1:
+                audit_rows(n + 1)
 
     z = np.zeros(shape)
     x = extract(z)
@@ -475,11 +507,14 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             if stopped.all():
                 break
 
-    end = n + 1
+    end = written = n + 1
+    if period.any() and n < max_iters:  # the next row of a stopped row, which then repeats
+        record(n + 1, x, row_norm(step(x, z) - z))
+        written += 1
+    if audit and written % AUDIT_ROWS:
+        audit_rows(written)
     if period.any():  # cycling rows reach max_iters: fill every row's columns up to it
         end = max_iters + 1
-        if n < max_iters:  # the next row of a stopped row, which then repeats
-            record(n + 1, x, row_norm(step(x, z) - z))
         lasts = np.where(period > 0, row_iters, min(n + 1, max_iters))
         for b, (p, last) in enumerate(zip(np.maximum(period, 1).flat, lasts.flat)):
             for c in (step_norm, cost, fp_residual, dist_to_ref) if audit else (step_norm,):

@@ -57,6 +57,20 @@ class TestLinearMap:
         m = LinearMap([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
         np.testing.assert_array_equal(m.adjoint_apply([1.0, 0.0, 0.0]), [1.0, 1.0])
 
+    def test_stack_apply_matches_single_rows(self):
+        # A (k, B, n) stack, as run() audits k iterates of a block at once.
+        rng = np.random.default_rng(3)
+        m = LinearMap(rng.normal(size=(7, 5)))
+        x = rng.normal(size=(4, 3, 5))
+        out = m.apply(x)
+        assert out.shape == (4, 3, 7)
+        for i in np.ndindex(4, 3):
+            assert out[i].tobytes() == m.apply(x[i]).tobytes()
+
+    def test_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., n\) stack"):
+            LinearMap(np.eye(2)).apply(1.0)
+
     def test_dimension_mismatch(self):
         m = LinearMap(np.ones((3, 2)))
         with pytest.raises(ValueError):

@@ -201,6 +201,18 @@ class TestQuadraticPlusPenalty:
         x = np.array([0.5, 0.0])
         assert g.value(x) == pytest.approx(0.5 * (0.25 + 1.0) + 2.0 * 0.5)
 
+    def test_value_of_a_stack_is_per_row(self):
+        rng = np.random.default_rng(4)
+        y = rng.normal(size=9)
+        g = QuadraticPlusPenalty(y, FirmPenalty(1.0, 0.5))
+        x = rng.normal(size=(5, 9)) * 3
+        v = g.value(x)
+        assert v.shape == (5,)
+        for row, value in zip(x, v):
+            # The 1-D value, and the sum of the two terms taken one row at a time.
+            expected = 0.5 * float(np.sum((y - row) ** 2)) + g.base.value(row)
+            assert value.tobytes() == np.float64(g.value(row)).tobytes() == np.float64(expected).tobytes()
+
     def test_prox_against_grid(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=6)

@@ -54,6 +54,8 @@ class TestQuadraticValueGrad:
             f.grad(np.ones(4))
         with pytest.raises(ValueError):
             QuadraticTerm(LinearMap(np.ones((3, 2))), np.ones(2))
+        with pytest.raises(ValueError, match="block"):
+            QuadraticTerm(LinearMap(np.eye(2)), np.ones((2, 2, 2)))
 
     def test_curvature_constants(self):
         f = QuadraticTerm(LinearMap(np.diag([1.0, 2.0])), np.zeros(2))
@@ -247,6 +249,24 @@ class TestProjection:
         z = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(c.prox(z, 0.1), [0.0, 2.0, 0.0])
         np.testing.assert_array_equal(c.prox(z, 100.0), [0.0, 2.0, 0.0])
+
+    def test_value_on_and_off_the_subspace(self):
+        c = SubspaceConstraint(3, [1])
+        assert c.value(np.array([0.0, 5.0, 0.0])) == 0.0
+        assert c.value(np.array([0.0, 5.0, -1e-300])) == np.inf
+        assert c.value(np.array([np.nan, 0.0, 0.0])) == np.inf
+
+    def test_value_of_a_stack_is_per_row(self):
+        c = SubspaceConstraint(4, [0, 2])
+        x = np.zeros((3, 2, 4))
+        x[..., [0, 2]] = np.random.default_rng(2).normal(size=(3, 2, 2))
+        x[1, 0, 3] = 0.5  # off the support
+        x[2, 1, 1] = -2.0
+        v = c.value(x)
+        assert v.shape == (3, 2)
+        assert v.tolist() == [[0.0, 0.0], [np.inf, 0.0], [0.0, np.inf]]
+        for i in np.ndindex(3, 2):
+            assert v[i].tobytes() == np.float64(c.value(x[i])).tobytes()
 
     def test_reflected_projection_is_isometry(self):
         rng = np.random.default_rng(14)
