@@ -31,7 +31,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .errors import FactorizationError, NonConvexShiftError, StepSizeError
-from .linalg import LinearMap, as_rows, as_vector, matvec
+from .linalg import LinearMap, as_rows, matvec
 
 
 def support_mask(dim: int, support) -> np.ndarray:
@@ -156,4 +156,4 @@ class SubspaceConstraint(SmoothTerm):
         return np.where(np.any(x[..., ~self.mask] != 0.0, axis=-1), np.inf, 0.0)[()]
 
     def prox(self, z, alpha: float) -> np.ndarray:
-        return np.where(self.mask, as_vector(z), 0.0)
+        return np.where(self.mask, as_rows(z), 0.0)

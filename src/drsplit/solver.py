@@ -25,13 +25,14 @@ keeps its final point while the others go on.
 ``run`` allocates its four trace columns at max_iters + 1 rows when it starts
 and returns them cut to the rows it wrote.  The loop writes the step norm of
 each iterate and keeps its primal point x in a buffer of AUDIT_ROWS
-iterates; each time the buffer fills, one stacked call each of
-``Problem.cost``, ``Problem.fixed_point_residual`` and ``row_norm`` fills the
-audit columns of those rows, and the rows left when the loop ends are
-audited then.  Every call acts row by row, so each column has the bits of
-auditing one iterate at a time.  The terms' ``value``, the smooth term's
-``grad`` and the penalty's ``prox`` therefore take a (k, *shape) stack of
-iterates, one result per row.
+iterates (fewer for a block of more than 6 rows, so that the buffer holds
+at most AUDIT_POINTS points); each time the buffer fills, one stacked call
+each of ``Problem.cost``, ``Problem.fixed_point_residual`` and ``row_norm``
+fills the audit columns of those rows, and the rows left when the loop
+ends are audited then.  Every call acts row by row, so each column has the
+bits of auditing one iterate at a time.  The terms' ``value``, the smooth
+term's ``grad`` and the penalty's ``prox`` therefore take a (k, *shape)
+stack of iterates, one result per row.
 
 Two options serve callers that read less than the full history: a row
 stops at the first iterate whose distance to the reference meets
@@ -78,14 +79,23 @@ VARIANTS = DR_VARIANTS + ("ista",)
 # skip less than one); stock-spec ISTA periods reach 280 (EXP2) and 30 (EXP1).
 CYCLE_WINDOW = 512
 
-# Iterates per stacked audit call in run().  The audit's dozen numpy calls
-# cost about as much on one row as on 16: on a 2-core x86-64 host, 16 rows
-# took a 58-iteration EXP2 solve from 5.8 to 3.4 ms and more rows were no
-# faster.  The stacked calls' temporaries grow with the row count: a pass of
-# the acceptance gate (6-seed blocks) peaked 0.8 MB higher at 16 rows and
+# Most iterates per stacked audit call in run().  The audit's dozen numpy
+# calls cost about as much on one row as on 16: on a 2-core x86-64 host, 16
+# rows took a 58-iteration EXP2 solve from 5.8 to 3.4 ms and more rows were
+# no faster.  The stacked calls' temporaries grow with the row count: a pass
+# of the acceptance gate (6-seed blocks) peaked 0.8 MB higher at 16 rows and
 # 2.2 MB at 32, so a history of all max_iters + 1 iterates, audited after
 # the loop, is not kept.
 AUDIT_ROWS = 16
+
+# Most points (iterate rows times block rows) per stacked audit call: a
+# block of B rows audits max(1, min(AUDIT_ROWS, AUDIT_POINTS // B)) iterates
+# at a time, 16 up to B = 6 and 9 at B = 10.  The temporaries of 16 rows of
+# a 10-seed block pass 128 KB, and the allocator keeps memory after them:
+# run_experiment at 20 seeds into an out_dir peaked at 63.7-65.5 MB with 16
+# rows and 61.9-63.4 MB with 9 (EXP1 and EXP2, OPENBLAS_NUM_THREADS=1,
+# x86-64), in the same wall time.
+AUDIT_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -210,7 +220,11 @@ def double_reflection(problem: Problem, alpha: float, variant: str) -> Callable:
     """The unrelaxed composition of the variant's two reflections.
 
     For ``dr-main-fg`` / ``dr-shift-fg`` this is the raw double-reflection
-    operator whose contraction rates the rate calculators bound.
+    operator whose contraction rates the rate calculators bound.  On a
+    single problem it maps a point (n,), or a (k, n) stack of points row by
+    row: each row of the result has the bits of the call on that row alone
+    (the quadratic prox is one multi-right-hand-side ``dpotrs`` solve, the
+    rest is elementwise), which ``analysis.empirical_lipschitz`` relies on.
     """
     first, second = prox_pair(problem, alpha, variant)
 
@@ -390,7 +404,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     Records cost, step norm, fixed-point residual, and reference distance at
     every iterate (including the initial point); with ``audit=False`` only
-    the step norm.  Cost, residual and distance are computed AUDIT_ROWS
+    the step norm.  Cost, residual and distance are computed up to AUDIT_ROWS
     iterates at a time, on a stack of their primal points, with the bits of
     one iterate at a time (see the module docstring).  The step gate runs
     before the first iteration: StepSizeError when alpha fails it, and
@@ -437,14 +451,15 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     # One row per iterate the run may reach; a run that stops early never
     # writes the rest, so their pages are never touched.
     step_norm = np.empty((max_iters + 1, *lead))
+    per_call = max(1, min(AUDIT_ROWS, AUDIT_POINTS // math.prod(lead)))
     if audit:
         cost, fp_residual, dist_to_ref = (np.empty((max_iters + 1, *lead)) for _ in range(3))
-        xs = np.empty((AUDIT_ROWS, *shape))  # x of iterate n at row n % AUDIT_ROWS, until audited
+        xs = np.empty((per_call, *shape))  # x of iterate n at row n % per_call, until audited
 
     def audit_rows(end):
         """Fill the audit columns of the buffered rows, those from the last
-        multiple of AUDIT_ROWS below end up to end, with one call each."""
-        start = (end - 1) // AUDIT_ROWS * AUDIT_ROWS
+        multiple of per_call below end up to end, with one call each."""
+        start = (end - 1) // per_call * per_call
         h, rows = xs[: end - start], slice(start, end)
         cost[rows] = problem.cost(h)
         fp_residual[rows] = problem.fixed_point_residual(h, audit_alpha) if audit_alpha is not None else math.nan
@@ -454,10 +469,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     def record(n, x, delta):
         step_norm[n] = delta
         if audit:
-            xs[n % AUDIT_ROWS] = x
+            xs[n % per_call] = x
             if stop_dist is not None:  # the stop test reads it now
                 dist_to_ref[n] = row_norm(x - reference)
-            if n % AUDIT_ROWS == AUDIT_ROWS - 1:
+            if n % per_call == per_call - 1:
                 audit_rows(n + 1)
 
     z = np.zeros(shape)
@@ -511,7 +526,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     if period.any() and n < max_iters:  # the next row of a stopped row, which then repeats
         record(n + 1, x, row_norm(step(x, z) - z))
         written += 1
-    if audit and written % AUDIT_ROWS:
+    if audit and written % per_call:
         audit_rows(written)
     if period.any():  # cycling rows reach max_iters: fill every row's columns up to it
         end = max_iters + 1

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: prox outputs are compared
 against dense grid minimization, eigenvalue extremes against characteristic
 polynomial roots (Faddeev-LeVerrier coefficients + companion-matrix roots),
-and gradients against central finite differences.
+gradients against central finite differences, and the blocked Lipschitz
+sampler against one operator call per point.
 """
 
 import numpy as np
@@ -67,3 +68,24 @@ def central_difference_gradient(f, x, step=1e-5):
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
+
+
+def pointwise_lipschitz(operator, sampler, n_pairs, seed=0):
+    """Largest ratio ||Op(x) - Op(y)|| / ||x - y|| over n_pairs sampled pairs,
+    with one operator call per point: the loop ``empirical_lipschitz`` ran
+    before it applied the operator to blocks of pairs."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    usable = 0
+    for _ in range(n_pairs):
+        x = np.asarray(sampler(rng), dtype=float)
+        y = np.asarray(sampler(rng), dtype=float)
+        gap = float(np.linalg.norm(x - y))
+        if gap < 1e-12:
+            continue
+        usable += 1
+        ratio = float(np.linalg.norm(np.asarray(operator(x)) - np.asarray(operator(y)))) / gap
+        worst = max(worst, ratio)
+    if usable == 0:
+        raise ValueError("degenerate sampler: all sampled pairs coincide")
+    return worst

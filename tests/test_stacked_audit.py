@@ -2,12 +2,14 @@
 
 ``run`` buffers the primal point of each iterate and fills the cost,
 fixed-point residual and distance columns of AUDIT_ROWS iterates with one
-call each.  Here the same iterates come from plain ``ista_step``/``dr_step``
+call each (9 for a 10-row block, which meets the AUDIT_POINTS budget
+first).  Here the same iterates come from plain ``ista_step``/``dr_step``
 loops, each audited alone, and every column must be ``array_equal`` to the
 trace's, NaN included.  Run lengths cover one row, a full buffer, one row
 past it and a run ending mid-buffer, with no reference, a reference, and a
 reference with ``stop_dist`` (then the distance is taken per iterate for the
-stop test while the other columns stay stacked).
+stop test while the other columns stay stacked); a 10-row block covers the
+same lengths around its 9-row buffer.
 """
 
 import math
@@ -46,14 +48,14 @@ def hand_columns(problem, variant, alpha, iters, reference):
     return {name: np.array(c, dtype=float).reshape(iters + 1, -1) for name, c in cols.items()}
 
 
-def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, reference=None):
+def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, reference=None, per_call=R):
     alpha = solver.default_alpha(problem, variant) if alpha is None else alpha
     if reference is None:
         reference = run(problem, SolverConfig("ista", max_iters=300)).final_x
     hand = hand_columns(problem, variant, alpha, rows - 1, None if mode == "none" else reference)
     stop_dist = None
-    if mode == "stop_dist":  # the middle row's distance at 2R, or at the last row of a shorter run
-        stop_dist = float(np.median(hand["dist_to_ref"][min(rows - 1, 2 * R)]))
+    if mode == "stop_dist":  # the middle row's distance at 2 buffers, or at the last row of a shorter run
+        stop_dist = float(np.median(hand["dist_to_ref"][min(rows - 1, 2 * per_call)]))
     config = SolverConfig(
         variant,
         alpha=alpha,
@@ -68,8 +70,9 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
         m.setattr(Problem, "cost", lambda self, x: shapes.append(np.shape(x)) or cost(self, x))
         trace = run(problem, config)
     written = trace.n_iters + 1
-    assert len(shapes) == math.ceil(written / R)
-    assert [s[0] for s in shapes] == [R] * (written // R) + ([written % R] if written % R else [])
+    assert len(shapes) == math.ceil(written / per_call)
+    full, rest = divmod(written, per_call)
+    assert [s[0] for s in shapes] == [per_call] * full + ([rest] if rest else [])
 
     # Each row stops where the hand loop first meets stop_dist (or runs to
     # the end); a stopped row keeps its point, so its audit repeats.
@@ -78,7 +81,7 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
         met |= hand["dist_to_ref"] <= stop_dist
     stops = [int(np.argmax(col)) if col.any() else rows - 1 for col in met.T]
     assert trace.n_iters == max(stops)
-    if mode == "stop_dist" and rows > 2 * R:
+    if mode == "stop_dist" and rows > 2 * per_call:
         assert min(stops) < rows - 1  # the case stops a row early
     for name in COLUMNS:
         got = getattr(trace, name).reshape(written, -1)
@@ -102,6 +105,19 @@ MODES = ["none", "reference", "stop_dist"]
 @pytest.mark.parametrize("variant", ["ista", "dr-main-fg", "dr-shift-gf"])
 def test_exp2_block(exp2_block, variant, rows, mode, monkeypatch):
     check_against_hand(exp2_block, variant, rows, mode, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def exp2_block10():
+    return block_problem([build_instance(EXP2, s) for s in derive_seeds(0, 10)])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("rows", [1, 9, 10, 3 * 9 + 5])
+@pytest.mark.parametrize("variant", ["ista", "dr-shift-fg"])
+def test_exp2_ten_seed_block(exp2_block10, variant, rows, mode, monkeypatch):
+    # 10 block rows: the 96-point budget leaves 9 iterates per audit call.
+    check_against_hand(exp2_block10, variant, rows, mode, monkeypatch, per_call=9)
 
 
 @pytest.mark.parametrize("mode", MODES)
