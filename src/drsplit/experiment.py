@@ -15,8 +15,9 @@ of these traced runs stops at the first iterate within the distance
 threshold, so its final cost, final distance and trace CSV end at that
 threshold-crossing row.
 
-The seeds of one spec share the operator H, one ``LinearMap`` per filter
-design, cached with the design; only y and tau differ.  So
+Every instance of one filter, designed or loaded, shares one cached
+``LinearMap`` H, so HᵀH and (s, sigma) are computed once per process; the
+seeds of one spec differ only in y and tau.  So
 ``run_experiment`` solves up to BLOCK_SEEDS seeds at a time as one block
 problem (``block_problem``) through the same ``solver.run``, and each seed's
 numbers and files are byte-identical to those of a run on that seed alone.
@@ -89,8 +90,8 @@ def _condition_ratio(a: float, length: int, signal_len: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol: float) -> tuple[tuple, LinearMap]:
-    """The bisected taps of one filter design and their convolution operator."""
+def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol: float) -> tuple[float, ...]:
+    """The bisected taps of one filter design."""
     if target_ratio <= 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     lo, hi = 1e-4, 0.95
@@ -105,8 +106,7 @@ def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol
         mid = 0.5 * (lo + hi)
         r = _condition_ratio(mid, length, signal_len)
         if abs(r - target_ratio) <= tol * target_ratio:
-            taps = tuple(mid ** np.arange(length))
-            return taps, LinearMap(convolution_matrix(taps, signal_len))
+            return tuple(float(t) for t in mid ** np.arange(length))
         if r < target_ratio:
             lo = mid
         else:
@@ -117,7 +117,15 @@ def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol
 def design_filter(target_ratio: float, length: int = 31, signal_len: int = 90, tol: float = 0.02) -> np.ndarray:
     """Geometric filter (1, a, a^2, ...) with a bisected so the Gram condition
     ratio of the induced tall convolution matrix matches target_ratio."""
-    return np.array(_design_filter_cached(float(target_ratio), int(length), int(signal_len), float(tol))[0])
+    return np.array(_design_filter_cached(float(target_ratio), int(length), int(signal_len), float(tol)))
+
+
+# One entry holds a filter's 120x90 convolution matrix and, once a problem is
+# built on it, its 90x90 Gram matrix: about 150 KB.
+@lru_cache(maxsize=8)
+def _filter_operator(taps: tuple[float, ...], signal_len: int) -> LinearMap:
+    """The operator that every instance with these taps shares, designed or loaded."""
+    return LinearMap(convolution_matrix(taps, signal_len))
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ class ProblemInstance:
         taps = tuple(float(t) for t in data["filter"])
         signal = np.asarray(data["signal"], dtype=float)
         return cls(
-            operator=LinearMap(convolution_matrix(taps, signal.size)),
+            operator=_filter_operator(taps, signal.size),
             filter_taps=taps,
             ground_truth=signal,
             y=np.asarray(data["y"], dtype=float),
@@ -193,20 +201,22 @@ class ProblemInstance:
 
     @classmethod
     def load(cls, path) -> "ProblemInstance":
+        """Read an instance written by ``save``; its operator is its filter's shared one."""
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
 
 
 def _operator(spec: ExperimentSpec) -> LinearMap:
-    """spec's filter operator: one object per design, so HᵀH and (s, sigma) are computed once."""
-    return _design_filter_cached(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)[1]
+    """spec's filter operator, shared with every instance of that filter."""
+    taps = _design_filter_cached(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)
+    return _filter_operator(taps, spec.signal_len)
 
 
 def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
     """Assemble one seeded instance of the experiment recipe (deterministic in
     seed).  Every seed of the spec shares the one operator of its filter."""
-    taps = design_filter(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)
-    operator = _operator(spec)
+    taps = tuple(float(t) for t in design_filter(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol))
+    operator = _filter_operator(taps, spec.signal_len)
     s, _ = operator.gram_extremes()
     rng = np.random.default_rng(seed)
     x = generate_sparse_signal(spec.signal_len, spec.sparsity, rng)
@@ -216,7 +226,7 @@ def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
     tau = 3.0 * rho * std
     return ProblemInstance(
         operator=operator,
-        filter_taps=tuple(float(t) for t in taps),
+        filter_taps=taps,
         ground_truth=x,
         y=y,
         noise_std=std,

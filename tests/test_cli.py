@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from drsplit import EXP1, EXP2, FirmPenalty, build_instance
+from drsplit import EXP1, EXP2, FirmPenalty, build_instance, cli
 from drsplit.cli import build_parser, main
 
 
@@ -177,3 +177,52 @@ def test_rates_sigma_below_s_is_a_usage_error(tmp_path, capsys):
         main(argv + ["--s", "2", "--sigma", "1"])
     assert exc.value.code == 2
     assert "rates needs --sigma >= --s, got --sigma 1.0 and --s 2.0" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for steps in ("2", "3", "4"):
+            argv = ["rates", "--s", "2", "--sigma", "8", "--rho", "0.5", "--steps", steps, "--out", str(tmp_path / "r.csv")]
+            assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
+def run_main(argv, capsys) -> tuple[object, str]:
+    """main(argv)'s return value, or its SystemExit code, and its stdout."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["solve", "--variant", "dr-main-fg", "--iters", "50", "--alpha", "0.5"], ["solve", "--variant", "dr-main-fg", "--iters", "50"]),
+        (["exp2", "--seeds", "1", "--iters", "50"], ["exp2", "--seeds", "0"]),
+        (["certify", "--seed", "-1"], ["certify", "--pairs", "50"]),
+    ],
+    ids=["solve-alpha-then-default", "exp2-one-seed-then-none", "usage-error-then-certify"],
+)
+def test_reused_parser_keeps_no_state_between_calls(first, second, tmp_path, capsys):
+    instance_path = tmp_path / "instance.json"
+    build_instance(EXP2, seed=4).save(instance_path)
+    first, second = ([*argv, "--instance", str(instance_path)] if argv[0] == "solve" else argv for argv in (first, second))
+
+    cli._parser.cache_clear()
+    expected = run_main(second, capsys)
+    assert expected[0] == 0
+    cli._parser.cache_clear()
+    run_main(first, capsys)
+    assert run_main(second, capsys) == expected

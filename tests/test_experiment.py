@@ -18,7 +18,7 @@ from drsplit import (
     generate_sparse_signal,
     run_experiment,
 )
-from drsplit import linalg
+from drsplit import InvalidFilterError, experiment, linalg
 from drsplit.experiment import _condition_ratio, derive_seeds
 
 
@@ -146,6 +146,69 @@ class TestSharedOperator:
         report = run_experiment(dataclasses.replace(EXP2, n_seeds=3))
         assert len(report.ok_results()) == 3
         assert calls == []
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    eigvalsh = linalg.np.linalg.eigvalsh
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    return calls
+
+
+def filter_instance(taps) -> dict:
+    """A small instance on filter taps, as ProblemInstance.to_json_dict writes it."""
+    signal = [1.0, 0.0, -1.0, 0.5]
+    return {
+        "filter": list(taps),
+        "signal": signal,
+        "y": np.convolve(taps, signal).tolist(),
+        "noise_std": 0.1,
+        "seed": 0,
+        "penalty": {"tau": 0.3, "rho": 0.1},
+    }
+
+
+class TestOneOperatorPerFilter:
+    def saved(self, tmp_path, spec, seeds) -> list:
+        paths = []
+        for seed in seeds:
+            paths.append(tmp_path / f"instance_{seed}.json")
+            build_instance(spec, seed).save(paths[-1])
+        return paths
+
+    def test_loads_of_one_filter_share_one_operator(self, tmp_path):
+        first, second = self.saved(tmp_path, EXP2, [1, 2])
+        assert ProblemInstance.load(first).operator is ProblemInstance.load(second).operator
+
+    def test_loaded_seed_shares_its_spec_design_operator(self, tmp_path):
+        (path,) = self.saved(tmp_path, EXP1, [3])
+        assert ProblemInstance.load(path).operator is build_instance(EXP1, 4).operator is experiment._operator(EXP1)
+
+    def test_warm_loads_compute_no_gram_spectrum(self, tmp_path, monkeypatch):
+        paths = self.saved(tmp_path, EXP2, range(5))  # warms the operator of EXP2's filter
+        calls = count_eigvalsh(monkeypatch)
+        for path in paths:
+            ProblemInstance.load(path).problem()
+        assert calls == []
+
+    def test_each_filter_has_its_own_operator_in_a_bounded_cache(self):
+        filters = [(1.0, 0.5 + k / 64) for k in range(experiment._filter_operator.cache_info().maxsize + 1)]
+        operators = [ProblemInstance.from_json_dict(filter_instance(taps)).operator for taps in filters]
+        assert len({id(op) for op in operators}) == len(filters)
+        for taps, op in zip(filters, operators):
+            np.testing.assert_array_equal(op.matrix, linalg.convolution_matrix(taps, 4))
+        assert ProblemInstance.from_json_dict(filter_instance(filters[-1])).operator is operators[-1]
+        rebuilt = ProblemInstance.from_json_dict(filter_instance(filters[0])).operator
+        assert rebuilt is not operators[0]
+        np.testing.assert_array_equal(rebuilt.matrix, operators[0].matrix)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_taps_fail_on_every_load(self, bad, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(filter_instance((1.0, 0.5)) | {"filter": [1.0, bad]}))
+        for _ in range(2):
+            with pytest.raises(InvalidFilterError):
+                ProblemInstance.load(path)
 
 
 class TestInstanceSerialization:
