@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import experiment, solver
-from .errors import BoundInapplicableError, StepSizeError
+from .errors import BoundInapplicableError, StepSizeError, check_prox_step
 from .linalg import row_norm
 
 # Sampled pairs per operator call in empirical_lipschitz.  On a 2-core x86-64
@@ -32,8 +32,7 @@ def reflection_bound_smooth(alpha: float, lo: float, hi: float) -> float:
     Equals max(|1 - a*hi|/(1 + a*hi), |1 - a*lo|/(1 + a*lo)); at lo = 0 the
     bound degrades to 1 (mere nonexpansiveness).
     """
-    if alpha <= 0:
-        raise StepSizeError(f"alpha must be positive, got {alpha}")
+    check_prox_step(alpha)
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
     top = abs(1.0 - alpha * hi) / (1.0 + alpha * hi)
@@ -44,12 +43,7 @@ def reflection_bound_smooth(alpha: float, lo: float, hi: float) -> float:
 def reflection_bound_weak(alpha: float, rho: float) -> float:
     """Lipschitz bound (1 + a*rho)/(1 - a*rho) of 2*prox_g - I for a
     rho-weakly convex g; requires alpha * rho < 1."""
-    if alpha <= 0:
-        raise StepSizeError(f"alpha must be positive, got {alpha}")
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if alpha * rho >= 1.0:
-        raise StepSizeError(f"alpha * rho = {alpha * rho:.6g} >= 1: bound diverges")
+    check_prox_step(alpha, rho)
     return (1.0 + alpha * rho) / (1.0 - alpha * rho)
 
 
@@ -59,8 +53,7 @@ def contraction_rate_main(alpha: float, s: float, rho: float, sigma: float | Non
     ((1 - a^2 s rho) - a(s - rho)) / ((1 - a^2 s rho) + a(s - rho)), valid
     for alpha <= 1/sqrt(sigma*s) (checked when sigma is given) and rho < s.
     """
-    if alpha <= 0:
-        raise StepSizeError(f"alpha must be positive, got {alpha}")
+    check_prox_step(alpha)
     if not 0 <= rho < s:
         raise BoundInapplicableError(f"need 0 <= rho < s, got rho={rho}, s={s}")
     if sigma is not None:
@@ -87,8 +80,7 @@ def contraction_rate_shift(alpha: float, s: float, rho: float, sigma: float) -> 
     g-reflection is nonexpansive, so the factor is
     reflection_bound_smooth(alpha, s - rho, sigma - rho).
     """
-    if alpha <= 0:
-        raise StepSizeError(f"alpha must be positive, got {alpha}")
+    check_prox_step(alpha)
     if not 0 <= rho < s <= sigma:
         raise BoundInapplicableError(f"need 0 <= rho < s <= sigma, got rho={rho}, s={s}, sigma={sigma}")
     if alpha > (1.0 / s) * (1 + 1e-12):

@@ -25,6 +25,20 @@ class NonConvexShiftError(DrsplitError, ValueError):
     """Quadratic shift exceeds the strong convexity of the smooth term."""
 
 
+def check_prox_step(alpha: float, rho: float = 0.0, s: float | None = None) -> None:
+    """The step rule of every prox and bound, checked in this order: alpha > 0,
+    rho >= 0 (ValueError), alpha * rho < 1 and, given s, rho <= s
+    (NonConvexShiftError).  Each test is negated, so a NaN fails it."""
+    if not alpha > 0:
+        raise StepSizeError(f"alpha must be positive, got {alpha}")
+    if not rho >= 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
+    if not alpha * rho < 1.0:
+        raise StepSizeError(f"alpha * rho = {alpha * rho:.6g} must be below 1")
+    if s is not None and not rho <= s:
+        raise NonConvexShiftError(f"shift rho = {rho:.6g} exceeds the strong convexity s = {s:.6g}")
+
+
 class BoundInapplicableError(DrsplitError, ValueError):
     """Rate formula evaluated outside its domain of validity."""
 

@@ -120,12 +120,17 @@ def design_filter(target_ratio: float, length: int = 31, signal_len: int = 90, t
     return np.array(_design_filter_cached(float(target_ratio), int(length), int(signal_len), float(tol)))
 
 
+def _taps_key(taps) -> bytes:
+    """Two filters are one when their taps have the same bits (not just ``==``: -0.0 == 0.0)."""
+    return np.array(taps, dtype=float).tobytes()
+
+
 # One entry holds a filter's 120x90 convolution matrix and, once a problem is
 # built on it, its 90x90 Gram matrix: about 150 KB.
 @lru_cache(maxsize=8)
-def _filter_operator(taps: tuple[float, ...], signal_len: int) -> LinearMap:
-    """The operator that every instance with these taps shares, designed or loaded."""
-    return LinearMap(convolution_matrix(taps, signal_len))
+def _filter_operator(taps_key: bytes, signal_len: int) -> LinearMap:
+    """The operator every instance with these ``_taps_key`` taps shares, designed or loaded."""
+    return LinearMap(convolution_matrix(np.frombuffer(taps_key), signal_len))
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ class ProblemInstance:
         taps = tuple(float(t) for t in data["filter"])
         signal = np.asarray(data["signal"], dtype=float)
         return cls(
-            operator=_filter_operator(taps, signal.size),
+            operator=_filter_operator(_taps_key(taps), signal.size),
             filter_taps=taps,
             ground_truth=signal,
             y=np.asarray(data["y"], dtype=float),
@@ -209,14 +214,14 @@ class ProblemInstance:
 def _operator(spec: ExperimentSpec) -> LinearMap:
     """spec's filter operator, shared with every instance of that filter."""
     taps = _design_filter_cached(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol)
-    return _filter_operator(taps, spec.signal_len)
+    return _filter_operator(_taps_key(taps), spec.signal_len)
 
 
 def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
     """Assemble one seeded instance of the experiment recipe (deterministic in
     seed).  Every seed of the spec shares the one operator of its filter."""
     taps = tuple(float(t) for t in design_filter(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol))
-    operator = _filter_operator(taps, spec.signal_len)
+    operator = _filter_operator(_taps_key(taps), spec.signal_len)
     s, _ = operator.gram_extremes()
     rng = np.random.default_rng(seed)
     x = generate_sparse_signal(spec.signal_len, spec.sparsity, rng)
@@ -238,9 +243,9 @@ def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
 def block_problem(instances) -> Problem:
     """One block problem over instances that share their filter and rho:
     the observations stacked to (B, m), the weights tau to a (B, 1) column."""
-    first = instances[0]
+    first, taps_key = instances[0], _taps_key(instances[0].filter_taps)
     for inst in instances[1:]:
-        if inst.filter_taps != first.filter_taps or inst.penalty.rho != first.penalty.rho:
+        if _taps_key(inst.filter_taps) != taps_key or inst.penalty.rho != first.penalty.rho:
             raise ValueError(f"seed {inst.seed} does not share the filter and rho of seed {first.seed}")
     return Problem(
         QuadraticTerm(first.operator, np.stack([inst.y for inst in instances])),

@@ -11,7 +11,9 @@ penalty here exposes
 
 ``shifted_prox`` is the operator used by the quadratic-shifted splitting: for
 beta = alpha / (1 + alpha rho) it equals ``prox(x * beta / alpha, beta)``, and
-its step gate ``beta * rho < 1`` holds for every alpha > 0.
+its step gate ``beta * rho < 1`` holds for every alpha > 0.  Each prox checks
+its step with ``errors.check_prox_step``, the one rule of every prox and
+bound (alpha > 0, and alpha * rho < 1 for the firm prox); a NaN fails it.
 
 Every operation is elementwise, so it also acts on a (B, n) block of points,
 or any (..., n) stack of them, row by row; ``value`` then returns one total
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StepSizeError
+from .errors import check_prox_step
 
 
 class SeparablePenalty:
@@ -42,8 +44,7 @@ class SeparablePenalty:
         return np.sum(self.pointwise(np.asarray(x, dtype=float)), axis=-1)
 
     def shifted_prox(self, x, alpha: float):
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
+        check_prox_step(alpha)
         scale = 1.0 + alpha * self.modulus
         return self.prox(np.asarray(x, dtype=float) / scale, alpha / scale)
 
@@ -93,12 +94,7 @@ class FirmPenalty(SeparablePenalty):
     def prox(self, x, alpha: float):
         """Firm threshold: dead zone below alpha*tau, expansive middle band,
         identity above tau/rho.  Requires alpha * rho < 1."""
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
-        if alpha * self.rho >= 1.0:
-            raise StepSizeError(
-                f"alpha * rho = {alpha * self.rho:.6g} >= 1: the prox is not single-valued"
-            )
+        check_prox_step(alpha, self.rho)
         x = np.asarray(x, dtype=float)
         a = np.abs(x)
         middle = np.sign(x) * (a - alpha * self.tau) / (1.0 - alpha * self.rho)
@@ -125,8 +121,7 @@ class SoftPenalty(SeparablePenalty):
         return self.tau * np.abs(np.asarray(t, dtype=float))
 
     def prox(self, x, alpha: float):
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
+        check_prox_step(alpha)
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.maximum(np.abs(x) - alpha * self.tau, 0.0)
 
@@ -177,8 +172,7 @@ class QuadraticPlusPenalty(SeparablePenalty):
         return 0.5 * np.sum((self.y - x) ** 2, axis=-1) + self.base.value(x)
 
     def prox(self, x, alpha: float):
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
+        check_prox_step(alpha)
         x = np.asarray(x, dtype=float)
         return self.base.prox((x + alpha * self.y) / (1.0 + alpha), alpha / (1.0 + alpha))
 

@@ -8,7 +8,8 @@ computed through the rescaling
 
     prox_{f - rho/2|.|^2}(x, a) = prox_f(x / (1 - a rho), a / (1 - a rho)),
 
-valid for a*rho < 1 and rho not exceeding the strong convexity of f.
+valid when alpha, rho and s pass ``errors.check_prox_step``, the step rule
+of every prox and bound: a*rho < 1 and rho <= s; a NaN fails it.
 
 ``QuadraticTerm`` reads s and sigma once, when it is built, and keeps one
 Cholesky factor: that of the last step its prox was called at.  It also
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
-from .errors import FactorizationError, NonConvexShiftError, StepSizeError
+from .errors import FactorizationError, check_prox_step
 from .linalg import LinearMap, as_rows, matvec
 
 
@@ -50,19 +51,8 @@ class SmoothTerm:
     ``strong_convexity`` (s, or None when unknown)."""
 
     def shifted_prox(self, x, alpha: float, rho: float) -> np.ndarray:
-        """prox of f - (rho/2)|.|^2: needs alpha > 0, rho >= 0, alpha*rho < 1
-        and rho no larger than the strong convexity."""
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
-        if rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {rho}")
-        if alpha * rho >= 1.0:
-            raise StepSizeError(f"alpha * rho = {alpha * rho:.6g} >= 1: shifted prox undefined")
-        s = self.strong_convexity
-        if s is not None and rho > s:
-            raise NonConvexShiftError(
-                f"shift rho = {rho:.6g} exceeds the strong convexity s = {s:.6g}"
-            )
+        """prox of f - (rho/2)|.|^2; alpha, rho and s must pass ``check_prox_step``."""
+        check_prox_step(alpha, rho, self.strong_convexity)
         scale = 1.0 - alpha * rho
         return self.prox(np.asarray(x, dtype=float) / scale, alpha / scale)
 
@@ -125,8 +115,7 @@ class QuadraticTerm(SmoothTerm):
         return last[1]
 
     def prox(self, x, alpha: float) -> np.ndarray:
-        if alpha <= 0:
-            raise StepSizeError(f"alpha must be positive, got {alpha}")
+        check_prox_step(alpha)
         rhs = as_rows(x) + alpha * self._hty
         # Rows of a block are the columns of one multi-right-hand-side solve,
         # which gives each column the bits of its own single solve.

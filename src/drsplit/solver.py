@@ -9,7 +9,7 @@ weakly convex (modulus rho):
   the primal point as prox_g(z); ``gf`` swaps the order and extracts prox_f(z).
 * ``dr-shift-*``  the same double reflection built from the proxes of the
   convexified pair g + (rho/2)|.|^2 and f - (rho/2)|.|^2; step gate
-  alpha*rho < 1 (strict), and rho may not exceed the strong convexity s of f.
+  ``errors.check_prox_step``: alpha*rho < 1 (strict), rho <= s (of f).
   Extraction uses the corresponding shifted prox.
 
 ``ista`` is the forward-backward baseline x <- prox_g(x - alpha grad f(x)).
@@ -22,23 +22,23 @@ a run on that row's problem alone would give; ``IterationTrace.split``
 returns the per-row traces.  A row that meets the tolerance stops there and
 keeps its final point while the others go on.
 
-``run`` allocates its four trace columns at max_iters + 1 rows when it starts
-and returns them cut to the rows it wrote.  The loop writes the step norm of
-each iterate and keeps its primal point x in a buffer of AUDIT_ROWS
-iterates (fewer for a block of more than 6 rows, so that the buffer holds
-at most AUDIT_POINTS points); each time the buffer fills, one stacked call
-each of ``Problem.cost``, ``Problem.fixed_point_residual`` and ``row_norm``
-fills the audit columns of those rows, and the rows left when the loop
-ends are audited then.  Every call acts row by row, so each column has the
-bits of auditing one iterate at a time.  The terms' ``value``, the smooth
+``run`` allocates the trace columns it records at max_iters + 1 rows and
+returns them cut to the rows it wrote.  The loop writes the step norm (and
+the reference distance, if any) of each iterate and keeps its primal point
+x in a buffer of AUDIT_ROWS iterates (fewer for a block of more than 6
+rows, so that the buffer holds at most AUDIT_POINTS points); each time the
+buffer fills, one stacked call each of ``Problem.cost`` and
+``Problem.fixed_point_residual`` fills the audit columns of those rows, and
+the rows left when the loop ends are audited then.  Every call acts row by
+row, so each column has the bits of auditing one iterate at a time.  The terms' ``value``, the smooth
 term's ``grad`` and the penalty's ``prox`` therefore take a (k, *shape)
 stack of iterates, one result per row.
 
 Two options serve callers that read less than the full history: a row
 stops at the first iterate whose distance to the reference meets
-``stop_dist`` (the distance is then computed per iterate, for the stop
-test), and ``audit=False`` records only the step norm (the other columns
-come back as NaN).  ``run_experiment`` uses both: its reference run is
+``stop_dist``, and ``audit=False`` records only the step norm (the other
+columns come back as NaN, as the distance does in a run without a
+reference).  ``run_experiment`` uses both: its reference run is
 unaudited and its traced runs stop at the distance threshold.  The defaults
 keep every iterate and every column.
 
@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, NonConvexShiftError, StepSizeError
+from .errors import DivergenceError, StepSizeError, check_prox_step
 from .linalg import row_norm
 
 # Every DR variant is a reflection order and a choice of proxes: plain (f, g)
@@ -151,7 +151,7 @@ def step_bound(variant: str, sigma, rho: float) -> float:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     if variant != "ista" and DR_TABLE[variant][1]:
         return math.inf if rho == 0 else 1.0 / rho
@@ -166,16 +166,20 @@ def step_bound(variant: str, sigma, rho: float) -> float:
 
 def check_step(variant: str, alpha: float, sigma, rho: float, s=None) -> None:
     """Raise StepSizeError unless alpha passes the variant's step gate:
-    0 < alpha <= step_bound for dr-main and ista, alpha * rho < 1 (strict)
-    for dr-shift.  A shifted variant also raises NonConvexShiftError when s
-    is given and rho exceeds it."""
+    0 < alpha <= step_bound for dr-main and ista, ``check_prox_step`` (alpha
+    * rho < 1, strict) for dr-shift, which then, for a passing alpha, raises
+    NonConvexShiftError when rho exceeds a given s."""
     bound = step_bound(variant, sigma, rho)
     shifted = variant != "ista" and DR_TABLE[variant][1]
-    if shifted and s is not None and rho > s:
-        raise NonConvexShiftError(f"shift rho = {rho:.6g} exceeds the strong convexity s = {s:.6g}")
-    if not (0 < alpha and alpha * rho < 1.0 if shifted else 0 < alpha <= bound):
-        kind = "strict bound" if shifted else "bound"
-        raise StepSizeError(f"alpha = {alpha:.6g} violates the {kind} {bound:.6g} of {variant}")
+    if shifted:
+        try:
+            return check_prox_step(alpha, rho, s)
+        except StepSizeError:
+            pass
+    elif 0 < alpha <= bound:
+        return
+    kind = "strict bound" if shifted else "bound"
+    raise StepSizeError(f"alpha = {alpha:.6g} violates the {kind} {bound:.6g} of {variant}")
 
 
 def default_alpha(problem: Problem, variant: str, fraction: float = 0.99) -> float:
@@ -404,14 +408,14 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     Records cost, step norm, fixed-point residual, and reference distance at
     every iterate (including the initial point); with ``audit=False`` only
-    the step norm.  Cost, residual and distance are computed up to AUDIT_ROWS
+    the step norm.  Cost and residual are computed up to AUDIT_ROWS
     iterates at a time, on a stack of their primal points, with the bits of
     one iterate at a time (see the module docstring).  The step gate runs
     before the first iteration: StepSizeError when alpha fails it, and
-    NonConvexShiftError when a shifted variant's rho exceeds s.  Divergence
-    means a non-finite x0 or z, and raises DivergenceError naming the
-    iteration and the variant; the proxes do not scan their input, so a NaN
-    in the data is found there too.  Any other exception raised inside a
+    NonConvexShiftError when it passes but a shifted variant's rho exceeds
+    s.  Divergence means a non-finite x0 or z, and raises DivergenceError
+    naming the iteration and the variant; the proxes do not scan their
+    input, so a NaN in the data is found there too.  Any other exception raised inside a
     step propagates as raised.
 
     For a block problem the reference has the iterate shape (B, n), each row
@@ -449,12 +453,16 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         audit_alpha = 1.0 / sigma
 
     # One row per iterate the run may reach; a run that stops early never
-    # writes the rest, so their pages are never touched.
+    # writes the rest, so their pages are never touched.  A column the run
+    # does not record reads as NaN: one read-only view, no memory.
     step_norm = np.empty((max_iters + 1, *lead))
+    cost = fp_residual = dist_to_ref = unrecorded = np.broadcast_to(math.nan, step_norm.shape)
     per_call = max(1, min(AUDIT_ROWS, AUDIT_POINTS // math.prod(lead)))
     if audit:
-        cost, fp_residual, dist_to_ref = (np.empty((max_iters + 1, *lead)) for _ in range(3))
+        cost, fp_residual = np.empty_like(step_norm), np.empty_like(step_norm)
         xs = np.empty((per_call, *shape))  # x of iterate n at row n % per_call, until audited
+    if reference is not None:  # written per iterate: the stop test may read it
+        dist_to_ref = np.empty_like(step_norm)
 
     def audit_rows(end):
         """Fill the audit columns of the buffered rows, those from the last
@@ -463,15 +471,13 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         h, rows = xs[: end - start], slice(start, end)
         cost[rows] = problem.cost(h)
         fp_residual[rows] = problem.fixed_point_residual(h, audit_alpha) if audit_alpha is not None else math.nan
-        if stop_dist is None:
-            dist_to_ref[rows] = row_norm(h - reference) if reference is not None else math.nan
 
     def record(n, x, delta):
         step_norm[n] = delta
+        if reference is not None:
+            dist_to_ref[n] = row_norm(x - reference)
         if audit:
             xs[n % per_call] = x
-            if stop_dist is not None:  # the stop test reads it now
-                dist_to_ref[n] = row_norm(x - reference)
             if n % per_call == per_call - 1:
                 audit_rows(n + 1)
 
@@ -532,12 +538,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         end = max_iters + 1
         lasts = np.where(period > 0, row_iters, min(n + 1, max_iters))
         for b, (p, last) in enumerate(zip(np.maximum(period, 1).flat, lasts.flat)):
-            for c in (step_norm, cost, fp_residual, dist_to_ref) if audit else (step_norm,):
+            for c in (col for col in (step_norm, cost, fp_residual, dist_to_ref) if col is not unrecorded):
                 c = c.reshape(len(c), -1)[:, b]  # row b's column, a view
                 c[last + 1 : end] = np.resize(c[last - p + 1 : last + 1], end - last - 1)
         row_iters[period > 0] = max_iters
-    if not audit:  # the unrecorded columns read as NaN: one read-only view, no memory
-        cost = fp_residual = dist_to_ref = np.broadcast_to(math.nan, (end, *lead))
     stop_reason = np.where(converged, "tol", np.where(stopped & (period == 0), "stop_dist", "max_iters"))
     return IterationTrace(
         variant=config.variant,

@@ -32,6 +32,8 @@ class TestReflectionBoundSmooth:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             reflection_bound_smooth(0.5, 2.0, 1.0)
+        with pytest.raises(StepSizeError):
+            reflection_bound_smooth(math.nan, 1.0, 4.0)
 
 
 class TestReflectionBoundWeak:
@@ -47,6 +49,10 @@ class TestReflectionBoundWeak:
     def test_gate(self):
         with pytest.raises(StepSizeError):
             reflection_bound_weak(1.0, 1.0)
+        with pytest.raises(StepSizeError):
+            reflection_bound_weak(math.nan, 1.0)
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            reflection_bound_weak(0.5, math.nan)
 
 
 class TestMainRate:
@@ -66,6 +72,8 @@ class TestMainRate:
             contraction_rate_main(0.1, 1.0, 1.5)
         with pytest.raises(BoundInapplicableError):
             contraction_rate_main(1.0, 2.0, 1.0, sigma=4.0)  # above 1/sqrt(sigma*s)
+        with pytest.raises(StepSizeError):
+            contraction_rate_main(math.nan, 2.0, 1.0, sigma=4.0)
 
     def test_value_in_unit_interval_on_admissible_grid(self):
         for s in (0.5, 1.0, 3.0):
@@ -91,6 +99,8 @@ class TestShiftRate:
     def test_step_gate(self):
         with pytest.raises(BoundInapplicableError):
             contraction_rate_shift(0.6, 2.0, 0.5, 4.0)  # above 1/s
+        with pytest.raises(StepSizeError):
+            contraction_rate_shift(math.nan, 2.0, 0.5, 4.0)
 
     def test_bits_of_the_two_term_formula(self):
         # max(|1 - a(sigma - rho)|/(1 + a(sigma - rho)), (1 - a(s - rho))/(1 + a(s - rho)))

@@ -202,6 +202,13 @@ class TestOneOperatorPerFilter:
         assert rebuilt is not operators[0]
         np.testing.assert_array_equal(rebuilt.matrix, operators[0].matrix)
 
+    def test_signed_zero_taps_are_their_own_filter(self):
+        plain = ProblemInstance.from_json_dict(filter_instance((1.0, 0.0, 0.5)))
+        signed = ProblemInstance.from_json_dict(filter_instance((1.0, -0.0, 0.5)))
+        assert signed.operator.matrix.tobytes() == linalg.convolution_matrix((1.0, -0.0, 0.5), 4).tobytes()
+        with pytest.raises(ValueError, match="does not share"):
+            experiment.block_problem([plain, signed])
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_taps_fail_on_every_load(self, bad, tmp_path):
         path = tmp_path / "instance.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,10 @@ class TestFirmProx:
             p.prox(1.0, 1.0)  # alpha * rho = 1 exactly is rejected
         with pytest.raises(StepSizeError):
             p.prox(1.0, 1.5)
+        # a NaN step fails the gate of every penalty prox
+        for prox in (p.prox, p.shifted_prox, SoftPenalty(2.0).prox, QuadraticPlusPenalty(np.ones(3), p).prox):
+            with pytest.raises(StepSizeError):
+                prox(np.ones(3), math.nan)
 
     def test_not_nonexpansive_in_middle_band(self):
         # slope 1/(1 - alpha*rho) = 2 between points inside the band

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import threading
 
@@ -112,6 +113,8 @@ class TestQuadProx:
         f, _ = random_term(7)
         with pytest.raises(StepSizeError):
             f.prox(np.zeros(5), 0.0)
+        with pytest.raises(StepSizeError):
+            f.prox(np.zeros(5), math.nan)
 
     def test_factor_cache_is_bounded(self):
         f, rng = random_term(9)
@@ -230,6 +233,10 @@ class TestShiftedProx:
             f.shifted_prox(np.zeros(5), 2.0, 0.5)  # alpha * rho = 1
         with pytest.raises(NonConvexShiftError):
             f.shifted_prox(np.zeros(5), 1e-3, 2 * s)
+        with pytest.raises(StepSizeError):
+            f.shifted_prox(np.zeros(5), math.nan, 0.5 * s)
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            f.shifted_prox(np.zeros(5), 1e-3, math.nan)
 
 
 class TestProjection:

@@ -128,6 +128,8 @@ class TestStepValidators:
         check_step("dr-shift-fg", 0.999, None, 1.0)
         with pytest.raises(StepSizeError):
             check_step("dr-shift-fg", 1.0, None, 1.0)
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            check_step("dr-shift-fg", 0.5, None, math.nan)
 
     def test_shift_zero_modulus(self):
         check_step("dr-shift-fg", 1e12, None, 0.0)
@@ -136,10 +138,14 @@ class TestStepValidators:
         check_step("dr-shift-gf", 0.5, None, 0.5, s=0.5)
         with pytest.raises(NonConvexShiftError):
             check_step("dr-shift-gf", 0.5, None, 0.5, s=0.0)
+        with pytest.raises(NonConvexShiftError):
+            check_step("dr-shift-gf", 0.5, None, 0.5, s=math.nan)
 
     def test_every_variant_has_a_bound(self):
         for variant in VARIANTS:
             assert step_bound(variant, 4.0, 1.0) > 0
+            with pytest.raises(ValueError, match="rho must be nonnegative"):
+                step_bound(variant, 4.0, math.nan)
         with pytest.raises(ValueError):
             step_bound("dr-unknown", 4.0, 1.0)
 
