@@ -57,9 +57,9 @@ def contraction_rate_main(alpha: float, s: float, rho: float, sigma: float | Non
     if not 0 <= rho < s:
         raise BoundInapplicableError(f"need 0 <= rho < s, got rho={rho}, s={s}")
     if sigma is not None:
-        if sigma < s:
+        if not sigma >= s:
             raise ValueError(f"need sigma >= s, got sigma={sigma}, s={s}")
-        if alpha > 1.0 / math.sqrt(sigma * s) * (1 + 1e-12):
+        if not alpha <= 1.0 / math.sqrt(sigma * s) * (1 + 1e-12):
             raise BoundInapplicableError(
                 f"alpha = {alpha:.6g} exceeds 1/sqrt(sigma*s) = {1.0 / math.sqrt(sigma * s):.6g}"
             )

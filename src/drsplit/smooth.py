@@ -23,16 +23,66 @@ divergence.
 ``value`` and ``grad`` also take any (..., n) stack of points, such as the
 iterates that ``solver.run`` audits in one call, and return one result per
 row; so does ``SubspaceConstraint.value``.
+
+The prox needs two LAPACK routines, ``dpotrf`` and ``dpotrs``, and nothing
+else of ``scipy.linalg``, whose import takes about 0.3 s on a 2-core x86-64
+host, most of it in helpers that pull in ``numpy.f2py``, ``numpy.testing``
+and ``numpy.ma``.  So this module imports the ``scipy`` package only, which
+sets up scipy's BLAS, and loads the extension ``scipy/linalg/_flapack``
+under its own name ``scipy.linalg._flapack`` (about 5 ms); a drsplit
+process never imports ``scipy.linalg``.  ``dpotrf`` and ``dpotrs`` here are
+the objects that ``scipy.linalg.lapack`` exports, and ``cho_factor`` keeps
+the checks of scipy's.  A ``scipy.linalg`` imported earlier is reused; one
+imported later reuses the loaded extension and works as usual, except that
+its package then lacks the private attribute ``scipy.linalg._flapack``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+import scipy
 
 from .errors import FactorizationError, check_prox_step
 from .linalg import LinearMap, as_rows, matvec
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded without ``scipy.linalg``; a
+    missing file raises ImportError naming its path."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(
+        os.path.dirname(scipy.__file__), "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    )
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf = _flapack.dpotrf
+dpotrs = _flapack.dpotrs
+
+
+def cho_factor(a):
+    """(c, lower) for a square matrix a, with the upper Cholesky factor in c's
+    upper triangle, as ``scipy.linalg.cho_factor(a)`` returns it: ValueError
+    on a non-finite entry or a LAPACK argument error, ``np.linalg.LinAlgError``
+    naming the first leading minor that is not positive definite."""
+    c, info = dpotrf(np.asarray_chkfinite(a), lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor of order {info} is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK dpotrf rejected its argument {-info}")
+    return c, False
 
 
 def support_mask(dim: int, support) -> np.ndarray:

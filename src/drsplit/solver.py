@@ -158,8 +158,10 @@ def step_bound(variant: str, sigma, rho: float) -> float:
     if sigma is None:
         raise StepSizeError(f"{variant} needs the gradient Lipschitz constant of the smooth term")
     if variant == "ista":
+        if not sigma > 0:
+            raise ValueError(f"ista needs sigma > 0, got sigma={sigma}")
         return 1.0 / sigma
-    if sigma < rho:
+    if not sigma >= rho:
         raise ValueError(f"need sigma >= rho >= 0, got sigma={sigma}, rho={rho}")
     return math.inf if rho == 0 else 1.0 / math.sqrt(sigma * rho)
 

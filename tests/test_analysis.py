@@ -74,6 +74,8 @@ class TestMainRate:
             contraction_rate_main(1.0, 2.0, 1.0, sigma=4.0)  # above 1/sqrt(sigma*s)
         with pytest.raises(StepSizeError):
             contraction_rate_main(math.nan, 2.0, 1.0, sigma=4.0)
+        with pytest.raises(ValueError, match="need sigma >= s"):
+            contraction_rate_main(0.1, 2.0, 0.0, sigma=math.nan)
 
     def test_value_in_unit_interval_on_admissible_grid(self):
         for s in (0.5, 1.0, 3.0):

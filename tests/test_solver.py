@@ -123,6 +123,14 @@ class TestStepValidators:
     def test_main_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             check_step("dr-main-fg", 0.1, sigma=1.0, rho=2.0)
+        with pytest.raises(ValueError, match="need sigma >= rho"):
+            step_bound("dr-main-fg", math.nan, 1.0)
+
+    def test_ista_needs_positive_sigma(self):
+        assert step_bound("ista", 4.0, 1.0) == 0.25
+        for sigma in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="ista needs sigma > 0"):
+                step_bound("ista", sigma, 1.0)
 
     def test_shift_strict(self):
         check_step("dr-shift-fg", 0.999, None, 1.0)
