@@ -18,11 +18,12 @@ from . import experiment, solver
 from .errors import BoundInapplicableError, StepSizeError, check_prox_step
 from .linalg import row_norm
 
-# Sampled pairs per operator call in empirical_lipschitz.  On a 2-core x86-64
-# host (OPENBLAS_NUM_THREADS=1), certify(1000, seed) took 0.82-0.93 s at one
-# pair per call and 0.22-0.27 s at 16 to 256, where the per-point sampler
-# calls are most of what is left; peak RSS rose 0.3 MB at 64, 1.1 at 128 and
-# 2.9 at 256 pairs over one pair per call.
+# Sampled pairs per block, that is per draw and per operator call, in
+# empirical_lipschitz and certify.  On a 2-core x86-64 shared host
+# (OPENBLAS_NUM_THREADS=1, seeds 0-9), certify(1000, seed) took 0.52-0.91 s
+# at one pair per block and 0.08-0.19 s at 16 to 256, where the per-point
+# sampler calls of the four vector checks are most of what is left; peak RSS
+# rose 0.5 MB at 64, 1.3 at 128 and 3.1 at 256 pairs over one pair per block.
 PAIRS_PER_CALL = 64
 
 
@@ -35,6 +36,8 @@ def reflection_bound_smooth(alpha: float, lo: float, hi: float) -> float:
     check_prox_step(alpha)
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    if not hi < math.inf:
+        raise ValueError(f"hi must be finite, got {hi}")
     top = abs(1.0 - alpha * hi) / (1.0 + alpha * hi)
     bottom = abs(1.0 - alpha * lo) / (1.0 + alpha * lo)
     return max(top, bottom)
@@ -56,6 +59,8 @@ def contraction_rate_main(alpha: float, s: float, rho: float, sigma: float | Non
     check_prox_step(alpha)
     if not 0 <= rho < s:
         raise BoundInapplicableError(f"need 0 <= rho < s, got rho={rho}, s={s}")
+    if not s < math.inf:
+        raise ValueError(f"s must be finite, got {s}")
     if sigma is not None:
         if not sigma >= s:
             raise ValueError(f"need sigma >= s, got sigma={sigma}, s={s}")
@@ -83,6 +88,8 @@ def contraction_rate_shift(alpha: float, s: float, rho: float, sigma: float) -> 
     check_prox_step(alpha)
     if not 0 <= rho < s <= sigma:
         raise BoundInapplicableError(f"need 0 <= rho < s <= sigma, got rho={rho}, s={s}, sigma={sigma}")
+    if not sigma < math.inf:
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if alpha > (1.0 / s) * (1 + 1e-12):
         raise BoundInapplicableError(f"alpha = {alpha:.6g} exceeds 1/s = {1.0 / s:.6g}")
     return reflection_bound_smooth(alpha, s - rho, sigma - rho)
@@ -111,38 +118,24 @@ def shift_rate_floor(eta: float) -> float:
     return eta / (2.0 - eta)
 
 
-def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float:
-    """Largest sampled ratio ||Op(x) - Op(y)|| / ||x - y|| over n_pairs draws.
-
-    ``sampler(rng)`` is called once per point, x then y of each pair, and
-    returns a point of the operator's domain: a vector (n,), or any array of
-    at least one dimension (norms then run over all its entries).  Pairs
-    closer than 1e-12 are skipped.  The operator is applied to up to
-    PAIRS_PER_CALL pairs at a time, as one (2k, n) stack of their points, so
-    it must map such a stack row by row, each row to what it maps that point
-    to alone.  ``double_reflection`` and the reflections of the stock proxes
-    do, with the same bits, so the result equals that of one call per point.
-    Raises ValueError for a 0-d sample, for an operator output whose shape
-    differs from its input, when every pair coincides, and when usable pairs
-    give non-finite ratios (the message counts them).
+def _sampled_lipschitz(operator, draw, n_pairs: int, seed: int = 0) -> float:
+    """The engine of ``empirical_lipschitz``, which draws a block at a time:
+    ``draw(rng, 2k)`` returns the (2k, *shape) points of the next k <=
+    PAIRS_PER_CALL pairs, x then y of each pair, and is asked for 2 * n_pairs
+    points in all.  Raises ValueError for a draw of another row count or of
+    fewer than two dimensions, and otherwise as ``empirical_lipschitz`` does.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
-    first = np.asarray(sampler(rng), dtype=float)
-    if first.ndim == 0:
-        raise ValueError(f"sampler returned shape {first.shape}; a point needs at least one dimension")
-    shape = first.shape
-    points = np.empty((2 * min(n_pairs, PAIRS_PER_CALL), *shape))  # pair i: x at row 2i, y at row 2i + 1
-    points[0] = first
-    drawn = 1
     worst, usable, nonfinite = 0.0, 0, 0
     for start in range(0, n_pairs, PAIRS_PER_CALL):
         k = min(PAIRS_PER_CALL, n_pairs - start)
-        for i in range(drawn, 2 * k):
-            points[i] = sampler(rng)
-        drawn = 0
-        pairs = points[: 2 * k].reshape(k, 2, -1)
+        points = np.asarray(draw(rng, 2 * k), dtype=float)  # pair i: x at row 2i, y at row 2i + 1
+        if points.ndim < 2 or len(points) != 2 * k:
+            raise ValueError(f"draw returned shape {points.shape} for {2 * k} points; need ({2 * k}, *point shape)")
+        shape = points.shape[1:]
+        pairs = points.reshape(k, 2, -1)
         gap = row_norm(pairs[:, 0] - pairs[:, 1])
         keep = ~(gap < 1e-12)  # a NaN gap is kept: it gives a non-finite ratio
         if not keep.all():
@@ -168,6 +161,42 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
     return worst
 
 
+def _point_by_point(sampler):
+    """The block draw of ``_sampled_lipschitz`` that calls ``sampler(rng)``
+    once per point, in order."""
+
+    def draw(rng, count: int):
+        first = np.asarray(sampler(rng), dtype=float)
+        if first.ndim == 0:
+            raise ValueError(f"sampler returned shape {first.shape}; a point needs at least one dimension")
+        points = np.empty((count, *first.shape))
+        points[0] = first
+        for i in range(1, count):
+            points[i] = sampler(rng)
+        return points
+
+    return draw
+
+
+def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float:
+    """Largest sampled ratio ||Op(x) - Op(y)|| / ||x - y|| over n_pairs draws.
+
+    ``sampler(rng)`` is called once per point, x then y of each pair, and
+    returns a point of the operator's domain: a vector (n,), or any array of
+    at least one dimension (norms then run over all its entries).  Pairs
+    closer than 1e-12 are skipped.  The operator is applied to up to
+    PAIRS_PER_CALL pairs at a time, as one (2k, n) stack of their points, so
+    it must map such a stack row by row, each row to what it maps that point
+    to alone.  ``double_reflection`` and the reflections of the stock proxes
+    do, with the same bits, so the result equals that of one call per point.
+    Raises ValueError for a 0-d sample, for an operator output whose shape
+    differs from its input, when every pair coincides, and when usable pairs
+    give non-finite ratios (the message counts them).  ``certify`` runs the
+    same engine but draws its scalar points one block at a time.
+    """
+    return _sampled_lipschitz(operator, _point_by_point(sampler), n_pairs, seed)
+
+
 def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of the empirical-vs-theoretical Lipschitz checks
     on instance ``derive_seeds(seed, 1)[0]`` of EXP1 (nonexpansiveness of both
@@ -177,8 +206,10 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     checks = []
     instance_seed = experiment.derive_seeds(seed, 1)[0]
 
-    def vec_sampler(dim, radius):
-        return lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius)
+    # Vector points are drawn one at a time: each point's normal and uniform
+    # draws interleave in the stream, so block calls would change the bits.
+    def vec_draw(dim, radius):
+        return _point_by_point(lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius))
 
     inst1 = experiment.build_instance(experiment.EXP1, seed=instance_seed)
     prob1 = inst1.problem()
@@ -186,7 +217,7 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     radius1 = 3.0 * inst1.penalty.tau / inst1.penalty.rho
     for variant in ("dr-main-fg", "dr-main-gf"):
         op = solver.double_reflection(prob1, solver.step_bound(variant, sigma1, prob1.rho), variant)
-        emp = empirical_lipschitz(op, vec_sampler(prob1.dim, radius1), pairs, seed)
+        emp = _sampled_lipschitz(op, vec_draw(prob1.dim, radius1), pairs, seed)
         checks.append((f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1"))
 
     inst2 = experiment.build_instance(experiment.EXP2, seed=instance_seed)
@@ -196,7 +227,9 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     alpha_t = 1.0 / math.sqrt(sigma2 * s2)
     radius2 = 3.0 * penalty.tau / penalty.rho
     weak = lambda t: solver.reflect(penalty.prox, t, alpha_t)
-    emp = empirical_lipschitz(weak, lambda rng: rng.uniform(-radius2, radius2, size=1), max(pairs, 10000), seed)
+    # One uniform call per block draws the bits of one size=1 call per point.
+    scalar_draw = lambda rng, count: rng.uniform(-radius2, radius2, size=(count, 1))
+    emp = _sampled_lipschitz(weak, scalar_draw, max(pairs, 10000), seed)
     bound = reflection_bound_weak(alpha_t, rho2)
     detail = f"empirical={emp:.12f} bound={bound:.12f}"
     checks.append(("weak reflection bound attained", 0.99 * bound <= emp <= bound + 1e-9, detail))
@@ -207,7 +240,7 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
         ("shifted rate dominates", "dr-shift-fg", 1.0 / s2, contraction_rate_shift(1.0 / s2, s2, rho2, sigma2)),
     ):
         op = solver.double_reflection(prob2, alpha, variant)
-        emp = empirical_lipschitz(op, vec_sampler(prob2.dim, radius2), pairs, seed)
+        emp = _sampled_lipschitz(op, vec_draw(prob2.dim, radius2), pairs, seed)
         checks.append((name, emp <= rate + 1e-9, f"empirical={emp:.12f} rate={rate:.12f}"))
     return checks
 

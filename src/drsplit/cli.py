@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,11 +18,13 @@ from .errors import NonConvexShiftError, StepSizeError
 
 def _checked(kind, ok, rule: str):
     """argparse type: a ``kind`` value for which ``ok`` holds; ``rule`` says
-    what it must do."""
+    what it must do.  A float must also be finite."""
     def parse(text: str):
         value = kind(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must {rule}, got {value}")
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value"

@@ -34,6 +34,8 @@ class TestReflectionBoundSmooth:
             reflection_bound_smooth(0.5, 2.0, 1.0)
         with pytest.raises(StepSizeError):
             reflection_bound_smooth(math.nan, 1.0, 4.0)
+        with pytest.raises(ValueError, match="hi must be finite, got inf"):
+            reflection_bound_smooth(0.5, 1.0, math.inf)
 
 
 class TestReflectionBoundWeak:
@@ -76,6 +78,8 @@ class TestMainRate:
             contraction_rate_main(math.nan, 2.0, 1.0, sigma=4.0)
         with pytest.raises(ValueError, match="need sigma >= s"):
             contraction_rate_main(0.1, 2.0, 0.0, sigma=math.nan)
+        with pytest.raises(ValueError, match="s must be finite, got inf"):
+            contraction_rate_main(0.5, math.inf, 0.5)
 
     def test_value_in_unit_interval_on_admissible_grid(self):
         for s in (0.5, 1.0, 3.0):
@@ -103,6 +107,8 @@ class TestShiftRate:
             contraction_rate_shift(0.6, 2.0, 0.5, 4.0)  # above 1/s
         with pytest.raises(StepSizeError):
             contraction_rate_shift(math.nan, 2.0, 0.5, 4.0)
+        with pytest.raises(ValueError, match="sigma must be finite, got inf"):
+            contraction_rate_shift(0.5, 1.0, 0.5, sigma=math.inf)
 
     def test_bits_of_the_two_term_formula(self):
         # max(|1 - a(sigma - rho)|/(1 + a(sigma - rho)), (1 - a(s - rho))/(1 + a(s - rho)))

@@ -169,6 +169,18 @@ def test_out_of_range_real_is_a_usage_error(argv, flag, rule, inside, outside, c
         assert f"argument {flag}: must be {rule}, got {float(bad)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(SOLVE, "--tol"), (RATES, "--s"), (RATES, "--sigma"), (RATES, "--alpha-max"), (RATES, "--rho"), (SOLVE, "--alpha")],
+)
+def test_infinite_real_is_a_usage_error(argv, flag, capsys):
+    for bad in ("inf", "1e999"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite, got inf" in capsys.readouterr().err
+
+
 def test_rates_sigma_below_s_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     argv = ["rates", "--rho", "0.5", "--out", str(out)]
