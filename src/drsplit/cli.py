@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, experiment, solver
-from .errors import NonConvexShiftError, StepSizeError
+from .errors import DivergenceError, NonConvexShiftError, StepSizeError
 
 
 def _checked(kind, ok, rule: str):
@@ -152,6 +152,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StepSizeError, NonConvexShiftError) as exc:  # gates that need the loaded instance
         parser.error(str(exc))
+    except DivergenceError as exc:
+        print(f"drsplit {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

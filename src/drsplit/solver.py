@@ -284,12 +284,12 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
         if not self.audit and (self.record_reference is not None or self.stop_dist is not None):
             raise ValueError("audit=False excludes record_reference and stop_dist: it records no distance")
         if self.stop_dist is not None:
-            if self.stop_dist < 0:
+            if not self.stop_dist >= 0:
                 raise ValueError(f"stop_dist must be nonnegative, got {self.stop_dist}")
             if self.record_reference is None:
                 raise ValueError("stop_dist needs record_reference")
@@ -416,15 +416,18 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     before the first iteration: StepSizeError when alpha fails it, and
     NonConvexShiftError when it passes but a shifted variant's rho exceeds
     s.  Divergence means a non-finite x0 or z, and raises DivergenceError
-    naming the iteration and the variant; the proxes do not scan their
-    input, so a NaN in the data is found there too.  Any other exception raised inside a
-    step propagates as raised.
+    naming the iteration and the variant.  A non-finite z is found through
+    the step norm (z before the step is finite, so a NaN or infinite entry
+    makes its row's norm non-finite) and confirmed on the iterate, so a
+    finite z whose step norm overflows runs on with step norm inf.  The
+    proxes do not scan their input, so a NaN in the data is found there too.
+    Any other exception raised inside a step propagates as raised.
 
     For a block problem the reference has the iterate shape (B, n), each row
     stops on its own once its step norm meets tol or its distance meets
     stop_dist, and the loop ends when every row has stopped; one non-finite
-    row raises DivergenceError for the whole block.  Rows in an exact cycle
-    skip ahead to max_iters (see the module docstring).
+    row, a stopped one included, raises DivergenceError for the whole block.
+    Rows in an exact cycle skip ahead to max_iters (see the module docstring).
     """
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
     check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
@@ -488,6 +491,16 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     if not np.all(np.isfinite(x)):
         raise DivergenceError(f"non-finite x0 at iteration 0 of {config.variant}")
     delta = np.full(lead, math.nan)
+    # One problem's delta and stop are numpy scalars, which math.isfinite and
+    # bool read without the reduction a block's arrays need, and its z is
+    # compared with the cycle anchor as bytes (bit for bit, as the int64 rows).
+    if lead:
+        finite, any_ = (lambda d: math.isfinite(d.sum())), np.ndarray.any
+        same = lambda z, anchor: (z.view(np.int64) == anchor).all(-1)
+    else:
+        finite, any_ = math.isfinite, bool
+        same = lambda z, anchor: z.tobytes() == anchor.tobytes()
+    any_stopped = False
     stopped = np.zeros(lead, dtype=bool)
     converged = np.zeros(lead, dtype=bool)
     row_iters = np.full(lead, max_iters)
@@ -499,10 +512,13 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     for n in range(max_iters + 1):
         if n:
             z_new = step(x, z)
-            if not np.all(np.isfinite(z_new)):
-                raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
+            # z is finite, so a non-finite entry of z_new makes its row's
+            # delta non-finite; the iterate itself decides, as a finite z_new
+            # may still overflow its norm.
             delta = row_norm(z_new - z)
-            if not stopped.any():
+            if not finite(delta) and not np.isfinite(z_new).all():
+                raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
+            if not any_stopped:
                 z = z_new
             else:  # stopped rows keep their final point
                 z = np.where(stopped[..., None], z, z_new)
@@ -511,18 +527,18 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         met_tol = delta <= tol
         stop = met_tol if stop_dist is None else met_tol | (dist_to_ref[n] <= stop_dist)
         if n >= window:
-            bits = z.view(np.int64)
             if n > window:
-                hit = (bits == anchor).all(-1)
-                if hit.any() and (hit := hit & ~(stopped | stop)).any():
+                hit = same(z, anchor)
+                if any_(hit) and any_(hit := hit & ~(stopped | stop)):
                     period[hit] = n - anchor_n
                     row_iters[hit] = n + (max_iters - n) % period[hit]
                     dues.update(row_iters[hit].tolist())
                 if n in dues:
                     stop = stop | (period > 0) & (row_iters == n)
             if n % CYCLE_WINDOW == 0:
-                anchor, anchor_n = bits.copy(), n
-        if stop.any():
+                anchor, anchor_n = z.view(np.int64).copy(), n
+        if any_(stop):
+            any_stopped = True
             stop = stop & ~stopped
             stopped |= stop
             converged |= stop & met_tol

@@ -37,6 +37,18 @@ def test_solve_command(tmp_path, capsys):
     assert trace_path.read_text().startswith("iter,cost,step_norm,fp_residual,dist_to_ref")
 
 
+def test_solve_reports_divergence_in_one_line(tmp_path, capsys):
+    instance = build_instance(EXP2, seed=4)
+    y = instance.y.copy()
+    y[5] = float("nan")
+    path = tmp_path / "nan.json"
+    dataclasses.replace(instance, y=y).save(path)
+    assert main(["solve", "--instance", str(path), "--variant", "dr-main-fg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "drsplit solve: non-finite iterate at iteration 1 of dr-main-fg\n"
+    assert captured.out == ""
+
+
 def test_solve_rejects_gate_violation(tmp_path, capsys):
     instance_path = tmp_path / "instance.json"
     inst = build_instance(EXP2, seed=4)

@@ -421,6 +421,11 @@ class TestStopDistAndAudit:
             SolverConfig("ista", record_reference=reference, audit=False)
         with pytest.raises(ValueError, match="audit=False excludes"):
             SolverConfig("ista", record_reference=reference, stop_dist=1e-6, audit=False)
+        with pytest.raises(ValueError, match="stop_dist must be nonnegative"):
+            SolverConfig("ista", record_reference=reference, stop_dist=np.nan)
+        for bad in (-1e-6, np.nan):
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                SolverConfig("dr-main-fg", tol=bad, max_iters=300)
 
 
 class TestTraceSerialization:
