@@ -18,10 +18,12 @@ bound (alpha > 0, and alpha * rho < 1 for the firm prox); a NaN fails it.
 Every operation is elementwise, so it also acts on a (B, n) block of points,
 or any (..., n) stack of them, row by row; ``value`` then returns one total
 per row.  ``FirmPenalty`` takes its weight tau as a scalar or as a (B, 1)
-column, one weight per row.
+column, one weight per row; ``take(rows)`` cuts a column to some of its rows.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -84,6 +86,14 @@ class FirmPenalty(SeparablePenalty):
     def block_shape(self) -> tuple:
         """() for a scalar weight, (B,) for a (B, 1) column of weights."""
         return np.shape(self.tau)[:-1]
+
+    def take(self, rows) -> "FirmPenalty":
+        """The block of the given rows (indices into the block axis) of a
+        column of weights: tau and its squares cut to them."""
+        penalty = copy.copy(self)
+        penalty.tau, penalty._tau_sq = self.tau[rows], self._tau_sq[rows]
+        penalty.tau.setflags(write=False)
+        return penalty
 
     def pointwise(self, t):
         t = np.asarray(t, dtype=float)

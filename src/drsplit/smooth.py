@@ -15,7 +15,8 @@ of every prox and bound: a*rho < 1 and rho <= s; a NaN fails it.
 Cholesky factor: that of the last step its prox was called at.  It also
 holds a block of B observations y, shape (B, m), that share one operator H;
 its methods then act on (B, n) blocks of points row by row, with the same
-bits per row as a term built on that row's observation.  Its prox calls
+bits per row as a term built on that row's observation, and ``take(rows)``
+cuts the block to some of its rows, sharing H and the factor.  Its prox calls
 LAPACK ``dpotrs`` on the factor and does not scan its input for non-finite
 values: a NaN in comes back as a NaN out, and ``solver.run`` reports it as
 divergence.
@@ -39,6 +40,7 @@ its package then lacks the private attribute ``scipy.linalg._flapack``.
 
 from __future__ import annotations
 
+import copy
 import importlib.machinery
 import importlib.util
 import os
@@ -148,6 +150,15 @@ class QuadraticTerm(SmoothTerm):
     def block_shape(self) -> tuple:
         """() for one observation, (B,) for a block of B observations."""
         return self.y.shape[:-1]
+
+    def take(self, rows) -> "QuadraticTerm":
+        """The block of the given rows (indices into the block axis): y and
+        Hᵀy cut to them, sharing H, HᵀH, (s, sigma) and the current Cholesky
+        factor, so nothing is computed or factorized again."""
+        term = copy.copy(self)
+        term.y, term._hty = self.y[rows], self._hty[rows]
+        term.y.setflags(write=False)
+        return term
 
     def value(self, x):
         """f(x), one value per row of a block."""

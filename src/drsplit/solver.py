@@ -19,20 +19,25 @@ their data: a ``QuadraticTerm`` with observations of shape (B, m) and a
 ``FirmPenalty`` with a (B, 1) column of weights.  ``run`` then iterates all
 rows at once, in the same loop, on (B, n) arrays, and each row gets the bits
 a run on that row's problem alone would give; ``IterationTrace.split``
-returns the per-row traces.  A row that meets the tolerance stops there and
-keeps its final point while the others go on.
+returns the per-row traces.  A row that stops (on tol, on stop_dist, or as
+a cycling row at its due iteration, below) is never stepped again: ``run``
+keeps its final point and goes on with ``Problem.take`` of the rows still
+running, for which each block term gives ``take(rows)``, the term cut to
+those rows.  The stopped row's audit and distance columns repeat its stop
+row up to the block's last row, and its step norm reads NaN there.
 
 ``run`` allocates the trace columns it records at max_iters + 1 rows and
 returns them cut to the rows it wrote.  The loop writes the step norm (and
 the reference distance, if any) of each iterate and keeps its primal point
 x in a buffer of AUDIT_ROWS iterates (fewer for a block of more than 6
-rows, so that the buffer holds at most AUDIT_POINTS points); each time the
-buffer fills, one stacked call each of ``Problem.cost`` and
+running rows, so that the buffer holds at most AUDIT_POINTS points); each
+time the buffer fills, one stacked call each of ``Problem.cost`` and
 ``Problem.fixed_point_residual`` fills the audit columns of those rows, and
-the rows left when the loop ends are audited then.  Every call acts row by
-row, so each column has the bits of auditing one iterate at a time.  The terms' ``value``, the smooth
-term's ``grad`` and the penalty's ``prox`` therefore take a (k, *shape)
-stack of iterates, one result per row.
+the rows left when rows of a block stop, or when the loop ends, are audited
+then.  Every call acts row by row, so each column has the bits of auditing
+one iterate at a time.  The terms' ``value``, the smooth term's ``grad`` and
+the penalty's ``prox`` therefore take a (k, *shape) stack of iterates, one
+result per row.
 
 Two options serve callers that read less than the full history: a row
 stops at the first iterate whose distance to the reference meets
@@ -89,8 +94,9 @@ CYCLE_WINDOW = 512
 AUDIT_ROWS = 16
 
 # Most points (iterate rows times block rows) per stacked audit call: a
-# block of B rows audits max(1, min(AUDIT_ROWS, AUDIT_POINTS // B)) iterates
-# at a time, 16 up to B = 6 and 9 at B = 10.  The temporaries of 16 rows of
+# block of B running rows audits max(1, min(AUDIT_ROWS, AUDIT_POINTS // B))
+# iterates at a time, 16 up to B = 6 and 9 at B = 10; the count is taken
+# again each time rows stop.  The temporaries of 16 rows of
 # a 10-seed block pass 128 KB, and the allocator keeps memory after them:
 # run_experiment at 20 seeds into an out_dir peaked at 63.7-65.5 MB with 16
 # rows and 61.9-63.4 MB with 9 (EXP1 and EXP2, OPENBLAS_NUM_THREADS=1,
@@ -135,6 +141,13 @@ class Problem:
 
     def has_gradient(self) -> bool:
         return callable(getattr(self.smooth, "grad", None))
+
+    def take(self, rows) -> "Problem":
+        """The block problem of the given rows (indices into the block axis):
+        each term with a non-empty ``block_shape`` gives its ``take(rows)``,
+        and a term without one is shared unchanged."""
+        cut = lambda term: term.take(rows) if getattr(term, "block_shape", ()) else term
+        return Problem(cut(self.smooth), cut(self.penalty))
 
     def fixed_point_residual(self, x, alpha: float):
         """|| x - prox_g(x - alpha grad f(x), alpha) ||, zero exactly at minimizers
@@ -315,7 +328,8 @@ class IterationTrace:
     A block run gives one trace whose columns have shape (rows, B), whose
     final points have shape (B, n), and whose ``converged``, ``stop_reason``
     and ``row_iters`` hold one entry per row; ``split`` cuts it into one trace
-    per row.
+    per row, each ending at its ``row_iters``.  Past that row, a row's
+    columns repeat its last one, except for a step norm of NaN.
     """
 
     variant: str
@@ -404,6 +418,17 @@ class IterationTrace:
         }
 
 
+def _iteration(problem: Problem, variant: str, alpha: float, relaxation: float) -> tuple[Callable, Callable]:
+    """(step, extract) of a variant on problem: step(x, z) is the next iterate
+    from z and its primal point x, extract(z) that primal point."""
+    if variant == "ista":
+        return (lambda x, z: problem.penalty.prox(z - alpha * problem.smooth.grad(z), alpha)), (lambda z: z)
+    operator = double_reflection(problem, alpha, variant)
+    # x = first(z) is the primal point already extracted from z.
+    step = lambda x, z: (1.0 - relaxation) * z + relaxation * operator(z, x)
+    return step, prox_pair(problem, alpha, variant)[0]
+
+
 def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     """Iterate the configured variant from z0 = 0 until tol, stop_dist or
     max_iters.
@@ -425,8 +450,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     For a block problem the reference has the iterate shape (B, n), each row
     stops on its own once its step norm meets tol or its distance meets
-    stop_dist, and the loop ends when every row has stopped; one non-finite
-    row, a stopped one included, raises DivergenceError for the whole block.
+    stop_dist, and the loop ends when every row has stopped.  A stopped row
+    is never stepped again: the loop goes on with the problem's ``take`` of
+    the rows still running, so a term with a non-empty ``block_shape`` must
+    have ``take(rows)`` (TypeError before the first iteration otherwise).
+    One non-finite running row raises DivergenceError for the whole block.
     Rows in an exact cycle skip ahead to max_iters (see the module docstring).
     """
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
@@ -434,6 +462,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     shape = problem.shape
     lead = shape[:-1]
     max_iters, tol, stop_dist, audit = config.max_iters, config.tol, config.stop_dist, config.audit
+    for side in ("smooth", "penalty"):
+        term = getattr(problem, side)
+        if getattr(term, "block_shape", ()) and not callable(getattr(term, "take", None)):
+            raise TypeError(f"{side} term {term!r} holds a block of rows but has no take(rows)")
 
     reference = None
     if config.record_reference is not None:
@@ -441,15 +473,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         if reference.shape != shape:
             raise ValueError(f"reference has shape {reference.shape}, iterates have shape {shape}")
 
-    if config.variant == "ista":
-        step = lambda x, z: problem.penalty.prox(z - alpha * problem.smooth.grad(z), alpha)
-        extract = lambda z: z
-    else:
-        operator = double_reflection(problem, alpha, config.variant)
-        lam = config.relaxation
-        # x = first(z) is the primal point already extracted from z.
-        step = lambda x, z: (1.0 - lam) * z + lam * operator(z, x)
-        extract = prox_pair(problem, alpha, config.variant)[0]
+    step, extract = _iteration(problem, config.variant, alpha, config.relaxation)
 
     # Residuals are audited at a fixed step so they compare across variants.
     sigma = problem.grad_lipschitz
@@ -459,32 +483,28 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     # One row per iterate the run may reach; a run that stops early never
     # writes the rest, so their pages are never touched.  A column the run
-    # does not record reads as NaN: one read-only view, no memory.
+    # does not record reads as NaN: one read-only view, no memory.  cols
+    # indexes the block rows still running (all of them until one stops).
     step_norm = np.empty((max_iters + 1, *lead))
     cost = fp_residual = dist_to_ref = unrecorded = np.broadcast_to(math.nan, step_norm.shape)
-    per_call = max(1, min(AUDIT_ROWS, AUDIT_POINTS // math.prod(lead)))
+    cols = ...
     if audit:
         cost, fp_residual = np.empty_like(step_norm), np.empty_like(step_norm)
-        xs = np.empty((per_call, *shape))  # x of iterate n at row n % per_call, until audited
     if reference is not None:  # written per iterate: the stop test may read it
         dist_to_ref = np.empty_like(step_norm)
 
-    def audit_rows(end):
-        """Fill the audit columns of the buffered rows, those from the last
-        multiple of per_call below end up to end, with one call each."""
-        start = (end - 1) // per_call * per_call
-        h, rows = xs[: end - start], slice(start, end)
-        cost[rows] = problem.cost(h)
-        fp_residual[rows] = problem.fixed_point_residual(h, audit_alpha) if audit_alpha is not None else math.nan
+    def buffer(shape):
+        """(per_call, xs) for iterates of this shape: the iterates per audit
+        call, and the buffer that keeps their x until they are audited."""
+        per_call = max(1, min(AUDIT_ROWS, AUDIT_POINTS // math.prod(shape[:-1])))
+        return per_call, np.empty((per_call, *shape))
 
-    def record(n, x, delta):
-        step_norm[n] = delta
-        if reference is not None:
-            dist_to_ref[n] = row_norm(x - reference)
-        if audit:
-            xs[n % per_call] = x
-            if n % per_call == per_call - 1:
-                audit_rows(n + 1)
+    def audit_rows(start, end):
+        """Fill the running rows' audit columns of iterates start .. end - 1,
+        buffered in xs, with one call each."""
+        h = xs[: end - start]
+        cost[start:end, cols] = problem.cost(h)
+        fp_residual[start:end, cols] = math.nan if audit_alpha is None else problem.fixed_point_residual(h, audit_alpha)
 
     z = np.zeros(shape)
     x = extract(z)
@@ -500,15 +520,22 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     else:
         finite, any_ = math.isfinite, bool
         same = lambda z, anchor: z.tobytes() == anchor.tobytes()
-    any_stopped = False
-    stopped = np.zeros(lead, dtype=bool)
+    # Per block row, written as the row stops.
     converged = np.zeros(lead, dtype=bool)
+    stopped = np.zeros(lead, dtype=bool)
     row_iters = np.full(lead, max_iters)
-    # Cycle skip (module docstring): until the loop ends, a cycling row's
-    # row_iters is where its z equals z_max_iters; dues holds those iterations.
+    periods = np.zeros(lead, dtype=int)
+    final_x, final_z = np.empty(shape), np.empty(shape)
+    # Cycle skip (module docstring), per running row: the period found, and
+    # the iteration where that row's z equals z_max_iters; dues holds those.
     period = np.zeros(lead, dtype=int)
+    due = np.full(lead, max_iters)
     window = CYCLE_WINDOW if max_iters >= 2 * CYCLE_WINDOW else max_iters + 1
     dues = set()
+    anchor = None
+    if audit:
+        per_call, xs = buffer(shape)
+        base = 0  # the first iterate not yet audited
     for n in range(max_iters + 1):
         if n:
             z_new = step(x, z)
@@ -518,49 +545,70 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             delta = row_norm(z_new - z)
             if not finite(delta) and not np.isfinite(z_new).all():
                 raise DivergenceError(f"non-finite iterate at iteration {n} of {config.variant}")
-            if not any_stopped:
-                z = z_new
-            else:  # stopped rows keep their final point
-                z = np.where(stopped[..., None], z, z_new)
+            z = z_new
             x = extract(z)
-        record(n, x, delta)
-        met_tol = delta <= tol
-        stop = met_tol if stop_dist is None else met_tol | (dist_to_ref[n] <= stop_dist)
+        step_norm[n, cols] = delta
+        stop = met_tol = delta <= tol
+        if reference is not None:
+            dist_to_ref[n, cols] = dist = row_norm(x - reference)
+            if stop_dist is not None:
+                stop = met_tol | (dist <= stop_dist)
+        if audit:
+            xs[n - base] = x
+            if n - base == per_call - 1:
+                audit_rows(base, n + 1)
+                base = n + 1
         if n >= window:
             if n > window:
                 hit = same(z, anchor)
-                if any_(hit) and any_(hit := hit & ~(stopped | stop)):
+                if any_(hit) and any_(hit := hit & ~stop):
                     period[hit] = n - anchor_n
-                    row_iters[hit] = n + (max_iters - n) % period[hit]
-                    dues.update(row_iters[hit].tolist())
+                    due[hit] = n + (max_iters - n) % period[hit]
+                    dues.update(due[hit].tolist())
                 if n in dues:
-                    stop = stop | (period > 0) & (row_iters == n)
+                    stop = stop | (period > 0) & (due == n)
             if n % CYCLE_WINDOW == 0:
                 anchor, anchor_n = z.view(np.int64).copy(), n
         if any_(stop):
-            any_stopped = True
-            stop = stop & ~stopped
-            stopped |= stop
-            converged |= stop & met_tol
-            row_iters[stop] = n
-            if stopped.all():
+            if not lead or n == max_iters or stop.all():
                 break
+            # Some rows stop: keep what they end with, audit what is
+            # buffered, and go on with the rows still running alone.
+            if audit and base <= n:
+                audit_rows(base, n + 1)
+                base = n + 1
+            live = np.arange(lead[0])[cols]
+            at, cols, keep = live[stop], live[~stop], np.flatnonzero(~stop)
+            converged[at], stopped[at], row_iters[at], periods[at] = met_tol[stop], True, n, period[stop]
+            final_x[at], final_z[at] = x[stop], z[stop]
+            z, x, period, due = z[keep], x[keep], period[keep], due[keep]
+            if reference is not None:
+                reference = reference[keep]
+            if anchor is not None:
+                anchor = anchor[keep]
+            problem = problem.take(keep)
+            step, extract = _iteration(problem, config.variant, alpha, config.relaxation)
+            if audit:
+                per_call, xs = buffer(z.shape)
 
-    end = written = n + 1
-    if period.any() and n < max_iters:  # the next row of a stopped row, which then repeats
-        record(n + 1, x, row_norm(step(x, z) - z))
-        written += 1
-    if audit and written % per_call:
-        audit_rows(written)
-    if period.any():  # cycling rows reach max_iters: fill every row's columns up to it
-        end = max_iters + 1
-        lasts = np.where(period > 0, row_iters, min(n + 1, max_iters))
-        for b, (p, last) in enumerate(zip(np.maximum(period, 1).flat, lasts.flat)):
-            for c in (col for col in (step_norm, cost, fp_residual, dist_to_ref) if col is not unrecorded):
-                c = c.reshape(len(c), -1)[:, b]  # row b's column, a view
+    if audit and base <= n:
+        audit_rows(base, n + 1)
+    converged[cols], stopped[cols], row_iters[cols], periods[cols] = met_tol, stop, n, period
+    final_x[cols], final_z[cols] = x, z
+    # A row that stopped before the loop ended repeats its last row, with no
+    # step norm (it took no step); a cycling row repeats its last p rows up to
+    # max_iters, as the full iteration would.
+    end = max_iters + 1 if periods.any() else n + 1
+    recorded = [col for col in (step_norm, cost, fp_residual, dist_to_ref) if col is not unrecorded]
+    for b, (p, last) in enumerate(zip(np.atleast_1d(periods).tolist(), np.atleast_1d(row_iters).tolist())):
+        for col in recorded if last + 1 < end else ():
+            c = col.reshape(len(col), -1)[:, b]  # row b's column, a view
+            if p:
                 c[last + 1 : end] = np.resize(c[last - p + 1 : last + 1], end - last - 1)
-        row_iters[period > 0] = max_iters
-    stop_reason = np.where(converged, "tol", np.where(stopped & (period == 0), "stop_dist", "max_iters"))
+            else:
+                c[last + 1 : end] = math.nan if col is step_norm else c[last]
+    row_iters[periods > 0] = max_iters
+    stop_reason = np.where(converged, "tol", np.where(stopped & (periods == 0), "stop_dist", "max_iters"))
     return IterationTrace(
         variant=config.variant,
         alpha=alpha,
@@ -572,10 +620,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         step_norm=step_norm[:end],
         fp_residual=fp_residual[:end],
         dist_to_ref=dist_to_ref[:end],
-        final_x=x,
-        final_z=z.copy(),
+        final_x=final_x,
+        final_z=final_z,
         converged=converged if lead else bool(converged),
         stop_reason=stop_reason if lead else str(stop_reason),
         row_iters=row_iters if lead else None,
-        period=period if lead else int(period),
+        period=periods if lead else int(periods),
     )

@@ -1,5 +1,6 @@
 """run()'s per-iterate bookkeeping: divergence found through the step norm and
-confirmed on the iterate, on single problems and blocks alike."""
+confirmed on the iterate, on single problems and blocks alike, and a block's
+stopped rows never stepped again."""
 
 import math
 
@@ -26,11 +27,27 @@ STEP_CALL = {
 class Poisoned:
     """``term`` itself, except that the k-th call of ``method`` on an
     iterate (an array of ``ndim`` axes; audit stacks have one more) writes
-    ``value`` at index ``at`` of its result."""
+    ``poison`` at index ``at`` of its result.
 
-    def __init__(self, term, method, k, value, ndim, at):
-        self.term, self.method, self.k, self.value, self.ndim, self.at = term, method, k, value, ndim, at
+    In a block (ndim 2) ``at`` names a row of the block as built.  The
+    poisoned term is then a block term whose ``take`` keeps the poison and
+    the call count, so the poison follows its row when run drops stopped
+    rows, and it never fires once that row has left."""
+
+    def __init__(self, term, method, k, poison, ndim, at, rows=None):
+        self.term, self.method, self.k, self.poison, self.ndim, self.at = term, method, k, poison, ndim, at
+        self.rows = rows  # the rows as built, in the order of the iterate's rows
         self.calls = 0
+
+    @property
+    def block_shape(self):
+        return () if self.rows is None else self.rows.shape
+
+    def take(self, rows):
+        term = self.term.take(rows) if getattr(self.term, "block_shape", ()) else self.term
+        cut = Poisoned(term, self.method, self.k, self.poison, self.ndim, self.at, self.rows[rows])
+        cut.calls = self.calls
+        return cut
 
     def __getattr__(self, name):
         found = getattr(self.term, name)
@@ -43,7 +60,10 @@ class Poisoned:
                 self.calls += 1
                 if self.calls == self.k:
                     out = np.array(out, dtype=float)
-                    out[self.at] = self.value
+                    if self.rows is None:
+                        out[self.at] = self.poison
+                    elif self.at[0] in self.rows:
+                        out[(self.rows.tolist().index(self.at[0]), *self.at[1:])] = self.poison
             return out
 
         return call
@@ -65,7 +85,7 @@ def problem(variant, rows=0, k=None, value=None, at=None):
     terms = {"smooth": QuadraticTerm(LinearMap(np.eye(N)), y), "penalty": ZeroPenalty()}
     if k is not None:
         side, method = STEP_CALL[variant]
-        terms[side] = Poisoned(terms[side], method, k, value, y.ndim, at)
+        terms[side] = Poisoned(terms[side], method, k, value, y.ndim, at, np.arange(rows) if rows else None)
     return Problem(terms["smooth"], terms["penalty"])
 
 
@@ -84,19 +104,27 @@ def test_single_problem_names_the_iteration(variant, value, k):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("audit", [True, False])
 def test_one_row_of_a_block_names_the_iteration(variant, value, audit):
+    # Row 0 stops at iteration 1; the poisoned row 2 is still running at 4.
     config = SolverConfig(variant, alpha=ALPHA, max_iters=20, audit=audit)
     with pytest.raises(DivergenceError, match=rf"^non-finite iterate at iteration 4 of {variant}$"):
         run(problem(variant, rows=3, k=4, value=value, at=(2, 3)), config)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_a_stopped_row_that_goes_non_finite_still_raises(variant):
+def test_a_stopped_row_is_never_stepped_again(variant):
+    # Row 0 stops at iteration 1, so a poison on it at iteration 6 never
+    # fires and each row runs as it runs alone; on running row 1 it fires.
     config = SolverConfig(variant, alpha=ALPHA, max_iters=20)
-    clean = run(problem(variant, rows=3), config)
-    assert clean.row_iters[0] == 1 and clean.stop_reason[0] == "tol"
-    assert (clean.row_iters[1:] == 20).all()
+    trace = run(problem(variant, rows=3, k=6, value=math.nan, at=(0, 1)), config)
+    assert trace.row_iters.tolist() == [1, 20, 20] and trace.stop_reason[0] == "tol"
+    for row, y in zip(trace.split(), data(3)):
+        single = run(Problem(QuadraticTerm(LinearMap(np.eye(N)), y), ZeroPenalty()), config)
+        for name in ("iterations", "cost", "step_norm", "fp_residual", "dist_to_ref", "final_x", "final_z"):
+            a, b = getattr(row, name), getattr(single, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert (row.converged, row.stop_reason, row.period) == (single.converged, single.stop_reason, single.period)
     with pytest.raises(DivergenceError, match=rf"^non-finite iterate at iteration 6 of {variant}$"):
-        run(problem(variant, rows=3, k=6, value=math.nan, at=(0, 1)), config)
+        run(problem(variant, rows=3, k=6, value=math.nan, at=(1, 1)), config)
 
 
 class Huge:

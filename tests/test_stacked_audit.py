@@ -9,7 +9,9 @@ trace's, NaN included.  Run lengths cover one row, a full buffer, one row
 past it and a run ending mid-buffer, with no reference, a reference, and a
 reference with ``stop_dist`` (then the distance is taken per iterate for the
 stop test while the other columns stay stacked); a 10-row block covers the
-same lengths around its 9-row buffer.
+same lengths around its 9-row buffer.  Where rows of a block stop, ``run``
+audits what it has buffered and goes on with the rows still running, so
+the exact shapes of the audit calls follow from where each row stops.
 """
 
 import math
@@ -70,9 +72,6 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
         m.setattr(Problem, "cost", lambda self, x: shapes.append(np.shape(x)) or cost(self, x))
         trace = run(problem, config)
     written = trace.n_iters + 1
-    assert len(shapes) == math.ceil(written / per_call)
-    full, rest = divmod(written, per_call)
-    assert [s[0] for s in shapes] == [per_call] * full + ([rest] if rest else [])
 
     # Each row stops where the hand loop first meets stop_dist (or runs to
     # the end); a stopped row keeps its point, so its audit repeats.
@@ -80,6 +79,20 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
     if stop_dist is not None:
         met |= hand["dist_to_ref"] <= stop_dist
     stops = [int(np.argmax(col)) if col.any() else rows - 1 for col in met.T]
+    # One call per full buffer, and one for the iterates left where rows
+    # stop (the rows still running go on alone) or the loop ends; the
+    # iterates per call follow the running row count.
+    block = problem.shape[:-1]
+    assert per_call == max(1, min(R, solver.AUDIT_POINTS // math.prod(block)))
+    expected, start = [], 0
+    for end in sorted(set(stops)):
+        running = sum(stop >= end for stop in stops)
+        k = max(1, min(R, solver.AUDIT_POINTS // running))
+        full, rest = divmod(end + 1 - start, k)
+        point = (running, problem.dim) if block else (problem.dim,)
+        expected += [(k, *point)] * full + ([(rest, *point)] if rest else [])
+        start = end + 1
+    assert shapes == expected
     assert trace.n_iters == max(stops)
     if mode == "stop_dist" and rows > 2 * per_call:
         assert min(stops) < rows - 1  # the case stops a row early
