@@ -13,7 +13,9 @@ the configured DR variants at 0.99x their step bounds, and reports
 iterations-to-threshold of the distance to the reference minimizer.  Each
 of these traced runs stops at the first iterate within the distance
 threshold, so its final cost, final distance and trace CSV end at that
-threshold-crossing row.
+threshold-crossing row.  The report reads only the distance column and one
+cost per run, taken on its final point, so the traced runs audit each
+iterate's cost and fixed-point residual only when their CSVs are written.
 
 Every instance of one filter, designed or loaded, shares one cached
 ``LinearMap`` H, so HᵀH and (s, sigma) are computed once per process; the
@@ -355,10 +357,12 @@ class ExperimentReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _solve(instances, spec: ExperimentSpec) -> list[tuple[SeedResult, dict]]:
+def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResult, dict]]:
     """Solve instances that share their operator as one block: the ISTA
     reference, unaudited, then ISTA and every DR variant against it, each
-    row stopping at the first iterate within spec.dist_threshold.
+    row stopping at the first iterate within spec.dist_threshold and audited
+    when ``audit`` is set.  Each run's final costs are one ``Problem.cost``
+    call on its final points, audited or not.
 
     Returns one (SeedResult, traces) pair per instance, traces mapping each
     run's name to that seed's row trace.  A block that diverges is solved
@@ -369,7 +373,7 @@ def _solve(instances, spec: ExperimentSpec) -> list[tuple[SeedResult, dict]]:
     try:
         x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
         ista = SolverConfig(
-            "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold
+            "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold, audit=audit
         )
         dr = [
             dataclasses.replace(
@@ -381,22 +385,23 @@ def _solve(instances, spec: ExperimentSpec) -> list[tuple[SeedResult, dict]]:
             )
             for variant in spec.variants
         ]
-        rows = {config.variant: run(problem, config).split() for config in [ista, *dr]}
+        runs = {config.variant: run(problem, config) for config in [ista, *dr]}
     except DivergenceError as exc:
         if len(instances) > 1:
             logger.info("a block of %d seeds diverged (%s); solving them one at a time", len(instances), exc)
-            return [solved for inst in instances for solved in _solve([inst], spec)]
+            return [solved for inst in instances for solved in _solve([inst], spec, audit)]
         logger.warning("seed %d aborted: %s", instances[0].seed, exc)
         return [(SeedResult(instances[0].seed, {}, {}, {}, failed=str(exc)), {})]
-    seed_traces = [dict(zip(rows, seed_rows)) for seed_rows in zip(*rows.values())]
+    final_cost = {k: problem.cost(t.final_x).tolist() for k, t in runs.items()}
+    seed_traces = [dict(zip(runs, seed_rows)) for seed_rows in zip(*(t.split() for t in runs.values()))]
     return [
         (SeedResult(
             inst.seed,
             iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
-            final_cost={k: t.final_cost for k, t in traces.items()},
+            final_cost={k: final_cost[k][b] for k in traces},
             final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
         ), traces)
-        for inst, traces in zip(instances, seed_traces)
+        for b, (inst, traces) in enumerate(zip(instances, seed_traces))
     ]
 
 
@@ -412,10 +417,12 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
     sigma/s of the operator every seed shares, so a run without seeds reports
     it too.  With out_dir, each seed's instance and trace CSVs are written
     there once its block has finished (a failed seed writes nothing), and
-    then the aggregate report.
+    then the aggregate report.  Without out_dir no run is audited, and the
+    report is the same.
     """
     out_path = None if out_dir is None else Path(out_dir)
-    if out_path is not None:
+    audit = out_path is not None
+    if audit:
         out_path.mkdir(parents=True, exist_ok=True)
 
     s, sigma = _operator(spec).gram_extremes()
@@ -423,7 +430,7 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
     results = []
     for start in range(0, len(seeds), BLOCK_SEEDS):
         instances = [build_instance(spec, seed) for seed in seeds[start : start + BLOCK_SEEDS]]
-        for idx, (inst, (result, traces)) in enumerate(zip(instances, _solve(instances, spec)), start):
+        for idx, (inst, (result, traces)) in enumerate(zip(instances, _solve(instances, spec, audit)), start):
             results.append(result)
             if out_path is None or result.failed is not None:
                 continue

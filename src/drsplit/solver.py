@@ -41,11 +41,11 @@ result per row.
 
 Two options serve callers that read less than the full history: a row
 stops at the first iterate whose distance to the reference meets
-``stop_dist``, and ``audit=False`` records only the step norm (the other
-columns come back as NaN, as the distance does in a run without a
-reference).  ``run_experiment`` uses both: its reference run is
-unaudited and its traced runs stop at the distance threshold.  The defaults
-keep every iterate and every column.
+``stop_dist``, and ``audit=False`` leaves the cost and fixed-point residual
+columns NaN (the step norm is always recorded, and the distance whenever a
+reference is given).  ``run_experiment`` uses both: its traced runs stop at
+the distance threshold, and it audits none of its runs unless it writes
+their traces.  The defaults keep every iterate and every column.
 
 A run of at least 2 * CYCLE_WINDOW iterations skips exact floating-point
 cycles.  From iteration CYCLE_WINDOW on it keeps an anchor iterate, renewed
@@ -280,8 +280,9 @@ class SolverConfig:
 
     ``stop_dist`` (needs the reference) stops a row after the first iterate
     whose distance to the reference is at most stop_dist.  ``audit=False``
-    records only the step norm and leaves the cost, fixed-point residual and
-    distance columns NaN, so it excludes a reference and stop_dist."""
+    leaves the cost and fixed-point residual columns NaN; the step norm, and
+    the distance to a given reference, are recorded either way, and
+    stop_dist stops a row at the same iterate."""
 
     variant: str
     alpha: float | None = None
@@ -299,8 +300,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
-        if not self.audit and (self.record_reference is not None or self.stop_dist is not None):
-            raise ValueError("audit=False excludes record_reference and stop_dist: it records no distance")
         if self.stop_dist is not None:
             if not self.stop_dist >= 0:
                 raise ValueError(f"stop_dist must be nonnegative, got {self.stop_dist}")
@@ -318,7 +317,7 @@ class IterationTrace:
     ||z^n - z^(n-1)|| (nan at n = 0), the fixed-point residual at the audit
     step 1/sigma (nan when the smooth term has no gradient), and the distance
     to the reference point when one was given.  An unaudited run leaves
-    every column but the step norm NaN.
+    the cost and fixed-point residual NaN.
 
     ``converged`` says that the step norm met tol.  ``stop_reason`` says why
     the run stopped: ``"tol"`` (also when stop_dist was met at the same
@@ -434,8 +433,8 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     max_iters.
 
     Records cost, step norm, fixed-point residual, and reference distance at
-    every iterate (including the initial point); with ``audit=False`` only
-    the step norm.  Cost and residual are computed up to AUDIT_ROWS
+    every iterate (including the initial point); with ``audit=False`` no
+    cost or residual.  Cost and residual are computed up to AUDIT_ROWS
     iterates at a time, on a stack of their primal points, with the bits of
     one iterate at a time (see the module docstring).  The step gate runs
     before the first iteration: StepSizeError when alpha fails it, and
@@ -604,7 +603,8 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         for col in recorded if last + 1 < end else ():
             c = col.reshape(len(col), -1)[:, b]  # row b's column, a view
             if p:
-                c[last + 1 : end] = np.resize(c[last - p + 1 : last + 1], end - last - 1)
+                size = end - last - 1
+                c[last + 1 : end] = np.tile(c[last - p + 1 : last + 1], -(-size // p))[:size]
             else:
                 c[last + 1 : end] = math.nan if col is step_norm else c[last]
     row_iters[periods > 0] = max_iters

@@ -218,21 +218,20 @@ def test_diverging_seed_is_named_and_counted(block_seeds, monkeypatch):
     assert clean.to_json_dict()["aggregate"]["failed_seeds"] == 0
 
 
-# Each run of a block, in the order it runs: the unaudited reference, the
-# ISTA trace run and the last DR variant.
+# Each run of a block, in the order it runs: the reference (the one run
+# without a distance), the ISTA trace run and the last DR variant.
 DIVERGING_RUN = {
-    "reference": lambda config: not config.audit,
-    "ista_trace": lambda config: config.variant == "ista" and config.audit,
+    "reference": lambda config: config.record_reference is None,
+    "ista_trace": lambda config: config.variant == "ista" and config.record_reference is not None,
     "last_dr": lambda config: config.variant == EXP1.variants[-1],
 }
 
 
-@pytest.mark.parametrize("diverging", list(DIVERGING_RUN))
-@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
-def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, diverging, tmp_path, monkeypatch):
+def diverge_late(block_seeds, diverging, tmp_path, monkeypatch, out_dir):
+    """run_experiment on 3 EXP1 seeds, in blocks of block_seeds, with the
+    second seed forced to diverge in the given run; checks that it fails
+    alone and returns the report (a clean run is written to tmp_path/clean)."""
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", block_seeds)
-    # A block writes its seeds' files only once all its runs have ended, so
-    # a divergence in any run, the last DR run too, leaves the seed no files.
     spec = dataclasses.replace(EXP1, n_seeds=3, max_iters=200, reference_iters=600)
     clean = run_experiment(spec, master_seed=4, out_dir=tmp_path / "clean")
     bad_y = experiment.build_instance(spec, derive_seeds(4, 3)[1]).y
@@ -243,11 +242,29 @@ def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, diverging, tm
         return run(problem, config)
 
     monkeypatch.setattr(experiment, "run", run_failing_bad_seed)
-    report = run_experiment(spec, master_seed=4, out_dir=tmp_path / "failing")
+    report = run_experiment(spec, master_seed=4, out_dir=out_dir)
     assert report.results[1].failed == "forced divergence"
     assert [report.results[i] for i in (0, 2)] == [clean.results[i] for i in (0, 2)]
+    return report
+
+
+@pytest.mark.parametrize("diverging", list(DIVERGING_RUN))
+@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
+def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, diverging, tmp_path, monkeypatch):
+    # A block writes its seeds' files only once all its runs have ended, so
+    # a divergence in any run, the last DR run too, leaves the seed no files.
+    diverge_late(block_seeds, diverging, tmp_path, monkeypatch, out_dir=tmp_path / "failing")
     written, expected = tree(tmp_path / "failing"), tree(tmp_path / "clean")
     assert json.loads(written.pop("report.json"))["aggregate"]["failed_seeds"] == 1
     expected.pop("report.json")
     assert written == {k: v for k, v in expected.items() if not k.startswith("seed_001")}
     assert not (tmp_path / "failing" / "seed_001").exists()
+
+
+@pytest.mark.parametrize("diverging", list(DIVERGING_RUN))
+@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
+def test_seed_diverging_in_a_late_unaudited_run_fails_alone(block_seeds, diverging, tmp_path, monkeypatch):
+    # Without an out_dir no run is audited; the other seeds' results are
+    # still those of the clean, audited run.
+    report = diverge_late(block_seeds, diverging, tmp_path, monkeypatch, out_dir=None)
+    assert report.to_json_dict()["aggregate"]["failed_seeds"] == 1

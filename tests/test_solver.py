@@ -29,6 +29,7 @@ from drsplit import (
     run,
     step_bound,
 )
+from drsplit.experiment import block_problem, derive_seeds
 from drsplit.solver import dr_step
 from oracles import grid_minimize
 
@@ -417,15 +418,48 @@ class TestStopDistAndAudit:
             SolverConfig("ista", record_reference=reference, stop_dist=-1e-6)
         with pytest.raises(ValueError, match="stop_dist needs record_reference"):
             SolverConfig("ista", stop_dist=1e-6)
-        with pytest.raises(ValueError, match="audit=False excludes"):
-            SolverConfig("ista", record_reference=reference, audit=False)
-        with pytest.raises(ValueError, match="audit=False excludes"):
-            SolverConfig("ista", record_reference=reference, stop_dist=1e-6, audit=False)
         with pytest.raises(ValueError, match="stop_dist must be nonnegative"):
             SolverConfig("ista", record_reference=reference, stop_dist=np.nan)
         for bad in (-1e-6, np.nan):
             with pytest.raises(ValueError, match="tol must be nonnegative"):
                 SolverConfig("dr-main-fg", tol=bad, max_iters=300)
+
+    @pytest.mark.parametrize("case", ["single", "shedding_block", "cycling_block"])
+    def test_unaudited_run_differs_only_in_cost_and_residual(self, case, exp1_problem, reference):
+        # audit=False still records the distance and stops on it: every other
+        # array matches the audited run bit for bit, cost and residual are NaN.
+        if case == "single":
+            problem = exp1_problem
+            config = SolverConfig("dr-main-fg", max_iters=1000, record_reference=reference, stop_dist=self.THRESHOLD)
+        else:
+            problem = block_problem([build_instance(EXP2, seed) for seed in derive_seeds(0, 6)])
+        if case == "shedding_block":
+            x_ref = run(problem, SolverConfig("ista", max_iters=EXP2.reference_iters, audit=False)).final_x
+            config = SolverConfig(
+                "dr-main-fg", max_iters=EXP2.max_iters, record_reference=x_ref, stop_dist=EXP2.dist_threshold
+            )
+        elif case == "cycling_block":
+            # As in test_cycle_skip: the last three rows cycle and never meet stop_dist.
+            x_ref = run(problem, SolverConfig("dr-main-fg", max_iters=1000)).final_x
+            config = SolverConfig("ista", max_iters=3000, record_reference=x_ref, stop_dist=2.7e-15)
+        audited = run(problem, config)
+        bare = run(problem, dataclasses.replace(config, audit=False))
+        for name in ("iterations", "step_norm", "dist_to_ref", "final_x", "final_z"):
+            got, want = getattr(bare, name), getattr(audited, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        for name in ("converged", "stop_reason", "row_iters", "period"):
+            np.testing.assert_array_equal(getattr(bare, name), getattr(audited, name))
+        for name in ("cost", "fp_residual"):
+            column = getattr(bare, name)
+            assert column.shape == audited.step_norm.shape and np.isnan(column).all(), name
+            assert not np.isnan(getattr(audited, name)).all(), name
+        if case == "single":
+            assert audited.stop_reason == "stop_dist"
+        elif case == "shedding_block":
+            assert set(audited.stop_reason) == {"stop_dist"} and len(set(audited.row_iters.tolist())) > 1
+        else:
+            assert list(audited.stop_reason) == ["stop_dist"] * 3 + ["max_iters"] * 3
+            assert (audited.period[:3] == 0).all() and (audited.period[3:] > 0).all()
 
 
 class TestTraceSerialization:
