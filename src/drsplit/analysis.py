@@ -16,15 +16,7 @@ import numpy as np
 
 from . import experiment, solver
 from .errors import BoundInapplicableError, StepSizeError, check_prox_step
-from .linalg import row_norm
-
-# Sampled pairs per block, that is per draw and per operator call, in
-# empirical_lipschitz and certify.  On a 2-core x86-64 shared host
-# (OPENBLAS_NUM_THREADS=1, seeds 0-9), certify(1000, seed) took 0.52-0.91 s
-# at one pair per block and 0.08-0.19 s at 16 to 256, where the per-point
-# sampler calls of the four vector checks are most of what is left; peak RSS
-# rose 0.5 MB at 64, 1.3 at 128 and 3.1 at 256 pairs over one pair per block.
-PAIRS_PER_CALL = 64
+from .linalg import row_norm, rows_per_call
 
 
 def reflection_bound_smooth(alpha: float, lo: float, hi: float) -> float:
@@ -121,16 +113,18 @@ def shift_rate_floor(eta: float) -> float:
 def _sampled_lipschitz(operator, draw, n_pairs: int, seed: int = 0) -> float:
     """The engine of ``empirical_lipschitz``, which draws a block at a time:
     ``draw(rng, 2k)`` returns the (2k, *shape) points of the next k <=
-    PAIRS_PER_CALL pairs, x then y of each pair, and is asked for 2 * n_pairs
-    points in all.  Raises ValueError for a draw of another row count or of
-    fewer than two dimensions, and otherwise as ``empirical_lipschitz`` does.
+    ``rows_per_call(2)`` pairs (48), x then y of each pair, and is asked for
+    2 * n_pairs points in all.  Raises ValueError for a draw of another row
+    count or of fewer than two dimensions, and otherwise as
+    ``empirical_lipschitz`` does.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     worst, usable, nonfinite = 0.0, 0, 0
-    for start in range(0, n_pairs, PAIRS_PER_CALL):
-        k = min(PAIRS_PER_CALL, n_pairs - start)
+    per_call = rows_per_call(2)
+    for start in range(0, n_pairs, per_call):
+        k = min(per_call, n_pairs - start)
         points = np.asarray(draw(rng, 2 * k), dtype=float)  # pair i: x at row 2i, y at row 2i + 1
         if points.ndim < 2 or len(points) != 2 * k:
             raise ValueError(f"draw returned shape {points.shape} for {2 * k} points; need ({2 * k}, *point shape)")
@@ -185,14 +179,16 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
     returns a point of the operator's domain: a vector (n,), or any array of
     at least one dimension (norms then run over all its entries).  Pairs
     closer than 1e-12 are skipped.  The operator is applied to up to
-    PAIRS_PER_CALL pairs at a time, as one (2k, n) stack of their points, so
+    ``linalg.rows_per_call(2)`` pairs at a time (48, two points per pair
+    within ``linalg.STACK_POINTS``), as one (2k, n) stack of their points, so
     it must map such a stack row by row, each row to what it maps that point
     to alone.  ``double_reflection`` and the reflections of the stock proxes
     do, with the same bits, so the result equals that of one call per point.
     Raises ValueError for a 0-d sample, for an operator output whose shape
     differs from its input, when every pair coincides, and when usable pairs
-    give non-finite ratios (the message counts them).  ``certify`` runs the
-    same engine but draws its scalar points one block at a time.
+    give non-finite ratios (the message counts them).  ``certify`` calls it
+    for its four vector checks and runs the same engine on its scalar check,
+    whose points it draws one block at a time.
     """
     return _sampled_lipschitz(operator, _point_by_point(sampler), n_pairs, seed)
 
@@ -206,18 +202,13 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     checks = []
     instance_seed = experiment.derive_seeds(seed, 1)[0]
 
-    # Vector points are drawn one at a time: each point's normal and uniform
-    # draws interleave in the stream, so block calls would change the bits.
-    def vec_draw(dim, radius):
-        return _point_by_point(lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius))
-
     inst1 = experiment.build_instance(experiment.EXP1, seed=instance_seed)
     prob1 = inst1.problem()
     _, sigma1 = inst1.operator.gram_extremes()
-    radius1 = 3.0 * inst1.penalty.tau / inst1.penalty.rho
+    dim1, radius1 = prob1.dim, 3.0 * inst1.penalty.tau / inst1.penalty.rho
     for variant in ("dr-main-fg", "dr-main-gf"):
         op = solver.double_reflection(prob1, solver.step_bound(variant, sigma1, prob1.rho), variant)
-        emp = _sampled_lipschitz(op, vec_draw(prob1.dim, radius1), pairs, seed)
+        emp = empirical_lipschitz(op, lambda rng: rng.normal(size=dim1) * rng.uniform(0.0, radius1), pairs, seed)
         checks.append((f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1"))
 
     inst2 = experiment.build_instance(experiment.EXP2, seed=instance_seed)
@@ -225,7 +216,7 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     s2, sigma2 = inst2.operator.gram_extremes()
     penalty, rho2 = inst2.penalty, prob2.rho
     alpha_t = 1.0 / math.sqrt(sigma2 * s2)
-    radius2 = 3.0 * penalty.tau / penalty.rho
+    dim2, radius2 = prob2.dim, 3.0 * penalty.tau / penalty.rho
     weak = lambda t: solver.reflect(penalty.prox, t, alpha_t)
     # One uniform call per block draws the bits of one size=1 call per point.
     scalar_draw = lambda rng, count: rng.uniform(-radius2, radius2, size=(count, 1))
@@ -240,7 +231,7 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
         ("shifted rate dominates", "dr-shift-fg", 1.0 / s2, contraction_rate_shift(1.0 / s2, s2, rho2, sigma2)),
     ):
         op = solver.double_reflection(prob2, alpha, variant)
-        emp = _sampled_lipschitz(op, vec_draw(prob2.dim, radius2), pairs, seed)
+        emp = empirical_lipschitz(op, lambda rng: rng.normal(size=dim2) * rng.uniform(0.0, radius2), pairs, seed)
         checks.append((name, emp <= rate + 1e-9, f"empirical={emp:.12f} rate={rate:.12f}"))
     return checks
 

@@ -66,8 +66,11 @@ def _run_experiment(base: experiment.ExperimentSpec, args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = experiment.ProblemInstance.load(args.instance)
-    problem = instance.problem()
+    try:  # an unreadable or malformed file is a usage error; run() is not wrapped
+        problem = experiment.ProblemInstance.load(args.instance).problem()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        cause = f"missing key {exc}" if isinstance(exc, KeyError) else getattr(exc, "strerror", None) or exc
+        raise argparse.ArgumentTypeError(f"--instance {args.instance}: {cause}") from exc
     config = solver.SolverConfig(
         variant=args.variant,
         alpha=args.alpha,
@@ -150,7 +153,7 @@ def main(argv=None) -> int:
         parser.error(f"rates needs --sigma >= --s, got --sigma {args.sigma} and --s {args.s}")
     try:
         return args.func(args)
-    except (StepSizeError, NonConvexShiftError) as exc:  # gates that need the loaded instance
+    except (StepSizeError, NonConvexShiftError, argparse.ArgumentTypeError) as exc:  # checks that need the loaded instance
         parser.error(str(exc))
     except DivergenceError as exc:
         print(f"drsplit {args.command}: {exc}", file=sys.stderr)

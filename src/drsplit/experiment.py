@@ -53,11 +53,11 @@ logger = logging.getLogger(__name__)
 # iteration for each of its seeds, kept until the block has written its
 # seeds' files; the unaudited reference writes one 10k-row column (8 B per
 # row and seed) and the traced runs only the rows up to their threshold
-# crossing.  With run_experiment at 20 seeds into an out_dir, the stock specs
-# peaked at 61.5-61.7 MB at one seed per block, 62.0-62.9 MB at 10 and
-# 61.5-61.8 MB at 20 (OPENBLAS_NUM_THREADS=1, x86-64).  run()'s audit calls
-# take at most solver.AUDIT_POINTS points, so their temporaries do not grow
-# with the block.
+# crossing.  A fresh process running run_experiment at 20 seeds into an
+# out_dir peaked at 43.8-44.1 MB at one seed per block, 44.8-45.9 MB at 10
+# and 43.6-44.6 MB at 20 (stock specs, OPENBLAS_NUM_THREADS=1, x86-64).
+# run()'s audit calls take at most linalg.STACK_POINTS points, so their
+# temporaries do not grow with the block.
 BLOCK_SEEDS = 10
 
 

@@ -50,6 +50,25 @@ def row_norm(v: np.ndarray):
     return np.sqrt(np.vecdot(v, v))
 
 
+# Most points per stacked call, where a loop stacks them into one numpy call:
+# run()'s audit (a point per buffered iterate and running block row) and the
+# sampled pairs of analysis (two points each).  Row-wise calls make any
+# chunking bit-safe, so this sets only time and memory.  Python overhead, not
+# flops, is the cost: 16 audit rows took a 58-iteration EXP2 solve from 5.8 to
+# 3.4 ms (96 rows: no slower), and certify(1000, seed) took 0.52-0.91 s at
+# one pair per call and 0.08-0.19 s at 16 to 256.  Temporaries grow with the
+# points and the allocator keeps memory after them: run_experiment at 20
+# seeds (10-seed blocks) into an out_dir peaked at 63.7-65.5 MB at 160 points
+# per audit call and 61.9-63.4 MB at 90.  (2-core x86-64 host,
+# OPENBLAS_NUM_THREADS=1.)
+STACK_POINTS = 96
+
+
+def rows_per_call(points_per_row: int) -> int:
+    """Rows per stacked call when each row holds points_per_row points."""
+    return max(1, STACK_POINTS // points_per_row)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d float64 array."""
     m = np.asarray(a, dtype=float)

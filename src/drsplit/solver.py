@@ -29,9 +29,9 @@ row up to the block's last row, and its step norm reads NaN there.
 ``run`` allocates the trace columns it records at max_iters + 1 rows and
 returns them cut to the rows it wrote.  The loop writes the step norm (and
 the reference distance, if any) of each iterate and keeps its primal point
-x in a buffer of AUDIT_ROWS iterates (fewer for a block of more than 6
-running rows, so that the buffer holds at most AUDIT_POINTS points); each
-time the buffer fills, one stacked call each of ``Problem.cost`` and
+x in a buffer of ``linalg.rows_per_call(B)`` iterates for B running rows:
+96 iterates of a single problem, 16 of a 6-row block, 9 of a 10-row one.
+Each time the buffer fills, one stacked call each of ``Problem.cost`` and
 ``Problem.fixed_point_residual`` fills the audit columns of those rows, and
 the rows left when rows of a block stop, or when the loop ends, are audited
 then.  Every call acts row by row, so each column has the bits of auditing
@@ -66,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, StepSizeError, check_prox_step
-from .linalg import row_norm
+from .linalg import row_norm, rows_per_call
 
 # Every DR variant is a reflection order and a choice of proxes: plain (f, g)
 # or the convexified pair f - (rho/2)|.|^2, g + (rho/2)|.|^2.
@@ -83,25 +83,6 @@ VARIANTS = DR_VARIANTS + ("ista",)
 # finds.  It looks only in runs of two windows or more (a shorter one could
 # skip less than one); stock-spec ISTA periods reach 280 (EXP2) and 30 (EXP1).
 CYCLE_WINDOW = 512
-
-# Most iterates per stacked audit call in run().  The audit's dozen numpy
-# calls cost about as much on one row as on 16: on a 2-core x86-64 host, 16
-# rows took a 58-iteration EXP2 solve from 5.8 to 3.4 ms and more rows were
-# no faster.  The stacked calls' temporaries grow with the row count: a pass
-# of the acceptance gate (6-seed blocks) peaked 0.8 MB higher at 16 rows and
-# 2.2 MB at 32, so a history of all max_iters + 1 iterates, audited after
-# the loop, is not kept.
-AUDIT_ROWS = 16
-
-# Most points (iterate rows times block rows) per stacked audit call: a
-# block of B running rows audits max(1, min(AUDIT_ROWS, AUDIT_POINTS // B))
-# iterates at a time, 16 up to B = 6 and 9 at B = 10; the count is taken
-# again each time rows stop.  The temporaries of 16 rows of
-# a 10-seed block pass 128 KB, and the allocator keeps memory after them:
-# run_experiment at 20 seeds into an out_dir peaked at 63.7-65.5 MB with 16
-# rows and 61.9-63.4 MB with 9 (EXP1 and EXP2, OPENBLAS_NUM_THREADS=1,
-# x86-64), in the same wall time.
-AUDIT_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -433,19 +414,19 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     max_iters.
 
     Records cost, step norm, fixed-point residual, and reference distance at
-    every iterate (including the initial point); with ``audit=False`` no
-    cost or residual.  Cost and residual are computed up to AUDIT_ROWS
-    iterates at a time, on a stack of their primal points, with the bits of
-    one iterate at a time (see the module docstring).  The step gate runs
-    before the first iteration: StepSizeError when alpha fails it, and
-    NonConvexShiftError when it passes but a shifted variant's rho exceeds
-    s.  Divergence means a non-finite x0 or z, and raises DivergenceError
-    naming the iteration and the variant.  A non-finite z is found through
-    the step norm (z before the step is finite, so a NaN or infinite entry
-    makes its row's norm non-finite) and confirmed on the iterate, so a
-    finite z whose step norm overflows runs on with step norm inf.  The
-    proxes do not scan their input, so a NaN in the data is found there too.
-    Any other exception raised inside a step propagates as raised.
+    every iterate (including the initial point); with ``audit=False`` no cost
+    or residual.  Cost and residual are computed on a stack of up to
+    ``linalg.rows_per_call(B)`` iterates of B running rows at a time, with the
+    bits of one iterate at a time (see the module docstring).  The step gate
+    runs before the first iteration: StepSizeError when alpha fails it, and
+    NonConvexShiftError when it passes but a shifted variant's rho exceeds s.
+    Divergence means a non-finite x0 or z, and raises DivergenceError naming
+    the iteration and the variant.  A non-finite z is found through the step
+    norm (z before the step is finite, so a NaN or infinite entry makes its
+    row's norm non-finite) and confirmed on the iterate, so a finite z whose
+    step norm overflows runs on with step norm inf.  The proxes do not scan
+    their input, so a NaN in the data is found there too.  Any other
+    exception raised inside a step propagates as raised.
 
     For a block problem the reference has the iterate shape (B, n), each row
     stops on its own once its step norm meets tol or its distance meets
@@ -495,7 +476,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     def buffer(shape):
         """(per_call, xs) for iterates of this shape: the iterates per audit
         call, and the buffer that keeps their x until they are audited."""
-        per_call = max(1, min(AUDIT_ROWS, AUDIT_POINTS // math.prod(shape[:-1])))
+        per_call = rows_per_call(math.prod(shape[:-1]))
         return per_call, np.empty((per_call, *shape))
 
     def audit_rows(start, end):

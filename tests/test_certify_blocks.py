@@ -1,14 +1,14 @@
 """``empirical_lipschitz`` on blocks of pairs against one operator call per point.
 
 ``empirical_lipschitz`` draws its points one ``sampler`` call at a time and
-applies the operator to up to PAIRS_PER_CALL pairs at once.  Here every
-result must equal (``==``) that of ``oracles.pointwise_lipschitz``, the loop
-with one operator call per point, for the identity, the scalar weak
+applies the operator to up to ``rows_per_call(2)`` pairs (48) at once.  Here
+every result must equal (``==``) that of ``oracles.pointwise_lipschitz``,
+the loop with one operator call per point, for the identity, the scalar weak
 reflection and the four double reflections on EXP2 (and on the
 subspace-constrained demo), over pair counts around the block size and with
-coinciding pairs inside a block.  The errors for a
-non-finite ratio, a 0-d sample and an operator that changes the shape are
-checked, and ``drsplit certify`` stdout is pinned by its sha256.
+coinciding pairs inside a block.  The errors for a non-finite ratio, a 0-d
+sample and an operator that changes the shape are checked, and ``drsplit
+certify`` stdout is pinned by its sha256.
 
 The hashes were taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on
 OpenBLAS 0.3.31 (x86-64), identical at 1 and 2 BLAS threads.
@@ -21,12 +21,14 @@ import numpy as np
 import pytest
 from oracles import pointwise_lipschitz
 
-from drsplit import FirmPenalty, analysis, build_subspace_demo, solver
+from drsplit import FirmPenalty, build_subspace_demo, solver
 from drsplit.analysis import empirical_lipschitz
 from drsplit.cli import main
+from drsplit.linalg import rows_per_call
 
-K = analysis.PAIRS_PER_CALL
-N_PAIRS = [1, K - 1, K, K + 1, 3 * K + 5]
+K = rows_per_call(2)
+# Around one block and past three, and counts that end partway through a block.
+N_PAIRS = [1, K - 1, K, K + 1, 3 * K + 5, 63, 64, 65, 197]
 
 CERTIFY_SHA256 = {
     0: "a751f18fa9a52e841f3b2b5781363b69d49cbc53fed7d3cd13d09295bb5b7295",
@@ -105,7 +107,7 @@ def coinciding_sampler(dim, coincide):
     return sampler
 
 
-@pytest.mark.parametrize("n_pairs", [K, 3 * K + 5])
+@pytest.mark.parametrize("n_pairs", [K, 3 * K + 5, 64, 197])
 @pytest.mark.parametrize("name", ["identity", "dr-shift-gf"])
 def test_coinciding_pairs_inside_a_block_are_skipped(exp2_ops, exp2_problem, name, n_pairs):
     # Pairs 5-9 of each block coincide, and every third pair past the first block.
@@ -116,7 +118,7 @@ def test_coinciding_pairs_inside_a_block_are_skipped(exp2_ops, exp2_problem, nam
     assert got == want
 
 
-@pytest.mark.parametrize("n_pairs", [1, K + 1])
+@pytest.mark.parametrize("n_pairs", [1, K + 1, 65])
 def test_every_pair_coinciding_is_degenerate(n_pairs):
     sampler = coinciding_sampler(3, lambda i: True)
     with pytest.raises(ValueError, match="degenerate sampler"):

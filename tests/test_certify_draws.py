@@ -1,14 +1,15 @@
 """The block engine behind ``empirical_lipschitz`` and the draws ``certify`` makes.
 
 ``analysis._sampled_lipschitz`` calls ``draw(rng, 2k)`` once per block of
-k <= PAIRS_PER_CALL pairs.  ``certify`` draws its scalar points with one
-``uniform`` call of ``size=(2k, 1)`` per block, which consumes the stream of
-2k calls of ``size=1``, and its vector points one interleaved
-``normal * uniform`` row at a time.  With either draw the engine must equal
-(``==``) the public function with the matching per-point sampler.  A draw
-of the wrong shape must be named, the engine must ask for exactly two
-points per pair, and certify's weak-reflection check must make one draw per
-block, counted on its generator.
+k <= ``rows_per_call(2)`` pairs (48).  ``certify`` draws its scalar points
+with one ``uniform`` call of ``size=(2k, 1)`` per block, which consumes the
+stream of 2k calls of ``size=1``, and passes ``empirical_lipschitz`` a
+sampler of one interleaved ``normal * uniform`` vector point at a time.
+With either draw the engine must equal (``==``) the public function with the
+matching per-point sampler.  A draw of the wrong shape must be named, the
+engine must ask for exactly two points per pair, and certify's
+weak-reflection check must make one draw per block, counted on its
+generator.
 """
 
 import collections
@@ -20,9 +21,12 @@ import pytest
 
 from drsplit import analysis, solver
 from drsplit.analysis import _sampled_lipschitz, empirical_lipschitz
+from drsplit.linalg import rows_per_call
 
-K = analysis.PAIRS_PER_CALL
-N_PAIRS = [1, K - 1, K, K + 1, 3 * K + 5, 10000]
+K = rows_per_call(2)
+# Around one block and past three, counts that end partway through a
+# block, and certify's 10000 scalar pairs.
+N_PAIRS = [1, K - 1, K, K + 1, 3 * K + 5, 63, 64, 65, 197, 10000]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +102,7 @@ class CountingGenerator:
         return counted
 
 
-@pytest.mark.parametrize("pairs", [10, 160 * K + 1])
+@pytest.mark.parametrize("pairs", [10, 10241])  # below and above certify's 10000 scalar pairs
 def test_certify_draws_weak_reflection_points_once_per_block(pairs, monkeypatch):
     made = []
     default_rng = np.random.default_rng
@@ -113,3 +117,12 @@ def test_certify_draws_weak_reflection_points_once_per_block(pairs, monkeypatch)
     # The weak reflection's generator is the only one that draws no normals.
     (weak,) = [g for g in made if not g.calls["normal"]]
     assert weak.calls == {"uniform": math.ceil(max(pairs, 10000) / K)}
+
+
+def test_certify_runs_its_vector_checks_through_the_public_function(monkeypatch):
+    calls = []
+    public = analysis.empirical_lipschitz
+    monkeypatch.setattr(analysis, "empirical_lipschitz", lambda *args: calls.append(args[2:]) or public(*args))
+    assert [ok for _, ok, _ in analysis.certify(10, seed=0)] == [True] * 5
+    # The two nonexpansive checks and the two rate checks; the scalar one runs the engine.
+    assert calls == [(10, 0)] * 4

@@ -49,6 +49,35 @@ def test_solve_reports_divergence_in_one_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+# (case, how to write the file from the saved instance dict, the error's cause)
+BAD_INSTANCES = [
+    ("missing-file", None, "No such file or directory"),
+    ("invalid-json", lambda d: json.dumps(d)[:-1], "Expecting ',' delimiter"),
+    ("missing-key", lambda d: json.dumps({k: v for k, v in d.items() if k != "noise_std"}), "missing key 'noise_std'"),
+    ("tau-not-positive", lambda d: json.dumps({**d, "penalty": {**d["penalty"], "tau": 0.0}}), "tau must be positive"),
+    (
+        "y-of-wrong-length",
+        lambda d: json.dumps({**d, "y": d["y"][:-3]}),
+        "dimension mismatch: operator has 120 rows, y has 117",
+    ),
+]
+
+
+@pytest.mark.parametrize("write, cause", [case[1:] for case in BAD_INSTANCES], ids=[case[0] for case in BAD_INSTANCES])
+def test_solve_reports_a_malformed_instance_as_a_usage_error(write, cause, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    if write is not None:
+        path.write_text(write(build_instance(EXP2, seed=4).to_json_dict()))
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--instance", str(path), "--variant", "dr-main-fg"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: drsplit ")
+    assert error.startswith(f"drsplit: error: --instance {path}: {cause}")
+
+
 def test_solve_rejects_gate_violation(tmp_path, capsys):
     instance_path = tmp_path / "instance.json"
     inst = build_instance(EXP2, seed=4)

@@ -6,6 +6,7 @@ from drsplit import (
     LinearMap,
     RankDeficiencyError,
     convolution_matrix,
+    linalg,
 )
 from oracles import eig_extremes_via_charpoly
 
@@ -139,3 +140,14 @@ class TestGramExtremes:
             quad = w @ g @ w
             assert s - 1e-8 <= quad <= sigma + 1e-8
 
+
+
+@pytest.mark.parametrize(
+    "points_per_row, rows",
+    [(1, 96), (2, 48), (3, 32), (6, 16), (10, 9), (96, 1), (97, 1), (500, 1)],
+)
+def test_rows_per_call_keeps_within_the_point_budget(points_per_row, rows):
+    # A single problem audits 96 iterates per call, a certify block holds 48
+    # pairs, 6- and 10-seed blocks audit 16 and 9 iterates; a row is never split.
+    assert linalg.STACK_POINTS == 96
+    assert linalg.rows_per_call(points_per_row) == rows

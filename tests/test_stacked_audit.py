@@ -1,15 +1,16 @@
 """The stacked audit of ``solver.run`` against iterates stepped and audited by hand.
 
 ``run`` buffers the primal point of each iterate and fills the cost,
-fixed-point residual and distance columns of AUDIT_ROWS iterates with one
-call each (9 for a 10-row block, which meets the AUDIT_POINTS budget
-first).  Here the same iterates come from plain ``ista_step``/``dr_step``
-loops, each audited alone, and every column must be ``array_equal`` to the
-trace's, NaN included.  Run lengths cover one row, a full buffer, one row
-past it and a run ending mid-buffer, with no reference, a reference, and a
-reference with ``stop_dist`` (then the distance is taken per iterate for the
-stop test while the other columns stay stacked); a 10-row block covers the
-same lengths around its 9-row buffer.  Where rows of a block stop, ``run``
+fixed-point residual and distance columns of ``rows_per_call(B)`` iterates
+of B running rows with one call each: 96 for a single problem, 32 for a
+3-row block, 16 for a 6-row one and 9 for a 10-row one.  Here the same iterates come from plain
+``ista_step``/``dr_step`` loops, each audited alone, and every column must
+be ``array_equal`` to the trace's, NaN included.  Run lengths cover one
+row, a single problem's full buffer, one row past it and runs ending
+mid-buffer, with no reference, a reference, and a reference with
+``stop_dist`` (then the distance is taken per iterate for the stop test
+while the other columns stay stacked); 6- and 10-row blocks cover the
+same lengths around their 16- and 9-row buffers.  Where rows of a block stop, ``run``
 audits what it has buffered and goes on with the rows still running, so
 the exact shapes of the audit calls follow from where each row stops.
 """
@@ -21,11 +22,13 @@ import pytest
 
 from drsplit import EXP2, FirmPenalty, Problem, SolverConfig, build_subspace_demo, ista_step, run, solver
 from drsplit.experiment import block_problem, build_instance, derive_seeds
-from drsplit.linalg import row_norm
+from drsplit.linalg import row_norm, rows_per_call
 from drsplit.solver import dr_step
 
-R = solver.AUDIT_ROWS
-LENGTHS = [1, R, R + 1, 3 * R + 5]
+R = rows_per_call(1)
+# 16, 17 and 53 end runs partway through a buffer, 1, R, R + 1 and 3R + 5 at
+# the edges of a single problem's.
+LENGTHS = [1, 16, 17, 53, R, R + 1, 3 * R + 5]
 COLUMNS = ("step_norm", "cost", "fp_residual", "dist_to_ref")
 
 
@@ -50,7 +53,9 @@ def hand_columns(problem, variant, alpha, iters, reference):
     return {name: np.array(c, dtype=float).reshape(iters + 1, -1) for name, c in cols.items()}
 
 
-def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, reference=None, per_call=R):
+def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, reference=None, per_call=None):
+    block = problem.shape[:-1]
+    per_call = rows_per_call(math.prod(block)) if per_call is None else per_call
     alpha = solver.default_alpha(problem, variant) if alpha is None else alpha
     if reference is None:
         reference = run(problem, SolverConfig("ista", max_iters=300)).final_x
@@ -82,12 +87,11 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
     # One call per full buffer, and one for the iterates left where rows
     # stop (the rows still running go on alone) or the loop ends; the
     # iterates per call follow the running row count.
-    block = problem.shape[:-1]
-    assert per_call == max(1, min(R, solver.AUDIT_POINTS // math.prod(block)))
+    assert per_call == rows_per_call(math.prod(block))
     expected, start = [], 0
     for end in sorted(set(stops)):
         running = sum(stop >= end for stop in stops)
-        k = max(1, min(R, solver.AUDIT_POINTS // running))
+        k = rows_per_call(running)
         full, rest = divmod(end + 1 - start, k)
         point = (running, problem.dim) if block else (problem.dim,)
         expected += [(k, *point)] * full + ([(rest, *point)] if rest else [])
@@ -118,6 +122,15 @@ MODES = ["none", "reference", "stop_dist"]
 @pytest.mark.parametrize("variant", ["ista", "dr-main-fg", "dr-shift-gf"])
 def test_exp2_block(exp2_block, variant, rows, mode, monkeypatch):
     check_against_hand(exp2_block, variant, rows, mode, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("rows", [1, 16, 17, 3 * 16 + 5])
+@pytest.mark.parametrize("variant", ["ista", "dr-main-fg"])
+def test_exp2_six_seed_block(variant, rows, mode, monkeypatch):
+    # 6 block rows: the 96-point budget leaves 16 iterates per audit call.
+    block = block_problem([build_instance(EXP2, s) for s in derive_seeds(0, 6)])
+    check_against_hand(block, variant, rows, mode, monkeypatch, per_call=16)
 
 
 @pytest.fixture(scope="module")
