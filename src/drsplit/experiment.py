@@ -8,7 +8,7 @@ of the strong convexity s.
 
 Two stock configurations are provided: ``EXP1`` (ratio 15.96, rho = s) and
 ``EXP2`` (ratio 5.44, rho = s/2).  ``run_experiment`` solves every seeded
-instance with an unaudited ISTA reference (10k iterations) plus ISTA and
+instance with a certified reference minimizer (``_solve``) plus ISTA and
 the configured DR variants at 0.99x their step bounds, and reports
 iterations-to-threshold of the distance to the reference minimizer.  Each
 of these traced runs stops at the first iterate within the distance
@@ -51,14 +51,20 @@ logger = logging.getLogger(__name__)
 
 # Most seeds solved as one block.  A block run's trace columns hold a row per
 # iteration for each of its seeds, kept until the block has written its
-# seeds' files; the unaudited reference writes one 10k-row column (8 B per
-# row and seed) and the traced runs only the rows up to their threshold
+# seeds' files; the unaudited zone run writes one ZONE_STEPS-row column (8 B
+# per row and seed) and the traced runs only the rows up to their threshold
 # crossing.  A fresh process running run_experiment at 20 seeds into an
-# out_dir peaked at 43.8-44.1 MB at one seed per block, 44.8-45.9 MB at 10
-# and 43.6-44.6 MB at 20 (stock specs, OPENBLAS_NUM_THREADS=1, x86-64).
+# out_dir peaked at 44.2-44.3 MB at one seed per block, 43.2-44.2 MB at 10
+# and 43.3-44.1 MB at 20 (stock specs, OPENBLAS_NUM_THREADS=1, x86-64).
 # run()'s audit calls take at most linalg.STACK_POINTS points, so their
 # temporaries do not grow with the block.
 BLOCK_SEEDS = 10
+
+# Steps of the dr-main-fg run whose final point gives each seed's zones; the
+# fg order extracts x = prox_g(z), so a dead coordinate is exactly 0.  Zones
+# read at step n gave the certified minimizer of step 200 from n = 30 (EXP2)
+# and 80 (EXP1) on, the worst cases over 20 seeds of master seeds 0-9 each.
+ZONE_STEPS = 200
 
 
 def generate_sparse_signal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,16 +200,24 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
-        taps = tuple(float(t) for t in data["filter"])
-        signal = np.asarray(data["signal"], dtype=float)
+        def read(key, parse):  # a value of the wrong type or form names its key
+            value = data[key]
+            try:
+                return parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"key {key!r}: {exc}") from exc
+
+        taps = read("filter", lambda v: tuple(float(t) for t in v))
+        signal = read("signal", lambda v: np.asarray(v, dtype=float))
+        tau, rho = read("penalty", lambda v: (float(v["tau"]), float(v["rho"])))
         return cls(
             operator=_filter_operator(_taps_key(taps), signal.size),
             filter_taps=taps,
             ground_truth=signal,
-            y=np.asarray(data["y"], dtype=float),
-            noise_std=float(data["noise_std"]),
-            penalty=FirmPenalty(float(data["penalty"]["tau"]), float(data["penalty"]["rho"])),
-            seed=int(data["seed"]),
+            y=read("y", lambda v: np.asarray(v, dtype=float)),
+            noise_std=read("noise_std", float),
+            penalty=FirmPenalty(tau, rho),
+            seed=read("seed", int),
         )
 
     @classmethod
@@ -286,6 +300,7 @@ class SeedResult:
     final_cost: dict
     final_dist: dict
     failed: str | None = None
+    reference: str | None = None  # "kkt" (certified) or "ista" (fallback); None for a failed seed
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -357,12 +372,36 @@ class ExperimentReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
+def _certified_minimizer(problem: Problem, x) -> tuple[np.ndarray, np.ndarray]:
+    """(x_star, ok) for each row of a block problem and a (B, n) block x near
+    its minimizers.  Row b's support S and middle band M (0 < |x| < tau/rho)
+    give x_star: on S the solution of (HᵀH - rho diag(M))_SS x_S = (Hᵀy - tau
+    sign(x) M)_S, 0 off S.  ok certifies it: its signs are x's on S, |x_star|
+    < tau/rho holds on S exactly on M, and |Hᵀy - HᵀH x_star| <= tau off S.
+    Such a point is stationary, and a global minimizer when rho <= s.  A
+    singular zone system leaves its row uncertified."""
+    operator, rho = problem.smooth.operator, problem.rho
+    gram, hty = operator.gram(), operator.adjoint_apply(problem.smooth.y)
+    x_star, ok = np.zeros(x.shape), np.zeros(len(x), dtype=bool)
+    for b, (row, tau) in enumerate(zip(x, problem.penalty.tau[:, 0].tolist())):
+        on = row != 0
+        sign, band = np.sign(row[on]), np.abs(row[on]) < tau / rho
+        try:
+            x_star[b, on] = np.linalg.solve(gram[np.ix_(on, on)] - rho * np.diag(band), hty[b, on] - tau * sign * band)
+        except np.linalg.LinAlgError:
+            continue
+        x_on, off = x_star[b, on], np.abs(hty[b] - gram @ x_star[b])[~on]
+        ok[b] = (np.sign(x_on) == sign).all() and ((np.abs(x_on) < tau / rho) == band).all() and (off <= tau).all()
+    return x_star, ok
+
+
 def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResult, dict]]:
-    """Solve instances that share their operator as one block: the ISTA
-    reference, unaudited, then ISTA and every DR variant against it, each
-    row stopping at the first iterate within spec.dist_threshold and audited
-    when ``audit`` is set.  Each run's final costs are one ``Problem.cost``
-    call on its final points, audited or not.
+    """Solve instances that share their operator as one block: the reference,
+    unaudited (``_certified_minimizer`` of a ZONE_STEPS-step dr-main-fg run,
+    or where it fails an ISTA run), then ISTA and every DR variant against
+    it, each row stopping at the first iterate within spec.dist_threshold and
+    audited when ``audit`` is set.  Each run's final costs are one
+    ``Problem.cost`` call on its final points, audited or not.
 
     Returns one (SeedResult, traces) pair per instance, traces mapping each
     run's name to that seed's row trace.  A block that diverges is solved
@@ -371,7 +410,10 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
     """
     problem = block_problem(instances)
     try:
-        x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
+        zones = run(problem, SolverConfig("dr-main-fg", max_iters=ZONE_STEPS, audit=False)).final_x
+        x_ref, certified = _certified_minimizer(problem, zones)
+        if (bad := np.flatnonzero(~certified)).size:
+            x_ref[bad] = run(problem.take(bad), SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
         ista = SolverConfig(
             "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold, audit=audit
         )
@@ -400,6 +442,7 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
             iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
             final_cost={k: final_cost[k][b] for k in traces},
             final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
+            reference="kkt" if certified[b] else "ista",
         ), traces)
         for b, (inst, traces) in enumerate(zip(instances, seed_traces))
     ]

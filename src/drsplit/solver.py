@@ -19,12 +19,12 @@ their data: a ``QuadraticTerm`` with observations of shape (B, m) and a
 ``FirmPenalty`` with a (B, 1) column of weights.  ``run`` then iterates all
 rows at once, in the same loop, on (B, n) arrays, and each row gets the bits
 a run on that row's problem alone would give; ``IterationTrace.split``
-returns the per-row traces.  A row that stops (on tol, on stop_dist, or as
-a cycling row at its due iteration, below) is never stepped again: ``run``
-keeps its final point and goes on with ``Problem.take`` of the rows still
-running, for which each block term gives ``take(rows)``, the term cut to
-those rows.  The stopped row's audit and distance columns repeat its stop
-row up to the block's last row, and its step norm reads NaN there.
+returns the per-row traces.  A row that stops (on tol or on stop_dist) is
+never stepped again: ``run`` keeps its final point and goes on with
+``Problem.take`` of the rows still running, for which each block term gives
+``take(rows)``, the term cut to those rows.  The stopped row's audit and
+distance columns repeat its stop row up to the block's last row, and its
+step norm reads NaN there.
 
 ``run`` allocates the trace columns it records at max_iters + 1 rows and
 returns them cut to the rows it wrote.  The loop writes the step norm (and
@@ -45,16 +45,9 @@ stops at the first iterate whose distance to the reference meets
 columns NaN (the step norm is always recorded, and the distance whenever a
 reference is given).  ``run_experiment`` uses both: its traced runs stop at
 the distance threshold, and it audits none of its runs unless it writes
-their traces.  The defaults keep every iterate and every column.
-
-A run of at least 2 * CYCLE_WINDOW iterations skips exact floating-point
-cycles.  From iteration CYCLE_WINDOW on it keeps an anchor iterate, renewed
-every CYCLE_WINDOW iterations; a running row whose z equals it bit for bit
-repeats with that period p from then on (its step and columns depend on z
-alone) and will never meet tol or stop_dist.  It steps on until its z is
-z_max_iters, stops as ``"max_iters"`` with ``row_iters = max_iters``, and
-its columns are filled by repeating its last p rows: every bit is that of
-the full iteration.  ``IterationTrace.period`` is p, or 0.
+their traces.  The defaults keep every iterate and every column.  A row
+caught in an exact floating-point cycle of period 2 or more never meets tol:
+unless stop_dist stops it, it runs every iteration up to max_iters.
 """
 
 from __future__ import annotations
@@ -78,11 +71,6 @@ DR_TABLE = {
 }
 DR_VARIANTS = tuple(DR_TABLE)
 VARIANTS = DR_VARIANTS + ("ista",)
-
-# Iterations between renewals of run()'s cycle anchor, the longest period it
-# finds.  It looks only in runs of two windows or more (a shorter one could
-# skip less than one); stock-spec ISTA periods reach 280 (EXP2) and 30 (EXP1).
-CYCLE_WINDOW = 512
 
 
 @dataclass(frozen=True)
@@ -302,8 +290,7 @@ class IterationTrace:
 
     ``converged`` says that the step norm met tol.  ``stop_reason`` says why
     the run stopped: ``"tol"`` (also when stop_dist was met at the same
-    iterate), ``"stop_dist"`` or ``"max_iters"``.  ``period`` is the length
-    of the exact cycle the run skipped through to max_iters, 0 when none.
+    iterate), ``"stop_dist"`` or ``"max_iters"``.
 
     A block run gives one trace whose columns have shape (rows, B), whose
     final points have shape (B, n), and whose ``converged``, ``stop_reason``
@@ -327,7 +314,6 @@ class IterationTrace:
     converged: bool | np.ndarray
     stop_reason: str | np.ndarray
     row_iters: np.ndarray | None = None
-    period: int | np.ndarray = 0
 
     @property
     def n_iters(self) -> int:
@@ -352,7 +338,6 @@ class IterationTrace:
                 converged=bool(self.converged[b]),
                 stop_reason=str(self.stop_reason[b]),
                 row_iters=None,
-                period=int(self.period[b]),
             )
             for b, k in enumerate(self.row_iters.tolist())
         ]
@@ -435,7 +420,6 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     the rows still running, so a term with a non-empty ``block_shape`` must
     have ``take(rows)`` (TypeError before the first iteration otherwise).
     One non-finite running row raises DivergenceError for the whole block.
-    Rows in an exact cycle skip ahead to max_iters (see the module docstring).
     """
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
     check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
@@ -492,27 +476,16 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         raise DivergenceError(f"non-finite x0 at iteration 0 of {config.variant}")
     delta = np.full(lead, math.nan)
     # One problem's delta and stop are numpy scalars, which math.isfinite and
-    # bool read without the reduction a block's arrays need, and its z is
-    # compared with the cycle anchor as bytes (bit for bit, as the int64 rows).
+    # bool read without the reduction a block's arrays need.
     if lead:
         finite, any_ = (lambda d: math.isfinite(d.sum())), np.ndarray.any
-        same = lambda z, anchor: (z.view(np.int64) == anchor).all(-1)
     else:
         finite, any_ = math.isfinite, bool
-        same = lambda z, anchor: z.tobytes() == anchor.tobytes()
     # Per block row, written as the row stops.
     converged = np.zeros(lead, dtype=bool)
     stopped = np.zeros(lead, dtype=bool)
     row_iters = np.full(lead, max_iters)
-    periods = np.zeros(lead, dtype=int)
     final_x, final_z = np.empty(shape), np.empty(shape)
-    # Cycle skip (module docstring), per running row: the period found, and
-    # the iteration where that row's z equals z_max_iters; dues holds those.
-    period = np.zeros(lead, dtype=int)
-    due = np.full(lead, max_iters)
-    window = CYCLE_WINDOW if max_iters >= 2 * CYCLE_WINDOW else max_iters + 1
-    dues = set()
-    anchor = None
     if audit:
         per_call, xs = buffer(shape)
         base = 0  # the first iterate not yet audited
@@ -538,17 +511,6 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             if n - base == per_call - 1:
                 audit_rows(base, n + 1)
                 base = n + 1
-        if n >= window:
-            if n > window:
-                hit = same(z, anchor)
-                if any_(hit) and any_(hit := hit & ~stop):
-                    period[hit] = n - anchor_n
-                    due[hit] = n + (max_iters - n) % period[hit]
-                    dues.update(due[hit].tolist())
-                if n in dues:
-                    stop = stop | (period > 0) & (due == n)
-            if n % CYCLE_WINDOW == 0:
-                anchor, anchor_n = z.view(np.int64).copy(), n
         if any_(stop):
             if not lead or n == max_iters or stop.all():
                 break
@@ -559,13 +521,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
                 base = n + 1
             live = np.arange(lead[0])[cols]
             at, cols, keep = live[stop], live[~stop], np.flatnonzero(~stop)
-            converged[at], stopped[at], row_iters[at], periods[at] = met_tol[stop], True, n, period[stop]
+            converged[at], stopped[at], row_iters[at] = met_tol[stop], True, n
             final_x[at], final_z[at] = x[stop], z[stop]
-            z, x, period, due = z[keep], x[keep], period[keep], due[keep]
+            z, x = z[keep], x[keep]
             if reference is not None:
                 reference = reference[keep]
-            if anchor is not None:
-                anchor = anchor[keep]
             problem = problem.take(keep)
             step, extract = _iteration(problem, config.variant, alpha, config.relaxation)
             if audit:
@@ -573,23 +533,17 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     if audit and base <= n:
         audit_rows(base, n + 1)
-    converged[cols], stopped[cols], row_iters[cols], periods[cols] = met_tol, stop, n, period
+    converged[cols], stopped[cols], row_iters[cols] = met_tol, stop, n
     final_x[cols], final_z[cols] = x, z
     # A row that stopped before the loop ended repeats its last row, with no
-    # step norm (it took no step); a cycling row repeats its last p rows up to
-    # max_iters, as the full iteration would.
-    end = max_iters + 1 if periods.any() else n + 1
+    # step norm (it took no step).
+    end = n + 1
     recorded = [col for col in (step_norm, cost, fp_residual, dist_to_ref) if col is not unrecorded]
-    for b, (p, last) in enumerate(zip(np.atleast_1d(periods).tolist(), np.atleast_1d(row_iters).tolist())):
+    for b, last in enumerate(np.atleast_1d(row_iters).tolist()):
         for col in recorded if last + 1 < end else ():
             c = col.reshape(len(col), -1)[:, b]  # row b's column, a view
-            if p:
-                size = end - last - 1
-                c[last + 1 : end] = np.tile(c[last - p + 1 : last + 1], -(-size // p))[:size]
-            else:
-                c[last + 1 : end] = math.nan if col is step_norm else c[last]
-    row_iters[periods > 0] = max_iters
-    stop_reason = np.where(converged, "tol", np.where(stopped & (periods == 0), "stop_dist", "max_iters"))
+            c[last + 1 : end] = math.nan if col is step_norm else c[last]
+    stop_reason = np.where(converged, "tol", np.where(stopped, "stop_dist", "max_iters"))
     return IterationTrace(
         variant=config.variant,
         alpha=alpha,
@@ -606,5 +560,4 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         converged=converged if lead else bool(converged),
         stop_reason=stop_reason if lead else str(stop_reason),
         row_iters=row_iters if lead else None,
-        period=periods if lead else int(periods),
     )

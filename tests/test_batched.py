@@ -123,7 +123,9 @@ def test_block_problem_rejects_foreign_filter():
 
 def single_seed_experiment(spec, master_seed, out_path):
     """The per-seed loop run_experiment ran before seeds were blocked, with
-    its unaudited reference and runs that stop at the distance threshold."""
+    runs that stop at the distance threshold and the reference it now takes:
+    the certified zone solve of an unaudited dr-main-fg run, else the end of
+    an unaudited ISTA run."""
     results = []
     for idx, seed in enumerate(derive_seeds(master_seed, spec.n_seeds)):
         instance = experiment.build_instance(spec, seed)
@@ -131,7 +133,12 @@ def single_seed_experiment(spec, master_seed, out_path):
         s, sigma = instance.operator.gram_extremes()
         traces = {}
         try:
-            x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
+            zones = run(problem, SolverConfig("dr-main-fg", max_iters=experiment.ZONE_STEPS, audit=False)).final_x
+            x_refs, certified = experiment._certified_minimizer(block_problem([instance]), zones[None])
+            if certified[0]:
+                x_ref = x_refs[0]
+            else:
+                x_ref = run(problem, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
             traces["ista"] = run(
                 problem,
                 SolverConfig(
@@ -161,6 +168,7 @@ def single_seed_experiment(spec, master_seed, out_path):
                 iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
                 final_cost={k: t.final_cost for k, t in traces.items()},
                 final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
+                reference="kkt" if certified[0] else "ista",
             )
         )
         seed_dir = out_path / f"seed_{idx:03d}"
@@ -209,8 +217,9 @@ def test_diverging_seed_is_named_and_counted(block_seeds, monkeypatch):
     monkeypatch.setattr(experiment, "build_instance", build_with_bad_seed)
     report = run_experiment(spec, master_seed=3)
 
+    # The seed diverges first in the reference's dr-main-fg zone run.
     with pytest.raises(DivergenceError) as scalar:
-        run(build_with_bad_seed(spec, seeds[1]).problem(), SolverConfig("ista", max_iters=600))
+        run(build_with_bad_seed(spec, seeds[1]).problem(), SolverConfig("dr-main-fg", max_iters=experiment.ZONE_STEPS))
     assert report.results[1].failed == str(scalar.value)
     for i in (0, 2):
         assert report.results[i] == clean.results[i]

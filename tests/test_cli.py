@@ -56,6 +56,12 @@ BAD_INSTANCES = [
     ("missing-key", lambda d: json.dumps({k: v for k, v in d.items() if k != "noise_std"}), "missing key 'noise_std'"),
     ("tau-not-positive", lambda d: json.dumps({**d, "penalty": {**d["penalty"], "tau": 0.0}}), "tau must be positive"),
     (
+        "penalty-not-an-object",
+        lambda d: json.dumps({**d, "penalty": [1, 2]}),
+        "key 'penalty': list indices must be integers or slices, not str",
+    ),
+    ("filter-not-a-list", lambda d: json.dumps({**d, "filter": 5}), "key 'filter': 'int' object is not iterable"),
+    (
         "y-of-wrong-length",
         lambda d: json.dumps({**d, "y": d["y"][:-3]}),
         "dimension mismatch: operator has 120 rows, y has 117",

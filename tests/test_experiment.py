@@ -269,8 +269,10 @@ class TestRunExperiment:
         assert len(report.results) == 1
         row = report.results[0]
         assert row.failed is None
-        # the reference equals the initial point, so distance starts at zero
-        assert row.iterations_to_threshold["ista"] == 0
+        # the reference is the certified minimizer, not the initial point,
+        # which is all a run of 0 iterations reaches
+        assert row.reference == "kkt"
+        assert all(iters is None for iters in row.iterations_to_threshold.values())
         assert set(row.iterations_to_threshold) == {"ista", "dr-main-fg", "dr-shift-fg"}
 
     def test_small_run_structure_and_files(self, tmp_path):

@@ -439,7 +439,7 @@ class TestStopDistAndAudit:
                 "dr-main-fg", max_iters=EXP2.max_iters, record_reference=x_ref, stop_dist=EXP2.dist_threshold
             )
         elif case == "cycling_block":
-            # As in test_cycle_skip: the last three rows cycle and never meet stop_dist.
+            # The last three rows cycle and never meet stop_dist.
             x_ref = run(problem, SolverConfig("dr-main-fg", max_iters=1000)).final_x
             config = SolverConfig("ista", max_iters=3000, record_reference=x_ref, stop_dist=2.7e-15)
         audited = run(problem, config)
@@ -447,7 +447,7 @@ class TestStopDistAndAudit:
         for name in ("iterations", "step_norm", "dist_to_ref", "final_x", "final_z"):
             got, want = getattr(bare, name), getattr(audited, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-        for name in ("converged", "stop_reason", "row_iters", "period"):
+        for name in ("converged", "stop_reason", "row_iters"):
             np.testing.assert_array_equal(getattr(bare, name), getattr(audited, name))
         for name in ("cost", "fp_residual"):
             column = getattr(bare, name)
@@ -459,7 +459,6 @@ class TestStopDistAndAudit:
             assert set(audited.stop_reason) == {"stop_dist"} and len(set(audited.row_iters.tolist())) > 1
         else:
             assert list(audited.stop_reason) == ["stop_dist"] * 3 + ["max_iters"] * 3
-            assert (audited.period[:3] == 0).all() and (audited.period[3:] > 0).all()
 
 
 class TestTraceSerialization:
