@@ -239,18 +239,17 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
 def rate_table(s: float, sigma: float, rho: float, alphas) -> list[dict]:
     """Rows of {alpha, main_rate, shift_rate} over an alpha grid; rates are
     None where the corresponding formula does not apply."""
-    rows = []
-    for alpha in alphas:
+
+    def rate(formula, alpha):
         try:
-            main = contraction_rate_main(alpha, s, rho, sigma)
+            return formula(alpha, s, rho, sigma)
         except (BoundInapplicableError, StepSizeError):
-            main = None
-        try:
-            shift = contraction_rate_shift(alpha, s, rho, sigma)
-        except (BoundInapplicableError, StepSizeError):
-            shift = None
-        rows.append({"alpha": float(alpha), "main_rate": main, "shift_rate": shift})
-    return rows
+            return None
+
+    return [
+        {"alpha": float(a), "main_rate": rate(contraction_rate_main, a), "shift_rate": rate(contraction_rate_shift, a)}
+        for a in alphas
+    ]
 
 
 def write_rate_table_csv(path, rows) -> None:

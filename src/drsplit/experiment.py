@@ -207,14 +207,19 @@ class ProblemInstance:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"key {key!r}: {exc}") from exc
 
+        def vector(value):  # y and signal: flat lists of numbers
+            if (v := np.asarray(value, dtype=float)).ndim != 1:
+                raise ValueError(f"expected a list of numbers, got shape {v.shape}")
+            return v
+
         taps = read("filter", lambda v: tuple(float(t) for t in v))
-        signal = read("signal", lambda v: np.asarray(v, dtype=float))
+        signal = read("signal", vector)
         tau, rho = read("penalty", lambda v: (float(v["tau"]), float(v["rho"])))
         return cls(
             operator=_filter_operator(_taps_key(taps), signal.size),
             filter_taps=taps,
             ground_truth=signal,
-            y=read("y", lambda v: np.asarray(v, dtype=float)),
+            y=read("y", vector),
             noise_std=read("noise_std", float),
             penalty=FirmPenalty(tau, rho),
             seed=read("seed", int),

@@ -20,14 +20,6 @@ from .errors import InvalidFilterError, RankDeficiencyError
 RANK_TOL = 1e-12
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a 1-d float64 array."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    return v
-
-
 def as_rows(x) -> np.ndarray:
     """Coerce to a float64 vector (n,) or a stack of row vectors (..., n)."""
     v = np.asarray(x, dtype=float)
@@ -69,14 +61,6 @@ def rows_per_call(points_per_row: int) -> int:
     return max(1, STACK_POINTS // points_per_row)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d float64 array."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
-
-
 def convolution_matrix(filter_taps, signal_len: int) -> np.ndarray:
     """Build the full (zero-padded) linear convolution matrix.
 
@@ -85,7 +69,9 @@ def convolution_matrix(filter_taps, signal_len: int) -> np.ndarray:
     ``np.convolve(filter_taps, x)``.  For any nonzero filter the matrix is tall
     with full column rank.
     """
-    h = as_vector(filter_taps)
+    h = np.asarray(filter_taps, dtype=float)
+    if h.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {h.shape}")
     if h.size == 0 or not np.any(h != 0.0):
         raise InvalidFilterError("filter must contain at least one nonzero tap")
     if not np.all(np.isfinite(h)):
@@ -102,7 +88,9 @@ class LinearMap:
     """Immutable dense operator with cached extreme Gram eigenvalues."""
 
     def __init__(self, matrix):
-        m = as_matrix(matrix).copy()
+        m = np.asarray(matrix, dtype=float).copy()
+        if m.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
         m.setflags(write=False)

@@ -149,21 +149,17 @@ def step_bound(variant: str, sigma, rho: float) -> float:
 
 
 def check_step(variant: str, alpha: float, sigma, rho: float, s=None) -> None:
-    """Raise StepSizeError unless alpha passes the variant's step gate:
-    0 < alpha <= step_bound for dr-main and ista, ``check_prox_step`` (alpha
-    * rho < 1, strict) for dr-shift, which then, for a passing alpha, raises
+    """Raise StepSizeError unless 0 < alpha and alpha <= step_bound (dr-main,
+    ista) or alpha * rho < 1, strict (dr-shift).  A passing dr-shift alpha then
+    goes through ``check_prox_step`` for its rho <= s test, which raises
     NonConvexShiftError when rho exceeds a given s."""
     bound = step_bound(variant, sigma, rho)
     shifted = variant != "ista" and DR_TABLE[variant][1]
+    if not (0 < alpha and (alpha * rho < 1.0 if shifted else alpha <= bound)):
+        kind = "strict bound" if shifted else "bound"
+        raise StepSizeError(f"alpha = {alpha:.6g} violates the {kind} {bound:.6g} of {variant}")
     if shifted:
-        try:
-            return check_prox_step(alpha, rho, s)
-        except StepSizeError:
-            pass
-    elif 0 < alpha <= bound:
-        return
-    kind = "strict bound" if shifted else "bound"
-    raise StepSizeError(f"alpha = {alpha:.6g} violates the {kind} {bound:.6g} of {variant}")
+        check_prox_step(alpha, rho, s)
 
 
 def default_alpha(problem: Problem, variant: str, fraction: float = 0.99) -> float:
@@ -288,9 +284,9 @@ class IterationTrace:
     to the reference point when one was given.  An unaudited run leaves
     the cost and fixed-point residual NaN.
 
-    ``converged`` says that the step norm met tol.  ``stop_reason`` says why
-    the run stopped: ``"tol"`` (also when stop_dist was met at the same
-    iterate), ``"stop_dist"`` or ``"max_iters"``.
+    ``stop_reason`` says why the run stopped: ``"tol"`` when the step norm
+    met tol (also when stop_dist was met at the same iterate), ``"stop_dist"``
+    or ``"max_iters"``; ``converged`` is ``stop_reason == "tol"``, read-only.
 
     A block run gives one trace whose columns have shape (rows, B), whose
     final points have shape (B, n), and whose ``converged``, ``stop_reason``
@@ -311,9 +307,12 @@ class IterationTrace:
     dist_to_ref: np.ndarray
     final_x: np.ndarray
     final_z: np.ndarray
-    converged: bool | np.ndarray
     stop_reason: str | np.ndarray
     row_iters: np.ndarray | None = None
+
+    @property
+    def converged(self) -> bool | np.ndarray:
+        return self.stop_reason == "tol"
 
     @property
     def n_iters(self) -> int:
@@ -335,7 +334,6 @@ class IterationTrace:
                 dist_to_ref=self.dist_to_ref[: k + 1, b],
                 final_x=self.final_x[b],
                 final_z=self.final_z[b],
-                converged=bool(self.converged[b]),
                 stop_reason=str(self.stop_reason[b]),
                 row_iters=None,
             )
@@ -367,6 +365,8 @@ class IterationTrace:
             )
 
     def to_json_dict(self) -> dict:
+        """Config and outcome as strict JSON: an unaudited run's NaN final cost is null."""
+        cost = self.final_cost
         return {
             "config": {
                 "variant": self.variant,
@@ -377,7 +377,7 @@ class IterationTrace:
             },
             "iterations": self.n_iters,
             "converged": self.converged,
-            "final_cost": self.final_cost,
+            "final_cost": cost if math.isfinite(cost) else None,
             "final_x": [float(v) for v in self.final_x],
             "final_z": [float(v) for v in self.final_z],
         }
@@ -415,8 +415,9 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     For a block problem the reference has the iterate shape (B, n), each row
     stops on its own once its step norm meets tol or its distance meets
-    stop_dist, and the loop ends when every row has stopped.  A stopped row
-    is never stepped again: the loop goes on with the problem's ``take`` of
+    stop_dist, and the loop ends when every row has stopped.  A row's
+    stop_reason is written where it stops, and a stopped row is never
+    stepped again: the loop goes on with the problem's ``take`` of
     the rows still running, so a term with a non-empty ``block_shape`` must
     have ``take(rows)`` (TypeError before the first iteration otherwise).
     One non-finite running row raises DivergenceError for the whole block.
@@ -463,12 +464,16 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         per_call = rows_per_call(math.prod(shape[:-1]))
         return per_call, np.empty((per_call, *shape))
 
-    def audit_rows(start, end):
-        """Fill the running rows' audit columns of iterates start .. end - 1,
-        buffered in xs, with one call each."""
-        h = xs[: end - start]
-        cost[start:end, cols] = problem.cost(h)
-        fp_residual[start:end, cols] = math.nan if audit_alpha is None else problem.fixed_point_residual(h, audit_alpha)
+    base = 0  # the first iterate not yet audited
+
+    def flush(n):
+        """Audit the running rows' iterates base .. n, buffered in xs, with one call per column."""
+        nonlocal base
+        if audit and base <= n:
+            h, done = xs[: n + 1 - base], slice(base, n + 1)
+            cost[done, cols] = problem.cost(h)
+            fp_residual[done, cols] = math.nan if audit_alpha is None else problem.fixed_point_residual(h, audit_alpha)
+            base = n + 1
 
     z = np.zeros(shape)
     x = extract(z)
@@ -482,13 +487,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     else:
         finite, any_ = math.isfinite, bool
     # Per block row, written as the row stops.
-    converged = np.zeros(lead, dtype=bool)
-    stopped = np.zeros(lead, dtype=bool)
+    stop_reason = np.full(lead, "max_iters")
     row_iters = np.full(lead, max_iters)
     final_x, final_z = np.empty(shape), np.empty(shape)
     if audit:
         per_call, xs = buffer(shape)
-        base = 0  # the first iterate not yet audited
     for n in range(max_iters + 1):
         if n:
             z_new = step(x, z)
@@ -509,19 +512,16 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         if audit:
             xs[n - base] = x
             if n - base == per_call - 1:
-                audit_rows(base, n + 1)
-                base = n + 1
+                flush(n)
         if any_(stop):
             if not lead or n == max_iters or stop.all():
                 break
             # Some rows stop: keep what they end with, audit what is
             # buffered, and go on with the rows still running alone.
-            if audit and base <= n:
-                audit_rows(base, n + 1)
-                base = n + 1
+            flush(n)
             live = np.arange(lead[0])[cols]
             at, cols, keep = live[stop], live[~stop], np.flatnonzero(~stop)
-            converged[at], stopped[at], row_iters[at] = met_tol[stop], True, n
+            stop_reason[at], row_iters[at] = np.where(met_tol[stop], "tol", "stop_dist"), n
             final_x[at], final_z[at] = x[stop], z[stop]
             z, x = z[keep], x[keep]
             if reference is not None:
@@ -531,9 +531,8 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             if audit:
                 per_call, xs = buffer(z.shape)
 
-    if audit and base <= n:
-        audit_rows(base, n + 1)
-    converged[cols], stopped[cols], row_iters[cols] = met_tol, stop, n
+    flush(n)
+    stop_reason[cols], row_iters[cols] = np.where(met_tol, "tol", np.where(stop, "stop_dist", "max_iters")), n
     final_x[cols], final_z[cols] = x, z
     # A row that stopped before the loop ended repeats its last row, with no
     # step norm (it took no step).
@@ -543,7 +542,6 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         for col in recorded if last + 1 < end else ():
             c = col.reshape(len(col), -1)[:, b]  # row b's column, a view
             c[last + 1 : end] = math.nan if col is step_norm else c[last]
-    stop_reason = np.where(converged, "tol", np.where(stopped, "stop_dist", "max_iters"))
     return IterationTrace(
         variant=config.variant,
         alpha=alpha,
@@ -557,7 +555,6 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         dist_to_ref=dist_to_ref[:end],
         final_x=final_x,
         final_z=final_z,
-        converged=converged if lead else bool(converged),
         stop_reason=stop_reason if lead else str(stop_reason),
         row_iters=row_iters if lead else None,
     )

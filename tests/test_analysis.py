@@ -80,6 +80,8 @@ class TestMainRate:
             contraction_rate_main(0.1, 2.0, 0.0, sigma=math.nan)
         with pytest.raises(ValueError, match="s must be finite, got inf"):
             contraction_rate_main(0.5, math.inf, 0.5)
+        with pytest.raises(BoundInapplicableError, match="outside the contraction regime"):
+            contraction_rate_main(2.0, 1.0, 0.5)
 
     def test_value_in_unit_interval_on_admissible_grid(self):
         for s in (0.5, 1.0, 3.0):
@@ -109,6 +111,8 @@ class TestShiftRate:
             contraction_rate_shift(math.nan, 2.0, 0.5, 4.0)
         with pytest.raises(ValueError, match="sigma must be finite, got inf"):
             contraction_rate_shift(0.5, 1.0, 0.5, sigma=math.inf)
+        with pytest.raises(BoundInapplicableError, match="need 0 <= rho < s <= sigma"):
+            contraction_rate_shift(0.5, 1.0, 1.0, 2.0)  # rho = s
 
     def test_bits_of_the_two_term_formula(self):
         # max(|1 - a(sigma - rho)|/(1 + a(sigma - rho)), (1 - a(s - rho))/(1 + a(s - rho)))
@@ -205,6 +209,8 @@ class TestEmpiricalLipschitz:
         sampler = lambda rng: np.zeros(2)
         with pytest.raises(ValueError):
             empirical_lipschitz(lambda x: x, sampler, 50)
+        with pytest.raises(ValueError, match="n_pairs must be >= 1, got 0"):
+            empirical_lipschitz(lambda x: x, lambda rng: rng.normal(size=2), 0)
 
     def test_weak_reflection_attains_its_bound(self, exp1_instance):
         p = exp1_instance.penalty

@@ -66,6 +66,16 @@ BAD_INSTANCES = [
         lambda d: json.dumps({**d, "y": d["y"][:-3]}),
         "dimension mismatch: operator has 120 rows, y has 117",
     ),
+    (
+        "y-not-a-vector",
+        lambda d: json.dumps({**d, "y": [d["y"], d["y"]]}),
+        "key 'y': expected a list of numbers, got shape (2, 120)",
+    ),
+    (
+        "signal-not-a-vector",
+        lambda d: json.dumps({**d, "signal": [d["signal"]]}),
+        "key 'signal': expected a list of numbers, got shape (1, 90)",
+    ),
 ]
 
 

@@ -43,6 +43,10 @@ class TestConvolutionMatrix:
         with pytest.raises(ValueError):
             convolution_matrix([1.0], 0)
 
+    def test_rejects_a_filter_that_is_not_a_vector(self):
+        with pytest.raises(ValueError, match=r"expected a 1-d vector, got shape \(1, 1\)"):
+            convolution_matrix([[1.0]], 4)
+
 
 class TestLinearMap:
     def test_identity_apply(self):
@@ -95,6 +99,10 @@ class TestLinearMap:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LinearMap([[1.0, np.inf]])
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \(3,\)"):
+            LinearMap(np.ones(3))
 
 
 class TestGramExtremes:

@@ -39,6 +39,12 @@ class TestFirmEval:
             FirmPenalty(0.0, 1.0)
         with pytest.raises(ValueError):
             FirmPenalty(1.0, -0.5)
+        with pytest.raises(ValueError, match=r"a scalar or a \(B, 1\) column, got shape \(3,\)"):
+            FirmPenalty(np.ones(3), 0.5)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            SoftPenalty(0.0)
+        with pytest.raises(ValueError, match=r"expected a 1-d observation, got shape \(2, 3\)"):
+            QuadraticPlusPenalty(np.ones((2, 3)), FirmPenalty(1.0, 0.5))
 
 
 class TestFirmProx:

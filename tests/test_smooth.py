@@ -251,6 +251,10 @@ class TestProjection:
     def test_single_coordinate(self):
         np.testing.assert_array_equal(SubspaceConstraint(2, [0]).prox(np.array([3.0, 4.0]), 1.0), [3.0, 0.0])
 
+    def test_support_out_of_range(self):
+        with pytest.raises(ValueError, match=r"support indices must lie in \[0, 3\)"):
+            smooth.support_mask(3, [5])
+
     def test_constraint_prox_ignores_step(self):
         c = SubspaceConstraint(3, [1])
         z = np.array([1.0, 2.0, 3.0])

@@ -29,8 +29,8 @@ from drsplit import (
     run,
     step_bound,
 )
-from drsplit.experiment import block_problem, derive_seeds
-from drsplit.solver import dr_step
+from drsplit.experiment import block_problem, build_subspace_demo, derive_seeds
+from drsplit.solver import default_alpha, dr_step, prox_pair
 from oracles import grid_minimize
 
 
@@ -126,6 +126,8 @@ class TestStepValidators:
             check_step("dr-main-fg", 0.1, sigma=1.0, rho=2.0)
         with pytest.raises(ValueError, match="need sigma >= rho"):
             step_bound("dr-main-fg", math.nan, 1.0)
+        with pytest.raises(StepSizeError, match="needs the gradient Lipschitz constant"):
+            step_bound("dr-main-fg", None, 0.5)
 
     def test_ista_needs_positive_sigma(self):
         assert step_bound("ista", 4.0, 1.0) == 0.25
@@ -158,6 +160,16 @@ class TestStepValidators:
         with pytest.raises(ValueError):
             step_bound("dr-unknown", 4.0, 1.0)
 
+    def test_default_alpha_of_an_unbounded_step(self):
+        # At rho = 0 both DR bounds are infinite: the default is 1/sigma, and
+        # without a sigma there is none.
+        problem = Problem(QuadraticTerm(LinearMap(np.diag([2.0, 1.0])), np.ones(2)), SoftPenalty(1.0))
+        for variant in ("dr-main-fg", "dr-shift-gf"):
+            assert default_alpha(problem, variant) == 0.25
+        demo, _ = build_subspace_demo(np.ones(3), [0], FirmPenalty(1.0, 0.5))
+        with pytest.raises(StepSizeError, match="no finite step bound"):
+            default_alpha(demo, "dr-shift-fg")
+
 
 class TestGates:
     def test_main_step_gate_enforced(self, planted):
@@ -181,6 +193,11 @@ class TestGates:
             dr_step(problem, np.zeros(2), 0.5, "dr-main-fg", relaxation=1.0)
         with pytest.raises(ValueError):
             SolverConfig("dr-main-fg", relaxation=0.0)
+
+    def test_ista_has_no_prox_pair(self, planted):
+        problem, _ = planted
+        with pytest.raises(ValueError, match="unknown double-reflection variant 'ista'"):
+            prox_pair(problem, 0.1, "ista")
 
 
 class TestNullPenaltyConvergence:
@@ -382,6 +399,11 @@ class TestRun:
         with pytest.raises(ValueError):
             SolverConfig("dr-unknown")
 
+    def test_reference_of_the_wrong_shape_rejected(self, exp1_problem):
+        config = SolverConfig("ista", max_iters=5, record_reference=np.zeros(exp1_problem.dim + 1))
+        with pytest.raises(ValueError, match=r"reference has shape \(91,\), iterates have shape \(90,\)"):
+            run(exp1_problem, config)
+
 
 class TestStopDistAndAudit:
     THRESHOLD = 1e-6
@@ -423,6 +445,8 @@ class TestStopDistAndAudit:
         for bad in (-1e-6, np.nan):
             with pytest.raises(ValueError, match="tol must be nonnegative"):
                 SolverConfig("dr-main-fg", tol=bad, max_iters=300)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative, got -1"):
+            SolverConfig("ista", max_iters=-1)
 
     @pytest.mark.parametrize("case", ["single", "shedding_block", "cycling_block"])
     def test_unaudited_run_differs_only_in_cost_and_residual(self, case, exp1_problem, reference):
@@ -483,3 +507,11 @@ class TestTraceSerialization:
         assert data["iterations"] == trace.n_iters
         np.testing.assert_allclose(np.array(data["final_x"]), trace.final_x)
         np.testing.assert_allclose(np.array(data["final_z"]), trace.final_z)
+
+    @pytest.mark.parametrize("audit", [True, False])
+    def test_json_summary_is_strict_json(self, exp1_problem, audit):
+        # An unaudited run has no final cost: null, not NaN.
+        trace = run(exp1_problem, SolverConfig("dr-main-fg", max_iters=50, audit=audit))
+        data = json.loads(json.dumps(trace.to_json_dict(), allow_nan=False))
+        assert data["final_cost"] == (trace.final_cost if audit else None)
+        assert data["converged"] is False
