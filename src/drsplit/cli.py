@@ -77,13 +77,12 @@ def _cmd_solve(args) -> int:
         relaxation=args.relaxation,
         max_iters=args.iters,
         tol=args.tol,
+        audit=args.trace is not None,
     )
     trace = solver.run(problem, config)
     if args.trace:
         trace.to_csv(args.trace)
-    summary = trace.to_json_dict()
-    del summary["final_z"]
-    json.dump(summary, sys.stdout, indent=2)
+    json.dump(trace.to_json_dict(), sys.stdout, indent=2)
     print()
     return 0
 
@@ -155,7 +154,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StepSizeError, NonConvexShiftError, argparse.ArgumentTypeError) as exc:  # checks that need the loaded instance
         parser.error(str(exc))
-    except DivergenceError as exc:
+    except (DivergenceError, OSError) as exc:  # a diverged run, or an output path not writable
         print(f"drsplit {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -13,9 +13,9 @@ the configured DR variants at 0.99x their step bounds, and reports
 iterations-to-threshold of the distance to the reference minimizer.  Each
 of these traced runs stops at the first iterate within the distance
 threshold, so its final cost, final distance and trace CSV end at that
-threshold-crossing row.  The report reads only the distance column and one
-cost per run, taken on its final point, so the traced runs audit each
-iterate's cost and fixed-point residual only when their CSVs are written.
+threshold-crossing row.  The report reads only the distance column and the
+final cost ``run`` takes on each run's final point, so the traced runs audit
+each iterate's cost and fixed-point residual only when their CSVs are written.
 
 Every instance of one filter, designed or loaded, shares one cached
 ``LinearMap`` H, so HᵀH and (s, sigma) are computed once per process; the
@@ -405,8 +405,8 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
     unaudited (``_certified_minimizer`` of a ZONE_STEPS-step dr-main-fg run,
     or where it fails an ISTA run), then ISTA and every DR variant against
     it, each row stopping at the first iterate within spec.dist_threshold and
-    audited when ``audit`` is set.  Each run's final costs are one
-    ``Problem.cost`` call on its final points, audited or not.
+    audited when ``audit`` is set.  Each run's final costs are its trace's,
+    which ``run`` computes audited or not.
 
     Returns one (SeedResult, traces) pair per instance, traces mapping each
     run's name to that seed's row trace.  A block that diverges is solved
@@ -439,13 +439,12 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
             return [solved for inst in instances for solved in _solve([inst], spec, audit)]
         logger.warning("seed %d aborted: %s", instances[0].seed, exc)
         return [(SeedResult(instances[0].seed, {}, {}, {}, failed=str(exc)), {})]
-    final_cost = {k: problem.cost(t.final_x).tolist() for k, t in runs.items()}
     seed_traces = [dict(zip(runs, seed_rows)) for seed_rows in zip(*(t.split() for t in runs.values()))]
     return [
         (SeedResult(
             inst.seed,
             iterations_to_threshold={k: t.iterations_to(spec.dist_threshold) for k, t in traces.items()},
-            final_cost={k: final_cost[k][b] for k in traces},
+            final_cost={k: t.final_cost for k, t in traces.items()},
             final_dist={k: float(t.dist_to_ref[-1]) for k, t in traces.items()},
             reference="kkt" if certified[b] else "ista",
         ), traces)

@@ -39,15 +39,15 @@ one iterate at a time.  The terms' ``value``, the smooth term's ``grad`` and
 the penalty's ``prox`` therefore take a (k, *shape) stack of iterates, one
 result per row.
 
-Two options serve callers that read less than the full history: a row
-stops at the first iterate whose distance to the reference meets
-``stop_dist``, and ``audit=False`` leaves the cost and fixed-point residual
-columns NaN (the step norm is always recorded, and the distance whenever a
-reference is given).  ``run_experiment`` uses both: its traced runs stop at
-the distance threshold, and it audits none of its runs unless it writes
-their traces.  The defaults keep every iterate and every column.  A row
-caught in an exact floating-point cycle of period 2 or more never meets tol:
-unless stop_dist stops it, it runs every iteration up to max_iters.
+Two options serve callers that read less than the full history: a row stops
+at the first iterate whose distance to the reference meets ``stop_dist``, and
+``audit=False`` leaves the cost and fixed-point residual columns NaN (the
+step norm, the distance to a given reference and the final cost are always
+recorded).  ``run_experiment`` uses both: its traced runs stop at the
+distance threshold, and it audits none of its runs unless it writes their
+traces.  The defaults keep every iterate and every column.  A row caught in
+an exact floating-point cycle of period 2 or more never meets tol: unless
+stop_dist stops it, it runs every iteration up to max_iters.
 """
 
 from __future__ import annotations
@@ -281,18 +281,19 @@ class IterationTrace:
     Row n holds the cost at the primal extraction of iterate n, the step norm
     ||z^n - z^(n-1)|| (nan at n = 0), the fixed-point residual at the audit
     step 1/sigma (nan when the smooth term has no gradient), and the distance
-    to the reference point when one was given.  An unaudited run leaves
-    the cost and fixed-point residual NaN.
+    to the reference point when one was given; read-only ``iterations``
+    numbers the rows.  An unaudited run leaves the cost and fixed-point
+    residual NaN; ``final_cost``, the cost at final_x, is taken either way.
 
     ``stop_reason`` says why the run stopped: ``"tol"`` when the step norm
     met tol (also when stop_dist was met at the same iterate), ``"stop_dist"``
     or ``"max_iters"``; ``converged`` is ``stop_reason == "tol"``, read-only.
 
     A block run gives one trace whose columns have shape (rows, B), whose
-    final points have shape (B, n), and whose ``converged``, ``stop_reason``
-    and ``row_iters`` hold one entry per row; ``split`` cuts it into one trace
-    per row, each ending at its ``row_iters``.  Past that row, a row's
-    columns repeat its last one, except for a step norm of NaN.
+    final points have shape (B, n), and whose ``final_cost``, ``converged``,
+    ``stop_reason`` and ``row_iters`` hold one entry per row; ``split`` cuts
+    it into one trace per row, each ending at its ``row_iters``.  Past that
+    row, a row's columns repeat its last one, except for a step norm of NaN.
     """
 
     variant: str
@@ -300,13 +301,13 @@ class IterationTrace:
     relaxation: float
     max_iters: int
     tol: float
-    iterations: np.ndarray
     cost: np.ndarray
     step_norm: np.ndarray
     fp_residual: np.ndarray
     dist_to_ref: np.ndarray
     final_x: np.ndarray
     final_z: np.ndarray
+    final_cost: float | np.ndarray
     stop_reason: str | np.ndarray
     row_iters: np.ndarray | None = None
 
@@ -315,8 +316,12 @@ class IterationTrace:
         return self.stop_reason == "tol"
 
     @property
+    def iterations(self) -> np.ndarray:
+        return np.arange(len(self.step_norm))
+
+    @property
     def n_iters(self) -> int:
-        return int(self.iterations[-1])
+        return len(self.step_norm) - 1
 
     def split(self) -> list["IterationTrace"]:
         """One trace per row of a block trace, each ending at its row's last
@@ -327,23 +332,18 @@ class IterationTrace:
         return [
             replace(
                 self,
-                iterations=self.iterations[: k + 1],
                 cost=self.cost[: k + 1, b],
                 step_norm=self.step_norm[: k + 1, b],
                 fp_residual=self.fp_residual[: k + 1, b],
                 dist_to_ref=self.dist_to_ref[: k + 1, b],
                 final_x=self.final_x[b],
                 final_z=self.final_z[b],
+                final_cost=float(self.final_cost[b]),
                 stop_reason=str(self.stop_reason[b]),
                 row_iters=None,
             )
             for b, k in enumerate(self.row_iters.tolist())
         ]
-
-    @property
-    def final_cost(self) -> float:
-        self._require_single("final_cost")
-        return float(self.cost[-1])
 
     def _require_single(self, what: str) -> None:
         if self.row_iters is not None:
@@ -353,7 +353,7 @@ class IterationTrace:
         """First iteration index with dist_to_ref <= threshold, else None."""
         self._require_single("iterations_to")
         hits = np.nonzero(self.dist_to_ref <= threshold)[0]
-        return int(self.iterations[hits[0]]) if hits.size else None
+        return int(hits[0]) if hits.size else None
 
     def to_csv(self, path) -> None:
         self._require_single("to_csv")
@@ -365,8 +365,8 @@ class IterationTrace:
             )
 
     def to_json_dict(self) -> dict:
-        """Config and outcome as strict JSON: an unaudited run's NaN final cost is null."""
-        cost = self.final_cost
+        """Config and outcome as strict JSON: a non-finite final cost (an indicator's inf) is null."""
+        self._require_single("to_json_dict")
         return {
             "config": {
                 "variant": self.variant,
@@ -377,9 +377,8 @@ class IterationTrace:
             },
             "iterations": self.n_iters,
             "converged": self.converged,
-            "final_cost": cost if math.isfinite(cost) else None,
+            "final_cost": self.final_cost if math.isfinite(self.final_cost) else None,
             "final_x": [float(v) for v in self.final_x],
-            "final_z": [float(v) for v in self.final_z],
         }
 
 
@@ -402,15 +401,16 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     every iterate (including the initial point); with ``audit=False`` no cost
     or residual.  Cost and residual are computed on a stack of up to
     ``linalg.rows_per_call(B)`` iterates of B running rows at a time, with the
-    bits of one iterate at a time (see the module docstring).  The step gate
-    runs before the first iteration: StepSizeError when alpha fails it, and
-    NonConvexShiftError when it passes but a shifted variant's rho exceeds s.
-    Divergence means a non-finite x0 or z, and raises DivergenceError naming
-    the iteration and the variant.  A non-finite z is found through the step
-    norm (z before the step is finite, so a NaN or infinite entry makes its
-    row's norm non-finite) and confirmed on the iterate, so a finite z whose
-    step norm overflows runs on with step norm inf.  The proxes do not scan
-    their input, so a NaN in the data is found there too.  Any other
+    bits of one iterate at a time (see the module docstring), and
+    ``final_cost`` by one call on the final points, audited or not.  The step
+    gate runs before the first iteration: StepSizeError when alpha fails it,
+    and NonConvexShiftError when it passes but a shifted variant's rho exceeds
+    s.  Divergence means a non-finite x0 or z, and raises DivergenceError
+    naming the iteration and the variant.  A non-finite z is found through the
+    step norm (z before the step is finite, so a NaN or infinite entry makes
+    its row's norm non-finite) and confirmed on the iterate, so a finite z
+    whose step norm overflows runs on with step norm inf.  The proxes do not
+    scan their input, so a NaN in the data is found there too.  Any other
     exception raised inside a step propagates as raised.
 
     For a block problem the reference has the iterate shape (B, n), each row
@@ -422,6 +422,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     have ``take(rows)`` (TypeError before the first iteration otherwise).
     One non-finite running row raises DivergenceError for the whole block.
     """
+    whole = problem  # shedding rebinds problem to the rows still running
     alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
     check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
     shape = problem.shape
@@ -548,13 +549,13 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         relaxation=config.relaxation,
         max_iters=max_iters,
         tol=tol,
-        iterations=np.arange(end),
         cost=cost[:end],
         step_norm=step_norm[:end],
         fp_residual=fp_residual[:end],
         dist_to_ref=dist_to_ref[:end],
         final_x=final_x,
         final_z=final_z,
+        final_cost=whole.cost(final_x) if lead else float(whole.cost(final_x)),
         stop_reason=stop_reason if lead else str(stop_reason),
         row_iters=row_iters if lead else None,
     )

@@ -111,9 +111,10 @@ def test_block_trace_must_be_split_first(block, tmp_path):
     with pytest.raises(ValueError, match="split"):
         reference.iterations_to(1e-6)
     with pytest.raises(ValueError, match="split"):
-        reference.final_cost
+        reference.to_json_dict()
     with pytest.raises(ValueError, match="split"):
         reference.to_csv(tmp_path / "block.csv")
+    assert [float(c) for c in reference.final_cost] == [row.final_cost for row in reference.split()]
 
 
 def test_block_problem_rejects_foreign_filter():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from drsplit import EXP1, EXP2, FirmPenalty, build_instance, cli
+from drsplit import EXP1, EXP2, VARIANTS, FirmPenalty, Problem, build_instance, cli
 from drsplit.cli import build_parser, main
 
 
@@ -35,6 +35,23 @@ def test_solve_command(tmp_path, capsys):
     assert summary["config"]["variant"] == "dr-main-fg"
     assert summary["converged"]
     assert trace_path.read_text().startswith("iter,cost,step_norm,fp_residual,dist_to_ref")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_audits_only_the_trace_it_writes(variant, tmp_path, capsys, monkeypatch):
+    instance_path = tmp_path / "instance.json"
+    build_instance(EXP2, seed=4).save(instance_path)
+    argv = ["solve", "--instance", str(instance_path), "--variant", variant, "--iters", "300", "--tol", "1e-9"]
+    residuals = []
+    residual = Problem.fixed_point_residual
+    monkeypatch.setattr(Problem, "fixed_point_residual", lambda *a: residuals.append(1) or residual(*a))
+
+    assert main(argv) == 0
+    bare = capsys.readouterr().out
+    assert not residuals
+    assert main([*argv, "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert residuals
+    assert capsys.readouterr().out == bare
 
 
 def test_solve_reports_divergence_in_one_line(tmp_path, capsys):
@@ -92,6 +109,27 @@ def test_solve_reports_a_malformed_instance_as_a_usage_error(write, cause, tmp_p
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: drsplit ")
     assert error.startswith(f"drsplit: error: --instance {path}: {cause}")
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["solve", "--variant", "ista", "--iters", "20", "--trace"], "missing/t.csv"),
+        (["rates", "--s", "1", "--sigma", "4", "--rho", "0.5", "--steps", "5", "--out"], "missing/r.csv"),
+        (["exp2", "--seeds", "1", "--iters", "20", "--out-dir"], "file/out"),
+    ],
+    ids=["solve-trace", "rates-out", "exp2-out-dir"],
+)
+def test_unwritable_output_path_is_one_line(command, out, tmp_path, capsys):
+    # exp2 makes missing directories, so its path runs through a regular file.
+    (tmp_path / "file").write_text("")
+    instance_path = tmp_path / "instance.json"
+    build_instance(EXP2, seed=4).save(instance_path)
+    path = tmp_path / out
+    extra = ["--instance", str(instance_path)] if command[0] == "solve" else []
+    assert main([*command, str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"drsplit {command[0]}: ") and str(path) in err and err.count("\n") == 1
 
 
 def test_solve_rejects_gate_violation(tmp_path, capsys):

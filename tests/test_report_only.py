@@ -1,12 +1,12 @@
 """``run_experiment`` without an out_dir audits none of its runs, and reports the same.
 
 The report reads the distance column, which every run records, and one cost
-per run, taken on the run's final points by one stacked ``Problem.cost``
-call.  So the report of a run without an out_dir (no run audited) must equal,
-bit for bit, the one written with an out_dir (every traced run audited).
-``Problem`` is wrapped to count the calls: without an out_dir there is no
-fixed-point residual, and each cost call takes one row per seed its block
-solved.
+per run, which ``run`` takes on the run's final points by one stacked
+``Problem.cost`` call.  So the report of a run without an out_dir (no run
+audited) must equal, bit for bit, the one written with an out_dir (every
+traced run audited).  ``Problem`` is wrapped to count the calls: without an
+out_dir there is no fixed-point residual, and each cost call takes one row
+per seed its block solved, for the zone run as well as the traced runs.
 """
 
 import dataclasses
@@ -57,7 +57,7 @@ def check_report_only(spec, master_seed, tmp_path, monkeypatch):
     assert not residuals
     assert all(x_shape == own for x_shape, own in costs)
     solved = sum(r["failed"] is None for r in report["seeds"])
-    assert sum(x_shape[0] for x_shape, _ in costs) == (1 + len(spec.variants)) * solved
+    assert sum(x_shape[0] for x_shape, _ in costs) == (2 + len(spec.variants)) * solved
     return report, runs
 
 

@@ -506,12 +506,22 @@ class TestTraceSerialization:
         assert data["config"]["relaxation"] == 0.5
         assert data["iterations"] == trace.n_iters
         np.testing.assert_allclose(np.array(data["final_x"]), trace.final_x)
-        np.testing.assert_allclose(np.array(data["final_z"]), trace.final_z)
 
     @pytest.mark.parametrize("audit", [True, False])
     def test_json_summary_is_strict_json(self, exp1_problem, audit):
-        # An unaudited run has no final cost: null, not NaN.
+        # The final cost is computed audited or not.
         trace = run(exp1_problem, SolverConfig("dr-main-fg", max_iters=50, audit=audit))
         data = json.loads(json.dumps(trace.to_json_dict(), allow_nan=False))
-        assert data["final_cost"] == (trace.final_cost if audit else None)
+        assert data["final_cost"] == trace.final_cost == float(exp1_problem.cost(trace.final_x))
+        assert not audit or trace.final_cost == trace.cost[-1]  # the audit's last row, bit for bit
         assert data["converged"] is False
+
+    @pytest.mark.parametrize("iters", range(6))
+    def test_json_summary_writes_an_infinite_cost_as_null(self, iters):
+        # The subspace indicator is inf at a final_x off the subspace: null, not Infinity.
+        y = np.random.default_rng(6).normal(0, 2, 16)
+        problem, _ = build_subspace_demo(y, range(8), FirmPenalty(1.0, 0.5))
+        trace = run(problem, SolverConfig("dr-shift-fg", alpha=1.0, max_iters=iters))
+        assert trace.final_cost == math.inf
+        data = json.loads(json.dumps(trace.to_json_dict(), allow_nan=False))
+        assert data["final_cost"] is None

@@ -96,7 +96,7 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
         point = (running, problem.dim) if block else (problem.dim,)
         expected += [(k, *point)] * full + ([(rest, *point)] if rest else [])
         start = end + 1
-    assert shapes == expected
+    assert shapes == expected + [problem.shape]  # the audit calls, then the final cost
     assert trace.n_iters == max(stops)
     if mode == "stop_dist" and rows > 2 * per_call:
         assert min(stops) < rows - 1  # the case stops a row early
