@@ -45,7 +45,7 @@ from .errors import DivergenceError, FilterDesignError
 from .linalg import LinearMap, convolution_matrix
 from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty
 from .smooth import QuadraticTerm, SubspaceConstraint, support_mask
-from .solver import Problem, SolverConfig, default_alpha, run
+from .solver import DR_VARIANTS, Problem, SolverConfig, default_alpha, run
 
 logger = logging.getLogger(__name__)
 
@@ -143,7 +143,7 @@ def _filter_operator(taps_key: bytes, signal_len: int) -> LinearMap:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Recipe for one benchmark family."""
+    """Recipe for one benchmark family; ``variants`` are DR variants, run beside ISTA."""
 
     target_ratio: float
     rho_rule: float                      # rho = rho_rule * s
@@ -159,6 +159,10 @@ class ExperimentSpec:
     dist_threshold: float = 1e-6
     ratio_tol: float = 0.02
     reference_iters: int = 10000
+
+    def __post_init__(self):
+        if bad := [v for v in self.variants if v not in DR_VARIANTS]:
+            raise ValueError(f"variants must be DR variants {DR_VARIANTS}, got {bad}")
 
 
 EXP1 = ExperimentSpec(target_ratio=15.96, rho_rule=1.0)
@@ -462,14 +466,17 @@ def run_experiment(spec: ExperimentSpec, master_seed: int = 0, out_dir=None) -> 
     diverging seed is aborted with a logged diagnostic; the remaining seeds
     still run, and the aggregate counts the failed seeds.  achieved_ratio is
     sigma/s of the operator every seed shares, so a run without seeds reports
-    it too.  With out_dir, each seed's instance and trace CSVs are written
-    there once its block has finished (a failed seed writes nothing), and
-    then the aggregate report.  Without out_dir no run is audited, and the
-    report is the same.
+    it too.  With out_dir, new or empty (else FileExistsError before any
+    work), each seed's instance and trace CSVs are written there once its
+    block has finished (a failed seed writes nothing), and then the
+    aggregate report.  Without out_dir no run is audited, and the report is
+    the same.
     """
     out_path = None if out_dir is None else Path(out_dir)
     audit = out_path is not None
     if audit:
+        if out_path.is_dir() and any(out_path.iterdir()):
+            raise FileExistsError(f"out_dir {out_path} is not empty")
         out_path.mkdir(parents=True, exist_ok=True)
 
     s, sigma = _operator(spec).gram_extremes()

@@ -19,12 +19,12 @@ their data: a ``QuadraticTerm`` with observations of shape (B, m) and a
 ``FirmPenalty`` with a (B, 1) column of weights.  ``run`` then iterates all
 rows at once, in the same loop, on (B, n) arrays, and each row gets the bits
 a run on that row's problem alone would give; ``IterationTrace.split``
-returns the per-row traces.  A row that stops (on tol or on stop_dist) is
-never stepped again: ``run`` keeps its final point and goes on with
-``Problem.take`` of the rows still running, for which each block term gives
-``take(rows)``, the term cut to those rows.  The stopped row's audit and
-distance columns repeat its stop row up to the block's last row, and its
-step norm reads NaN there.
+returns the per-row traces.  A trace keeps the ``SolverConfig`` it ran
+with.  A row that stops (on tol or on stop_dist) is never stepped again:
+``run`` keeps its final point and goes on with ``Problem.take`` of the rows
+still running, for which each block term gives ``take(rows)``, the term cut
+to those rows.  The stopped row's audit and distance columns repeat its stop
+row up to the block's last row, and its step norm reads NaN there.
 
 ``run`` allocates the trace columns it records at max_iters + 1 rows and
 returns them cut to the rows it wrote.  The loop writes the step norm (and
@@ -278,7 +278,8 @@ class SolverConfig:
 class IterationTrace:
     """Per-iteration history of a solver run plus the final points.
 
-    Row n holds the cost at the primal extraction of iterate n, the step norm
+    ``config`` is the run's ``SolverConfig``, its alpha the step taken.  Row n
+    holds the cost at the primal extraction of iterate n, the step norm
     ||z^n - z^(n-1)|| (nan at n = 0), the fixed-point residual at the audit
     step 1/sigma (nan when the smooth term has no gradient), and the distance
     to the reference point when one was given; read-only ``iterations``
@@ -296,11 +297,7 @@ class IterationTrace:
     row, a row's columns repeat its last one, except for a step norm of NaN.
     """
 
-    variant: str
-    alpha: float
-    relaxation: float
-    max_iters: int
-    tol: float
+    config: SolverConfig
     cost: np.ndarray
     step_norm: np.ndarray
     fp_residual: np.ndarray
@@ -325,13 +322,16 @@ class IterationTrace:
 
     def split(self) -> list["IterationTrace"]:
         """One trace per row of a block trace, each ending at its row's last
-        iteration; ``[self]`` for the trace of a single problem."""
+        iteration, with that row of the config's reference; ``[self]`` for
+        the trace of a single problem."""
         if self.row_iters is None:
             return [self]
+        ref = self.config.record_reference
         # Each row trace views the block's arrays rather than copying them.
         return [
             replace(
                 self,
+                config=self.config if ref is None else replace(self.config, record_reference=ref[b]),
                 cost=self.cost[: k + 1, b],
                 step_norm=self.step_norm[: k + 1, b],
                 fp_residual=self.fp_residual[: k + 1, b],
@@ -368,13 +368,7 @@ class IterationTrace:
         """Config and outcome as strict JSON: a non-finite final cost (an indicator's inf) is null."""
         self._require_single("to_json_dict")
         return {
-            "config": {
-                "variant": self.variant,
-                "alpha": self.alpha,
-                "relaxation": self.relaxation,
-                "max_iters": self.max_iters,
-                "tol": self.tol,
-            },
+            "config": {key: getattr(self.config, key) for key in ("variant", "alpha", "relaxation", "max_iters", "tol")},
             "iterations": self.n_iters,
             "converged": self.converged,
             "final_cost": self.final_cost if math.isfinite(self.final_cost) else None,
@@ -421,9 +415,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     the rows still running, so a term with a non-empty ``block_shape`` must
     have ``take(rows)`` (TypeError before the first iteration otherwise).
     One non-finite running row raises DivergenceError for the whole block.
+    The trace keeps config, an alpha of None replaced by the default step.
     """
     whole = problem  # shedding rebinds problem to the rows still running
-    alpha = config.alpha if config.alpha is not None else default_alpha(problem, config.variant)
+    config = replace(config, alpha=default_alpha(problem, config.variant)) if config.alpha is None else config
+    alpha = config.alpha
     check_step(config.variant, alpha, problem.grad_lipschitz, problem.rho, problem.strong_convexity)
     shape = problem.shape
     lead = shape[:-1]
@@ -544,11 +540,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             c = col.reshape(len(col), -1)[:, b]  # row b's column, a view
             c[last + 1 : end] = math.nan if col is step_norm else c[last]
     return IterationTrace(
-        variant=config.variant,
-        alpha=alpha,
-        relaxation=config.relaxation,
-        max_iters=max_iters,
-        tol=tol,
+        config=config,
         cost=cost[:end],
         step_norm=step_norm[:end],
         fp_residual=fp_residual[:end],

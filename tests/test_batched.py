@@ -46,6 +46,7 @@ def test_block_reference_matches_single_runs(block, tmp_path):
     _, _, reference, singles = block
     assert reference.n_iters == max(t.n_iters for t in singles)
     for row, single in zip(reference.split(), singles):
+        assert row.config is reference.config and row.config == single.config  # no reference to cut
         assert csv_bytes(row, tmp_path / "a.csv") == csv_bytes(single, tmp_path / "b.csv")
         np.testing.assert_array_equal(row.final_x, single.final_x)
 
@@ -60,8 +61,12 @@ def test_block_rows_match_single_runs(block, variant, tol, tmp_path):
     rows = trace.split()
     assert len(rows) == len(instances)
     stops = set()
-    for row, inst, ref in zip(rows, instances, singles):
+    for row, inst, ref, row_ref in zip(rows, instances, singles, reference.final_x):
         single = run(inst.problem(), dataclasses.replace(config, record_reference=ref.final_x))
+        # a row trace's config is that of a run on the row alone, with the row's reference
+        assert row.config.record_reference.tobytes() == row_ref.tobytes()
+        unreferenced = lambda c: dataclasses.replace(c, record_reference=None)
+        assert unreferenced(row.config) == unreferenced(single.config)
         assert csv_bytes(row, tmp_path / "a.csv") == csv_bytes(single, tmp_path / "b.csv")
         np.testing.assert_array_equal(row.final_x, single.final_x)
         np.testing.assert_array_equal(row.final_z, single.final_z)

@@ -5,6 +5,7 @@ import pytest
 
 from drsplit import EXP1, EXP2, VARIANTS, FirmPenalty, Problem, build_instance, cli
 from drsplit.cli import build_parser, main
+from drsplit.solver import default_alpha
 
 
 def test_rates_command(tmp_path, capsys):
@@ -18,7 +19,8 @@ def test_rates_command(tmp_path, capsys):
 
 def test_solve_command(tmp_path, capsys):
     instance_path = tmp_path / "instance.json"
-    build_instance(EXP2, seed=4).save(instance_path)
+    instance = build_instance(EXP2, seed=4)
+    instance.save(instance_path)
     trace_path = tmp_path / "trace.csv"
     code = main(
         [
@@ -32,7 +34,10 @@ def test_solve_command(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["config"]["variant"] == "dr-main-fg"
+    # without --alpha the summary names the default step the run took
+    alpha = default_alpha(instance.problem(), "dr-main-fg")
+    config = {"variant": "dr-main-fg", "alpha": alpha, "relaxation": 0.5, "max_iters": 400, "tol": 1e-12}
+    assert list(summary["config"].items()) == list(config.items())
     assert summary["converged"]
     assert trace_path.read_text().startswith("iter,cost,step_norm,fp_residual,dist_to_ref")
 
@@ -175,6 +180,17 @@ def test_exp2_command_writes_report(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["spec"]["n_seeds"] == 2
     assert len(report["seeds"]) == 2
+
+
+def test_exp2_refuses_a_used_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["exp2", "--seeds", "2", "--iters", "50", "--out-dir", str(out_dir)]) == 0
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["exp2", "--seeds", "1", "--iters", "50", "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"drsplit exp2: out_dir {out_dir} is not empty\n" and not captured.out
+    assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
 
 
 def test_certify_command_passes(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ class TestRunExperiment:
         data = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
         one = run_experiment(dataclasses.replace(EXP2, n_seeds=1, max_iters=0, reference_iters=0))
         assert data["achieved_ratio"] == one.achieved_ratio
+
+    def test_used_out_dir_is_refused_before_any_work(self, tmp_path, monkeypatch):
+        spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=50, reference_iters=500)
+        run_experiment(spec, master_seed=2, out_dir=tmp_path / "out")
+        before = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+        assert {p.name for p in before} >= {"report.json", "instance.json", "ista.csv"}
+        monkeypatch.setattr(experiment, "build_instance", lambda *a: pytest.fail("built an instance"))
+        with pytest.raises(FileExistsError, match=re.escape(f"out_dir {tmp_path / 'out'} is not empty")):
+            run_experiment(dataclasses.replace(spec, n_seeds=1), master_seed=2, out_dir=tmp_path / "out")
+        assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("variants", [("dr-main-fg", "ista"), ("dr-shift-fg", "dr-bogus")])
+    def test_variants_must_be_dr_variants(self, variants):
+        # "ista" would replace the baseline run; an unknown name would fail only after the zone run
+        with pytest.raises(ValueError, match=re.escape(f"got ['{variants[1]}']")):
+            dataclasses.replace(EXP2, variants=variants)
 
     def test_report_deterministic_under_master_seed(self):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=150, reference_iters=1500)

@@ -30,7 +30,7 @@ from drsplit import (
     step_bound,
 )
 from drsplit.experiment import block_problem, build_subspace_demo, derive_seeds
-from drsplit.solver import default_alpha, dr_step, prox_pair
+from drsplit.solver import IterationTrace, default_alpha, dr_step, prox_pair
 from oracles import grid_minimize
 
 
@@ -310,6 +310,20 @@ class TestRun:
         assert math.isnan(trace.step_norm[0])
         np.testing.assert_array_equal(trace.final_z, np.zeros(exp1_problem.dim))
         assert not trace.converged
+        rows = trace.split()  # a single problem's trace is its own only row
+        assert len(rows) == 1 and rows[0] is trace
+
+    def test_trace_keeps_the_config_it_ran_with(self, exp1_problem):
+        names = {f.name for f in dataclasses.fields(IterationTrace)}
+        assert "config" in names and not names & {"variant", "alpha", "relaxation", "max_iters", "tol"}
+        given = SolverConfig("dr-shift-gf", relaxation=0.3, max_iters=40, tol=1e-3, audit=False)
+        trace = run(exp1_problem, given)
+        assert trace.config == dataclasses.replace(given, alpha=default_alpha(exp1_problem, "dr-shift-gf"))
+        # its alpha is the step the run took: rerun with it, the trace has the same bits
+        again = run(exp1_problem, trace.config)
+        assert again.config is trace.config
+        np.testing.assert_array_equal(again.step_norm, trace.step_norm)
+        np.testing.assert_array_equal(again.final_z, trace.final_z)
 
     def test_deterministic_traces(self, exp1_problem, tmp_path):
         paths = []
