@@ -10,10 +10,12 @@ Two stock configurations are provided: ``EXP1`` (ratio 15.96, rho = s) and
 ``EXP2`` (ratio 5.44, rho = s/2).  ``run_experiment`` solves every seeded
 instance with a certified reference minimizer (``_solve``) plus ISTA and
 the configured DR variants at 0.99x their step bounds, and reports
-iterations-to-threshold of the distance to the reference minimizer.  Each
-of these traced runs stops at the first iterate within the distance
-threshold, so its final cost, final distance and trace CSV end at that
-threshold-crossing row.  The report reads only the distance column and the
+iterations-to-threshold of the distance to the reference minimizer.  The
+reference solves the firm penalty's zone system, read off a dr-main-fg run
+that stops at the first of 20, 40, 80 or ZONE_STEPS steps where the KKT
+certificate holds.  Each traced run (ISTA and the DR variants) stops at the
+first iterate within the distance threshold, so its final cost, final
+distance and trace CSV end at that threshold-crossing row.  The report reads only the distance column and the
 final cost ``run`` takes on each run's final point, so the traced runs audit
 each iterate's cost and fixed-point residual only when their CSVs are written.
 
@@ -51,20 +53,27 @@ logger = logging.getLogger(__name__)
 
 # Most seeds solved as one block.  A block run's trace columns hold a row per
 # iteration for each of its seeds, kept until the block has written its
-# seeds' files; the unaudited zone run writes one ZONE_STEPS-row column (8 B
-# per row and seed) and the traced runs only the rows up to their threshold
-# crossing.  A fresh process running run_experiment at 20 seeds into an
+# seeds' files; the unaudited zone runs write columns of at most ZONE_STEPS
+# rows (8 B per row and seed) and the traced runs only the rows up to their
+# threshold crossing.  A fresh process running run_experiment at 20 seeds into an
 # out_dir peaked at 44.2-44.3 MB at one seed per block, 43.2-44.2 MB at 10
 # and 43.3-44.1 MB at 20 (stock specs, OPENBLAS_NUM_THREADS=1, x86-64).
 # run()'s audit calls take at most linalg.STACK_POINTS points, so their
 # temporaries do not grow with the block.
 BLOCK_SEEDS = 10
 
-# Steps of the dr-main-fg run whose final point gives each seed's zones; the
-# fg order extracts x = prox_g(z), so a dead coordinate is exactly 0.  Zones
-# read at step n gave the certified minimizer of step 200 from n = 30 (EXP2)
-# and 80 (EXP1) on, the worst cases over 20 seeds of master seeds 0-9 each.
+# The zone run: dr-main-fg steps from z0 = 0 whose final point gives each
+# seed's zones; the fg order extracts x = prox_g(z), so a dead coordinate is
+# exactly 0.  _solve runs it in the stages _ZONE_STAGES, and only the rows the
+# certificate rejects go on, from z0 = 0 again, to the next stage.  Over 400
+# stock rows (EXP1 and EXP2, 20 seeds of master seeds 0-9 each) the first
+# step that certified, on a grid of 10 steps, had a median of 10 (EXP2) and
+# 20 (EXP1), a p90 of 40 on EXP1 and a worst case of 30 (EXP2) and 80 (EXP1):
+# 20 steps certify most rows and 40 and 80 the rest.  Every certificate from
+# any step gave the certified minimizer of step 200 bit for bit.  ZONE_STEPS
+# is only the cap: a row still uncertified after it gets the ISTA reference.
 ZONE_STEPS = 200
+_ZONE_STAGES = (20, 40, 80, ZONE_STEPS)
 
 
 def generate_sparse_signal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +152,7 @@ def _filter_operator(taps_key: bytes, signal_len: int) -> LinearMap:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Recipe for one benchmark family; ``variants`` are DR variants, run beside ISTA."""
+    """Recipe for one benchmark family; ``variants`` are distinct DR variants, run beside ISTA."""
 
     target_ratio: float
     rho_rule: float                      # rho = rho_rule * s
@@ -163,6 +172,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if bad := [v for v in self.variants if v not in DR_VARIANTS]:
             raise ValueError(f"variants must be DR variants {DR_VARIANTS}, got {bad}")
+        if repeated := sorted({v for v in self.variants if self.variants.count(v) > 1}):
+            raise ValueError(f"variants must be distinct, got {repeated} more than once")
 
 
 EXP1 = ExperimentSpec(target_ratio=15.96, rho_rule=1.0)
@@ -406,11 +417,19 @@ def _certified_minimizer(problem: Problem, x) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResult, dict]]:
     """Solve instances that share their operator as one block: the reference,
-    unaudited (``_certified_minimizer`` of a ZONE_STEPS-step dr-main-fg run,
-    or where it fails an ISTA run), then ISTA and every DR variant against
-    it, each row stopping at the first iterate within spec.dist_threshold and
-    audited when ``audit`` is set.  Each run's final costs are its trace's,
-    which ``run`` computes audited or not.
+    unaudited, then ISTA and every DR variant against it, each row stopping at
+    the first iterate within spec.dist_threshold and audited when ``audit`` is
+    set.  Each run's final costs are its trace's, which ``run`` computes
+    audited or not.
+
+    The reference of a row is ``_certified_minimizer`` of a dr-main-fg zone
+    run, made in the stages _ZONE_STAGES: the first on the block problem
+    itself (so the traced dr-main-fg run reuses its Cholesky factor), each
+    later one, again from z0 = 0, on the ``take`` of the rows no earlier stage
+    certified.  A row no stage certifies gets an ISTA run of
+    spec.reference_iters steps instead.  A row's zone runs are bit-identical
+    to runs on that row alone, so its reference does not depend on which
+    rows share its stages.
 
     Returns one (SeedResult, traces) pair per instance, traces mapping each
     run's name to that seed's row trace.  A block that diverges is solved
@@ -419,10 +438,17 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
     """
     problem = block_problem(instances)
     try:
-        zones = run(problem, SolverConfig("dr-main-fg", max_iters=ZONE_STEPS, audit=False)).final_x
-        x_ref, certified = _certified_minimizer(problem, zones)
-        if (bad := np.flatnonzero(~certified)).size:
-            x_ref[bad] = run(problem.take(bad), SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
+        x_ref, certified = np.zeros(problem.shape), np.zeros(len(instances), dtype=bool)
+        open_rows, stage = np.arange(len(instances)), problem
+        for steps in _ZONE_STAGES:
+            zones = run(stage, SolverConfig("dr-main-fg", max_iters=steps, audit=False)).final_x
+            x_star, ok = _certified_minimizer(stage, zones)
+            x_ref[open_rows[ok]], certified[open_rows[ok]] = x_star[ok], True
+            if not (open_rows := open_rows[~ok]).size:
+                break
+            stage = problem.take(open_rows)
+        else:
+            x_ref[open_rows] = run(stage, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
         ista = SolverConfig(
             "ista", max_iters=spec.reference_iters, record_reference=x_ref, stop_dist=spec.dist_threshold, audit=audit
         )

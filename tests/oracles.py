@@ -3,11 +3,14 @@
 These deliberately avoid the code paths they check: prox outputs are compared
 against dense grid minimization, eigenvalue extremes against characteristic
 polynomial roots (Faddeev-LeVerrier coefficients + companion-matrix roots),
-gradients against central finite differences, and the blocked Lipschitz
-sampler against one operator call per point.
+gradients against central finite differences, the blocked Lipschitz
+sampler against one operator call per point, and the staged zone run of a
+block against zone runs of one seed alone.
 """
 
 import numpy as np
+
+from drsplit import SolverConfig, experiment, run
 
 
 def grid_minimize(objective, lo, hi, spacing=1e-4, refine=1e-7):
@@ -89,3 +92,17 @@ def pointwise_lipschitz(operator, sampler, n_pairs, seed=0):
     if usable == 0:
         raise ValueError("degenerate sampler: all sampled pairs coincide")
     return worst
+
+
+def zone_stage(inst):
+    """Index into ``experiment._ZONE_STAGES`` of the first stage whose zone
+    run, made on the seed alone from z0 = 0, the certificate accepts;
+    len(_ZONE_STAGES) when none does.  The seed's reference takes one run
+    more than this index: a zone run per stage up to the certifying one, or
+    every stage and then the ISTA fallback."""
+    problem = experiment.block_problem([inst])
+    for k, steps in enumerate(experiment._ZONE_STAGES):
+        zones = run(problem, SolverConfig("dr-main-fg", max_iters=steps, audit=False)).final_x
+        if experiment._certified_minimizer(problem, zones)[1][0]:
+            return k
+    return len(experiment._ZONE_STAGES)

@@ -321,6 +321,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(f"got ['{variants[1]}']")):
             dataclasses.replace(EXP2, variants=variants)
 
+    def test_variants_must_be_distinct(self):
+        # Runs are keyed by variant name, so a repeat would run again only to be thrown away
+        with pytest.raises(ValueError, match=re.escape("got ['dr-main-fg'] more than once")):
+            dataclasses.replace(EXP2, variants=("dr-main-fg", "dr-shift-fg", "dr-main-fg"))
+
     def test_report_deterministic_under_master_seed(self):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=150, reference_iters=1500)
         a = run_experiment(spec, master_seed=5).to_json_dict()

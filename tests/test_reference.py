@@ -3,9 +3,10 @@
 ``experiment._certified_minimizer`` reads each row's zones of the firm
 penalty (dead, middle band, identity) and signs off an approximate
 minimizer, solves the zone system on the support and certifies the result
-by the zone inequalities.  ``_solve`` takes the zones from a ZONE_STEPS-step
-dr-main-fg run and gives a row the certificate rejects the ISTA reference
-of ``spec.reference_iters`` iterations instead.
+by the zone inequalities.  ``_solve`` takes the zones from a dr-main-fg run
+of at most ZONE_STEPS steps (its stages are checked in test_zone_stages.py)
+and gives a row the certificate rejects the ISTA reference of
+``spec.reference_iters`` iterations instead.
 """
 
 import dataclasses
@@ -95,10 +96,15 @@ def test_block_certificate_equals_the_per_row_ones(exp2_block):
 def test_forced_fallback_rows_get_the_ista_reference_bit_for_bit(monkeypatch):
     spec = dataclasses.replace(EXP2, n_seeds=4, reference_iters=2000)
     certify, references = experiment._certified_minimizer, []
+    instances = [build_instance(spec, seed) for seed in derive_seeds(1, 4)]
+    # Rows are rejected by their data, not their place in a call: a later
+    # zone stage holds only the rows still open, so seeds 1 and 3 are its
+    # rows 0 and 1.
+    rejected = {instances[b].penalty.tau for b in (1, 3)}
 
     def reject_rows_1_and_3(problem, x):
         x_star, ok = certify(problem, x)
-        return x_star, ok & np.array([b not in (1, 3) for b in range(len(x))])
+        return x_star, ok & np.array([tau not in rejected for tau in problem.penalty.tau[:, 0].tolist()])
 
     def recorded_run(problem, config):
         if config.variant == "ista" and config.record_reference is not None:
@@ -110,7 +116,6 @@ def test_forced_fallback_rows_get_the_ista_reference_bit_for_bit(monkeypatch):
     report = run_experiment(spec, master_seed=1)
     assert [r.reference for r in report.results] == ["kkt", "ista", "kkt", "ista"]
     (x_ref,) = references
-    instances = [build_instance(spec, seed) for seed in derive_seeds(1, 4)]
     zone_run = SolverConfig("dr-main-fg", max_iters=experiment.ZONE_STEPS, audit=False)
     zones = run(block_problem(instances), zone_run).final_x
     x_star, _ = certify(block_problem(instances), zones)

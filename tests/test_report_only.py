@@ -6,7 +6,8 @@ per run, which ``run`` takes on the run's final points by one stacked
 audited) must equal, bit for bit, the one written with an out_dir (every
 traced run audited).  ``Problem`` is wrapped to count the calls: without an
 out_dir there is no fixed-point residual, and each cost call takes one row
-per seed its block solved, for the zone run as well as the traced runs.
+per seed its run solved: every seed's row in ISTA and each DR variant, and
+in each zone stage up to the one that certifies it.
 """
 
 import dataclasses
@@ -17,6 +18,8 @@ import pytest
 
 from drsplit import EXP1, EXP2, experiment, run_experiment, solver
 from drsplit.experiment import derive_seeds
+
+from oracles import zone_stage
 
 
 def counted_report(spec, master_seed, out_dir, monkeypatch):
@@ -56,8 +59,9 @@ def check_report_only(spec, master_seed, tmp_path, monkeypatch):
     assert audited_residuals and len(audited_costs) > len(costs)
     assert not residuals
     assert all(x_shape == own for x_shape, own in costs)
-    solved = sum(r["failed"] is None for r in report["seeds"])
-    assert sum(x_shape[0] for x_shape, _ in costs) == (2 + len(spec.variants)) * solved
+    solved = [r["seed"] for r in report["seeds"] if r["failed"] is None]
+    references = sum(1 + zone_stage(experiment.build_instance(spec, seed)) for seed in solved)
+    assert sum(x_shape[0] for x_shape, _ in costs) == (1 + len(spec.variants)) * len(solved) + references
     return report, runs
 
 
