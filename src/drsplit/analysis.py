@@ -155,23 +155,6 @@ def _sampled_lipschitz(operator, draw, n_pairs: int, seed: int = 0) -> float:
     return worst
 
 
-def _point_by_point(sampler):
-    """The block draw of ``_sampled_lipschitz`` that calls ``sampler(rng)``
-    once per point, in order."""
-
-    def draw(rng, count: int):
-        first = np.asarray(sampler(rng), dtype=float)
-        if first.ndim == 0:
-            raise ValueError(f"sampler returned shape {first.shape}; a point needs at least one dimension")
-        points = np.empty((count, *first.shape))
-        points[0] = first
-        for i in range(1, count):
-            points[i] = sampler(rng)
-        return points
-
-    return draw
-
-
 def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float:
     """Largest sampled ratio ||Op(x) - Op(y)|| / ||x - y|| over n_pairs draws.
 
@@ -190,7 +173,18 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
     for its four vector checks and runs the same engine on its scalar check,
     whose points it draws one block at a time.
     """
-    return _sampled_lipschitz(operator, _point_by_point(sampler), n_pairs, seed)
+
+    def draw(rng, count: int):
+        first = np.asarray(sampler(rng), dtype=float)
+        if first.ndim == 0:
+            raise ValueError(f"sampler returned shape {first.shape}; a point needs at least one dimension")
+        points = np.empty((count, *first.shape))
+        points[0] = first
+        for i in range(1, count):
+            points[i] = sampler(rng)
+        return points
+
+    return _sampled_lipschitz(operator, draw, n_pairs, seed)
 
 
 def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
@@ -202,21 +196,23 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     checks = []
     instance_seed = experiment.derive_seeds(seed, 1)[0]
 
-    inst1 = experiment.build_instance(experiment.EXP1, seed=instance_seed)
-    prob1 = inst1.problem()
-    _, sigma1 = inst1.operator.gram_extremes()
-    dim1, radius1 = prob1.dim, 3.0 * inst1.penalty.tau / inst1.penalty.rho
+    def stock(spec):
+        """spec's problem, (s, sigma), sampling radius and vector sampler: a
+        standard normal vector times a uniform factor in [0, radius)."""
+        inst = experiment.build_instance(spec, seed=instance_seed)
+        prob, radius = inst.problem(), 3.0 * inst.penalty.tau / inst.penalty.rho
+        dim = prob.dim
+        return prob, inst.operator.gram_extremes(), radius, lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius)
+
+    prob1, (_, sigma1), _, sample1 = stock(experiment.EXP1)
     for variant in ("dr-main-fg", "dr-main-gf"):
         op = solver.double_reflection(prob1, solver.step_bound(variant, sigma1, prob1.rho), variant)
-        emp = empirical_lipschitz(op, lambda rng: rng.normal(size=dim1) * rng.uniform(0.0, radius1), pairs, seed)
+        emp = empirical_lipschitz(op, sample1, pairs, seed)
         checks.append((f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1"))
 
-    inst2 = experiment.build_instance(experiment.EXP2, seed=instance_seed)
-    prob2 = inst2.problem()
-    s2, sigma2 = inst2.operator.gram_extremes()
-    penalty, rho2 = inst2.penalty, prob2.rho
+    prob2, (s2, sigma2), radius2, sample2 = stock(experiment.EXP2)
+    penalty, rho2 = prob2.penalty, prob2.rho
     alpha_t = 1.0 / math.sqrt(sigma2 * s2)
-    dim2, radius2 = prob2.dim, 3.0 * penalty.tau / penalty.rho
     weak = lambda t: solver.reflect(penalty.prox, t, alpha_t)
     # One uniform call per block draws the bits of one size=1 call per point.
     scalar_draw = lambda rng, count: rng.uniform(-radius2, radius2, size=(count, 1))
@@ -231,7 +227,7 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
         ("shifted rate dominates", "dr-shift-fg", 1.0 / s2, contraction_rate_shift(1.0 / s2, s2, rho2, sigma2)),
     ):
         op = solver.double_reflection(prob2, alpha, variant)
-        emp = empirical_lipschitz(op, lambda rng: rng.normal(size=dim2) * rng.uniform(0.0, radius2), pairs, seed)
+        emp = empirical_lipschitz(op, sample2, pairs, seed)
         checks.append((name, emp <= rate + 1e-9, f"empirical={emp:.12f} rate={rate:.12f}"))
     return checks
 

@@ -88,6 +88,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if args.sigma < args.s:
+        raise argparse.ArgumentTypeError(f"rates needs --sigma >= --s, got --sigma {args.sigma} and --s {args.s}")
     alpha_max = args.alpha_max if args.alpha_max is not None else 1.0 / args.s
     alphas = np.linspace(alpha_max / args.steps, alpha_max, args.steps)
     rows = analysis.rate_table(args.s, args.sigma, args.rho, alphas)
@@ -148,13 +150,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "rates" and args.sigma < args.s:
-        parser.error(f"rates needs --sigma >= --s, got --sigma {args.sigma} and --s {args.s}")
     try:
         return args.func(args)
-    except (StepSizeError, NonConvexShiftError, argparse.ArgumentTypeError) as exc:  # checks that need the loaded instance
+    except (StepSizeError, NonConvexShiftError, argparse.ArgumentTypeError) as exc:  # checks made after parsing
         parser.error(str(exc))
-    except (DivergenceError, OSError) as exc:  # a diverged run, or an output path not writable
+    except (DivergenceError, OSError, MemoryError) as exc:  # a diverged run, an output path not writable, or no memory
         print(f"drsplit {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -170,6 +170,8 @@ class ExperimentSpec:
     reference_iters: int = 10000
 
     def __post_init__(self):
+        if not self.variants:
+            raise ValueError("variants must name at least one DR variant")
         if bad := [v for v in self.variants if v not in DR_VARIANTS]:
             raise ValueError(f"variants must be DR variants {DR_VARIANTS}, got {bad}")
         if repeated := sorted({v for v in self.variants if self.variants.count(v) > 1}):
@@ -257,7 +259,7 @@ def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
     """Assemble one seeded instance of the experiment recipe (deterministic in
     seed).  Every seed of the spec shares the one operator of its filter."""
     taps = tuple(float(t) for t in design_filter(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol))
-    operator = _filter_operator(_taps_key(taps), spec.signal_len)
+    operator = _operator(spec)
     s, _ = operator.gram_extremes()
     rng = np.random.default_rng(seed)
     x = generate_sparse_signal(spec.signal_len, spec.sparsity, rng)

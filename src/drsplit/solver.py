@@ -144,7 +144,7 @@ def step_bound(variant: str, sigma, rho: float) -> float:
             raise ValueError(f"ista needs sigma > 0, got sigma={sigma}")
         return 1.0 / sigma
     if not sigma >= rho:
-        raise ValueError(f"need sigma >= rho >= 0, got sigma={sigma}, rho={rho}")
+        raise StepSizeError(f"need sigma >= rho >= 0, got sigma={sigma}, rho={rho}")
     return math.inf if rho == 0 else 1.0 / math.sqrt(sigma * rho)
 
 
@@ -308,6 +308,9 @@ class IterationTrace:
     stop_reason: str | np.ndarray
     row_iters: np.ndarray | None = None
 
+    # The per-iterate columns, in CSV order after ``iter``.
+    COLUMNS = ("cost", "step_norm", "fp_residual", "dist_to_ref")
+
     @property
     def converged(self) -> bool | np.ndarray:
         return self.stop_reason == "tol"
@@ -332,10 +335,7 @@ class IterationTrace:
             replace(
                 self,
                 config=self.config if ref is None else replace(self.config, record_reference=ref[b]),
-                cost=self.cost[: k + 1, b],
-                step_norm=self.step_norm[: k + 1, b],
-                fp_residual=self.fp_residual[: k + 1, b],
-                dist_to_ref=self.dist_to_ref[: k + 1, b],
+                **{name: getattr(self, name)[: k + 1, b] for name in self.COLUMNS},
                 final_x=self.final_x[b],
                 final_z=self.final_z[b],
                 final_cost=float(self.final_cost[b]),
@@ -357,12 +357,11 @@ class IterationTrace:
 
     def to_csv(self, path) -> None:
         self._require_single("to_csv")
-        columns = (self.iterations, self.cost, self.step_norm, self.fp_residual, self.dist_to_ref)
+        columns = [self.iterations, *(getattr(self, name) for name in self.COLUMNS)]
+        line = ",".join(["{}", *["{:.17g}"] * len(self.COLUMNS)]) + "\n"
         with open(path, "w") as fh:
-            fh.write("iter,cost,step_norm,fp_residual,dist_to_ref\n")
-            fh.writelines(
-                f"{i},{c:.17g},{s:.17g},{r:.17g},{d:.17g}\n" for i, c, s, r, d in zip(*(a.tolist() for a in columns))
-            )
+            fh.write(",".join(["iter", *self.COLUMNS]) + "\n")
+            fh.writelines(line.format(*row) for row in zip(*(a.tolist() for a in columns)))
 
     def to_json_dict(self) -> dict:
         """Config and outcome as strict JSON: a non-finite final cost (an indicator's inf) is null."""
@@ -534,17 +533,15 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     # A row that stopped before the loop ended repeats its last row, with no
     # step norm (it took no step).
     end = n + 1
-    recorded = [col for col in (step_norm, cost, fp_residual, dist_to_ref) if col is not unrecorded]
+    columns = dict(zip(IterationTrace.COLUMNS, (cost, step_norm, fp_residual, dist_to_ref)))
+    recorded = [col for col in columns.values() if col is not unrecorded]
     for b, last in enumerate(np.atleast_1d(row_iters).tolist()):
         for col in recorded if last + 1 < end else ():
             c = col.reshape(len(col), -1)[:, b]  # row b's column, a view
             c[last + 1 : end] = math.nan if col is step_norm else c[last]
     return IterationTrace(
         config=config,
-        cost=cost[:end],
-        step_norm=step_norm[:end],
-        fp_residual=fp_residual[:end],
-        dist_to_ref=dist_to_ref[:end],
+        **{name: col[:end] for name, col in columns.items()},
         final_x=final_x,
         final_z=final_z,
         final_cost=whole.cost(final_x) if lead else float(whole.cost(final_x)),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from drsplit import EXP1, EXP2, VARIANTS, FirmPenalty, Problem, build_instance, cli
@@ -148,6 +149,44 @@ def test_solve_rejects_gate_violation(tmp_path, capsys):
     assert stop.value.code == 2
     message = f"alpha = {alpha:.6g} violates the strict bound {1.0 / inst.penalty.rho:.6g} of dr-shift-fg"
     assert f"drsplit: error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_rejects_rho_above_sigma_in_one_line(variant, tmp_path, capsys):
+    inst = build_instance(EXP2, seed=4)
+    assert inst.operator.gram_extremes()[1] < 5.0
+    instance_path = tmp_path / "instance.json"
+    dataclasses.replace(inst, penalty=FirmPenalty(inst.penalty.tau, 5.0)).save(instance_path)
+
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--instance", str(instance_path), "--variant", variant])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: drsplit ") and error.startswith("drsplit: error: ")
+
+
+def test_solve_reports_no_memory_for_the_trace_in_one_line(tmp_path, capsys, monkeypatch):
+    # run() allocates its trace columns at max_iters + 1 rows up front.  Only
+    # the huge column fails, and it is never allocated for real, so the
+    # outcome does not depend on how the host overcommits memory.
+    instance_path = tmp_path / "instance.json"
+    build_instance(EXP2, seed=4).save(instance_path)
+    empty = np.empty
+
+    def empty_or_out_of_memory(shape, *args, **kwargs):
+        if np.prod(shape) > 10**8:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty_or_out_of_memory)
+    argv = ["solve", "--instance", str(instance_path), "--variant", "dr-main-fg", "--tol", "1e-9"]
+    assert main([*argv, "--iters", "2000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "drsplit solve: Unable to allocate an array with shape (2000000001,)\n"
+    assert main([*argv, "--iters", "2000"]) == 0
 
 
 def test_solve_rejects_nonconvex_shift(tmp_path, capsys):

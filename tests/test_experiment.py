@@ -326,6 +326,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape("got ['dr-main-fg'] more than once")):
             dataclasses.replace(EXP2, variants=("dr-main-fg", "dr-shift-fg", "dr-main-fg"))
 
+    def test_variants_must_not_be_empty(self):
+        # With no DR run, dr_beats_ista_every_seed would hold vacuously
+        with pytest.raises(ValueError, match="variants must name at least one DR variant"):
+            dataclasses.replace(EXP2, variants=())
+
     def test_report_deterministic_under_master_seed(self):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=150, reference_iters=1500)
         a = run_experiment(spec, master_seed=5).to_json_dict()
