@@ -7,16 +7,8 @@ the package ships closed-form contraction-rate calculators with empirical
 validation, and a sparse-deconvolution benchmark harness with a CLI.
 """
 
-from .analysis import (
-    contraction_rate_main,
-    contraction_rate_shift,
-    empirical_lipschitz,
-    min_rate_main,
-    rate_table,
-    reflection_bound_smooth,
-    reflection_bound_weak,
-    shift_rate_floor,
-)
+import importlib
+
 from .errors import (
     BoundInapplicableError,
     DivergenceError,
@@ -55,6 +47,26 @@ from .solver import (
     run,
     step_bound,
 )
+
+# The rate calculators load with ``analysis`` on first use, which solving
+# and the experiments never need.
+_ANALYSIS = (
+    "contraction_rate_main",
+    "contraction_rate_shift",
+    "empirical_lipschitz",
+    "min_rate_main",
+    "rate_table",
+    "reflection_bound_smooth",
+    "reflection_bound_weak",
+    "shift_rate_floor",
+)
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS:
+        return getattr(importlib.import_module(".analysis", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundInapplicableError",

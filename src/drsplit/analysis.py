@@ -198,11 +198,16 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
 
     def stock(spec):
         """spec's problem, (s, sigma), sampling radius and vector sampler: a
-        standard normal vector times a uniform factor in [0, radius)."""
+        standard normal vector times a uniform factor in [0, radius).  It
+        draws them with ``standard_normal`` and ``random``: numpy computes
+        ``normal(size=dim)`` and ``uniform(0.0, radius)`` as 0.0 + 1.0 * z and
+        0.0 + radius * u from the same stream, so these give their bits
+        without the cost of broadcasting loc and scale."""
         inst = experiment.build_instance(spec, seed=instance_seed)
         prob, radius = inst.problem(), 3.0 * inst.penalty.tau / inst.penalty.rho
         dim = prob.dim
-        return prob, inst.operator.gram_extremes(), radius, lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius)
+        sample = lambda rng: rng.standard_normal(dim) * (radius * rng.random())
+        return prob, inst.operator.gram_extremes(), radius, sample
 
     prob1, (_, sigma1), _, sample1 = stock(experiment.EXP1)
     for variant in ("dr-main-fg", "dr-main-gf"):

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, experiment, solver
+from . import experiment, solver
 from .errors import DivergenceError, NonConvexShiftError, StepSizeError
 
 
@@ -88,6 +88,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from . import analysis  # only rates and certify load it
+
     if args.sigma < args.s:
         raise argparse.ArgumentTypeError(f"rates needs --sigma >= --s, got --sigma {args.sigma} and --s {args.s}")
     alpha_max = args.alpha_max if args.alpha_max is not None else 1.0 / args.s
@@ -99,6 +101,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import analysis
+
     checks = analysis.certify(args.pairs, args.seed)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

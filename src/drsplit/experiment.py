@@ -19,12 +19,14 @@ distance and trace CSV end at that threshold-crossing row.  The report reads onl
 final cost ``run`` takes on each run's final point, so the traced runs audit
 each iterate's cost and fixed-point residual only when their CSVs are written.
 
-Every instance of one filter, designed or loaded, shares one cached
-``LinearMap`` H, so HᵀH and (s, sigma) are computed once per process; the
-seeds of one spec differ only in y and tau.  So
-``run_experiment`` solves up to BLOCK_SEEDS seeds at a time as one block
-problem (``block_problem``) through the same ``solver.run``, and each seed's
-numbers and files are byte-identical to those of a run on that seed alone.
+The stock specs' filter decays are pinned (``_STOCK_DECAYS``), so only
+other designs bisect.  Every instance of one filter, designed or loaded,
+shares one cached ``LinearMap`` H, so HᵀH and (s, sigma) are computed once
+per process; the seeds of one spec differ only in y and tau.  So
+``run_experiment`` solves up to BLOCK_SEEDS (20, a default run) seeds at a
+time as one block problem (``block_problem``) through the same
+``solver.run``, and each seed's numbers and files are byte-identical to
+those of a run on that seed alone.
 A block that diverges is solved again as one-seed blocks, so one bad seed
 fails alone.  A seed's files are written once its block has finished, and a
 failed seed writes none.
@@ -51,16 +53,18 @@ from .solver import DR_VARIANTS, Problem, SolverConfig, default_alpha, run
 
 logger = logging.getLogger(__name__)
 
-# Most seeds solved as one block.  A block run's trace columns hold a row per
-# iteration for each of its seeds, kept until the block has written its
-# seeds' files; the unaudited zone runs write columns of at most ZONE_STEPS
-# rows (8 B per row and seed) and the traced runs only the rows up to their
-# threshold crossing.  A fresh process running run_experiment at 20 seeds into an
-# out_dir peaked at 44.2-44.3 MB at one seed per block, 43.2-44.2 MB at 10
-# and 43.3-44.1 MB at 20 (stock specs, OPENBLAS_NUM_THREADS=1, x86-64).
-# run()'s audit calls take at most linalg.STACK_POINTS points, so their
-# temporaries do not grow with the block.
-BLOCK_SEEDS = 10
+# Most seeds solved as one block, so that a default 20-seed run is one block.
+# A block step costs about the same at 10 or 20 rows, since call overhead
+# dominates, and memory does not grow with the block.  A block run's trace
+# columns hold a row per iteration for each of its seeds, kept until the
+# block has written its seeds' files; the unaudited zone runs write columns
+# of at most ZONE_STEPS rows (8 B per row and seed) and the traced runs only
+# the rows up to their threshold crossing.  A fresh process running
+# run_experiment at 20 seeds into an out_dir peaked at 44.2-44.3 MB at one
+# seed per block, 43.2-44.2 MB at 10 and 43.3-44.1 MB at 20 (stock specs,
+# OPENBLAS_NUM_THREADS=1, x86-64).  run()'s audit calls take at most
+# linalg.STACK_POINTS points, so their temporaries do not grow either.
+BLOCK_SEEDS = 20
 
 # The zone run: dr-main-fg steps from z0 = 0 whose final point gives each
 # seed's zones; the fg order extracts x = prox_g(z), so a dead coordinate is
@@ -106,9 +110,27 @@ def _condition_ratio(a: float, length: int, signal_len: int) -> float:
     return sigma / s
 
 
+# The bisected decays of the two stock designs (EXP1, EXP2), keyed as
+# _design_filter_cached is, so building a stock instance bisects nothing.  A
+# test reruns _bisect_decay on both keys and requires the same floats.
+_STOCK_DECAYS = {
+    (15.96, 31, 90, 0.02): 0.6012085937499999,
+    (5.44, 31, 90, 0.02): 0.4008390625,
+}
+
+
 @lru_cache(maxsize=None)
 def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol: float) -> tuple[float, ...]:
-    """The bisected taps of one filter design."""
+    """The taps of one filter design: its decay from _STOCK_DECAYS, or bisected."""
+    decay = _STOCK_DECAYS.get((target_ratio, length, signal_len, tol))
+    if decay is None:
+        decay = _bisect_decay(target_ratio, length, signal_len, tol)
+    return tuple(float(t) for t in decay ** np.arange(length))
+
+
+def _bisect_decay(target_ratio: float, length: int, signal_len: int, tol: float) -> float:
+    """The decay a whose geometric filter's Gram condition ratio is within
+    tol of target_ratio, by bisection on [1e-4, 0.95]."""
     if target_ratio <= 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     lo, hi = 1e-4, 0.95
@@ -123,7 +145,7 @@ def _design_filter_cached(target_ratio: float, length: int, signal_len: int, tol
         mid = 0.5 * (lo + hi)
         r = _condition_ratio(mid, length, signal_len)
         if abs(r - target_ratio) <= tol * target_ratio:
-            return tuple(float(t) for t in mid ** np.arange(length))
+            return mid
         if r < target_ratio:
             lo = mid
         else:

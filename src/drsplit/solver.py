@@ -150,14 +150,17 @@ def step_bound(variant: str, sigma, rho: float) -> float:
 
 def check_step(variant: str, alpha: float, sigma, rho: float, s=None) -> None:
     """Raise StepSizeError unless 0 < alpha and alpha <= step_bound (dr-main,
-    ista) or alpha * rho < 1, strict (dr-shift).  A passing dr-shift alpha then
-    goes through ``check_prox_step`` for its rho <= s test, which raises
-    NonConvexShiftError when rho exceeds a given s."""
+    ista) or alpha * rho < 1, strict (dr-shift).  ista's prox step also needs
+    alpha * rho < 1, which its bound 1/sigma leaves open when rho >= sigma.  A
+    passing dr-shift alpha then goes through ``check_prox_step`` for its
+    rho <= s test, which raises NonConvexShiftError when rho exceeds a given s."""
     bound = step_bound(variant, sigma, rho)
     shifted = variant != "ista" and DR_TABLE[variant][1]
     if not (0 < alpha and (alpha * rho < 1.0 if shifted else alpha <= bound)):
         kind = "strict bound" if shifted else "bound"
         raise StepSizeError(f"alpha = {alpha:.6g} violates the {kind} {bound:.6g} of {variant}")
+    if variant == "ista" and not alpha * rho < 1.0:
+        raise StepSizeError(f"ista needs alpha * rho < 1 for its prox step, got alpha * rho = {alpha * rho:.6g}")
     if shifted:
         check_prox_step(alpha, rho, s)
 

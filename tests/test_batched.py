@@ -25,6 +25,9 @@ from drsplit import EXP1, EXP2, VARIANTS, DivergenceError, SolverConfig, experim
 from drsplit.experiment import SeedResult, block_problem, derive_seeds, run_experiment
 
 SPECS = {"exp1": EXP1, "exp2": EXP2}
+# A block size that holds all three seeds of the run_experiment tests below,
+# as the default BLOCK_SEEDS does; 2 and 1 split them.
+WHOLE = 10
 
 
 def csv_bytes(trace, path) -> bytes:
@@ -189,7 +192,7 @@ def tree(path) -> dict:
     return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 2, 1])
+@pytest.mark.parametrize("block_seeds", [WHOLE, 2, 1])
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_run_experiment_matches_single_seed_loop(name, block_seeds, tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", block_seeds)
@@ -204,7 +207,7 @@ def test_run_experiment_matches_single_seed_loop(name, block_seeds, tmp_path, mo
 
 
 # At one seed per block the fallback path solves every seed.
-@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
+@pytest.mark.parametrize("block_seeds", [WHOLE, 1])
 def test_diverging_seed_is_named_and_counted(block_seeds, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", block_seeds)
     spec = dataclasses.replace(EXP2, n_seeds=3, max_iters=200, reference_iters=600)
@@ -264,7 +267,7 @@ def diverge_late(block_seeds, diverging, tmp_path, monkeypatch, out_dir):
 
 
 @pytest.mark.parametrize("diverging", list(DIVERGING_RUN))
-@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
+@pytest.mark.parametrize("block_seeds", [WHOLE, 1])
 def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, diverging, tmp_path, monkeypatch):
     # A block writes its seeds' files only once all its runs have ended, so
     # a divergence in any run, the last DR run too, leaves the seed no files.
@@ -277,7 +280,7 @@ def test_seed_diverging_in_a_late_run_leaves_no_files(block_seeds, diverging, tm
 
 
 @pytest.mark.parametrize("diverging", list(DIVERGING_RUN))
-@pytest.mark.parametrize("block_seeds", [experiment.BLOCK_SEEDS, 1])
+@pytest.mark.parametrize("block_seeds", [WHOLE, 1])
 def test_seed_diverging_in_a_late_unaudited_run_fails_alone(block_seeds, diverging, tmp_path, monkeypatch):
     # Without an out_dir no run is audited; the other seeds' results are
     # still those of the clean, audited run.

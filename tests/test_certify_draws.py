@@ -4,10 +4,13 @@
 k <= ``rows_per_call(2)`` pairs (48).  ``certify`` draws its scalar points
 with one ``uniform`` call of ``size=(2k, 1)`` per block, which consumes the
 stream of 2k calls of ``size=1``, and passes ``empirical_lipschitz`` a
-sampler of one interleaved ``normal * uniform`` vector point at a time.
+sampler of one vector point at a time, ``standard_normal(n) * (r *
+random())``: its normal and uniform draws interleave in the stream.
 With either draw the engine must equal (``==``) the public function with the
-matching per-point sampler.  A draw of the wrong shape must be named, the
-engine must ask for exactly two points per pair, and certify's
+matching per-point sampler.  The vector draw must give the bits of
+``normal(size=n) * uniform(0.0, r)``, which numpy computes as 0.0 + 1.0 * z
+and 0.0 + r * u from the same stream.  A draw of the wrong shape must be
+named, the engine must ask for exactly two points per pair, and certify's
 weak-reflection check must make one draw per block, counted on its
 generator.
 """
@@ -64,6 +67,17 @@ def test_vector_block_draw_matches_per_point_sampler(exp2_setup, exp2_problem, n
         assert _sampled_lipschitz(op, block, n_pairs, seed) == empirical_lipschitz(op, point, n_pairs, seed)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_plain_vector_draw_has_the_bits_of_normal_times_uniform(seed):
+    plain, broadcast = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (1, 2, 90, 120):
+        for r in (1e-3, 0.5, 1.0, 3.0, 37.25):
+            for _ in range(20):
+                got = plain.standard_normal(n) * (r * plain.random())
+                want = broadcast.normal(size=n) * broadcast.uniform(0.0, r)
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(19, 3), (21, 3), (20,), ()])
 def test_draw_of_the_wrong_shape_is_named(shape):
     # Ten pairs are one block of 20 points.
@@ -114,8 +128,9 @@ def test_certify_draws_weak_reflection_points_once_per_block(pairs, monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     checks = analysis.certify(pairs, seed=0)
     assert [ok for _, ok, _ in checks] == [True] * 5
-    # The weak reflection's generator is the only one that draws no normals.
-    (weak,) = [g for g in made if not g.calls["normal"]]
+    # The instances' generators draw the noise with normal, the vector checks'
+    # with standard_normal: the weak reflection's is the only one with neither.
+    (weak,) = [g for g in made if not g.calls["normal"] and not g.calls["standard_normal"]]
     assert weak.calls == {"uniform": math.ceil(max(pairs, 10000) / K)}
 
 

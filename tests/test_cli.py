@@ -165,6 +165,8 @@ def test_solve_rejects_rho_above_sigma_in_one_line(variant, tmp_path, capsys):
     assert captured.out == ""
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: drsplit ") and error.startswith("drsplit: error: ")
+    if variant == "ista":
+        assert "ista" in error
 
 
 def test_solve_reports_no_memory_for_the_trace_in_one_line(tmp_path, capsys, monkeypatch):

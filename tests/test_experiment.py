@@ -89,6 +89,14 @@ class TestFilterDesign:
         assert abs(sigma / s - target) <= 0.02 * target
         assert taps.shape == (31,)
 
+    @pytest.mark.parametrize("key", sorted(experiment._STOCK_DECAYS))
+    def test_pinned_stock_decay_is_the_bisected_one(self, key):
+        assert experiment._bisect_decay(*key).hex() == experiment._STOCK_DECAYS[key].hex()
+
+    def test_stock_specs_use_the_pinned_decays(self):
+        keys = {(spec.target_ratio, spec.filter_len, spec.signal_len, spec.ratio_tol) for spec in (EXP1, EXP2)}
+        assert keys == set(experiment._STOCK_DECAYS)
+
     def test_unreachable_target(self):
         with pytest.raises(FilterDesignError):
             design_filter(1e9, 31, 90)

@@ -1,7 +1,8 @@
 """drsplit loads scipy's LAPACK extension alone and never imports scipy.linalg.
 
-The import checks run in fresh interpreters, since this test session has
-imported scipy.linalg already.  They depend on scipy's file layout, not on
+Nor does it load ``drsplit.analysis`` until a rate calculator or the
+``rates`` or ``certify`` command asks for it.  The import checks run in
+fresh interpreters, since this test session has imported both already.  They depend on scipy's file layout, not on
 the numpy/scipy/BLAS build, so they also run at the minimum versions.
 """
 
@@ -17,13 +18,25 @@ from drsplit import EXP2, build_instance, smooth
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Runs cli.main on argv[2:] and reports its exit code and whether
-# scipy.linalg was imported, as the last line of stderr.
+# scipy.linalg and drsplit.analysis were imported, as the last line of stderr.
 MAIN = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from drsplit import cli
 code = cli.main(sys.argv[2:])
-print(code, "scipy.linalg" in sys.modules, file=sys.stderr)
+print(code, "scipy.linalg" in sys.modules, "drsplit.analysis" in sys.modules, file=sys.stderr)
+"""
+
+# Builds an EXP1 and an EXP2 instance and their problems after a plain
+# import, then resolves one analysis name through the package.
+LAZY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import drsplit
+for spec in (drsplit.EXP1, drsplit.EXP2):
+    drsplit.build_instance(spec, seed=0).problem()
+assert "drsplit.analysis" not in sys.modules
+assert drsplit.empirical_lipschitz is sys.modules["drsplit.analysis"].empirical_lipschitz
 """
 
 # Imports scipy.linalg before or after drsplit (argv[2]) and checks that both
@@ -73,7 +86,11 @@ def test_cli_never_imports_scipy_linalg(command, instance_path, tmp_path):
         "exp2": ["exp2", "--seeds", "1", "--iters", "50", "--out-dir", str(tmp_path / "exp2")],
     }[command]
     report = run_fresh(MAIN, *argv).stderr.splitlines()[-1]
-    assert report == "0 False"
+    assert report == f"0 False {command == 'certify'}"
+
+
+def test_import_and_stock_builds_leave_analysis_unloaded():
+    run_fresh(LAZY)
 
 
 @pytest.mark.parametrize("order", ["before", "after"])
