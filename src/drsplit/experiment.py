@@ -11,13 +11,15 @@ Two stock configurations are provided: ``EXP1`` (ratio 15.96, rho = s) and
 instance with a certified reference minimizer (``_solve``) plus ISTA and
 the configured DR variants at 0.99x their step bounds, and reports
 iterations-to-threshold of the distance to the reference minimizer.  The
-reference solves the firm penalty's zone system, read off a dr-main-fg run
-that stops at the first of 20, 40, 80 or ZONE_STEPS steps where the KKT
-certificate holds.  Each traced run (ISTA and the DR variants) stops at the
-first iterate within the distance threshold, so its final cost, final
-distance and trace CSV end at that threshold-crossing row.  The report reads only the distance column and the
-final cost ``run`` takes on each run's final point, so the traced runs audit
-each iterate's cost and fixed-point residual only when their CSVs are written.
+reference solves the firm penalty's zone system, its zones read by
+``FirmPenalty.zones`` off a dr-main-fg run that stops at the first of 20,
+40, 80 or ZONE_STEPS steps where the KKT certificate holds.  Each traced
+run (ISTA and the DR variants) stops at the first iterate within the
+distance threshold, so its final cost, final distance and trace CSV end
+at that threshold-crossing row.  The report reads only the distance column
+and the final cost ``run`` takes on each run's final point, so the traced
+runs audit each iterate's cost and fixed-point residual only when their
+CSVs are written.
 
 The stock specs' filter decays are pinned (``_STOCK_DECAYS``), so only
 other designs bisect.  Every instance of one filter, designed or loaded,
@@ -198,6 +200,15 @@ class ExperimentSpec:
             raise ValueError(f"variants must be DR variants {DR_VARIANTS}, got {bad}")
         if repeated := sorted({v for v in self.variants if self.variants.count(v) > 1}):
             raise ValueError(f"variants must be distinct, got {repeated} more than once")
+        # The CLI's ranges, checked here so that a bad number names its field
+        # before any run; a NaN fails both.
+        for names, holds, rule in (
+            (("n_seeds", "max_iters", "reference_iters", "dist_threshold"), lambda v: v >= 0, "be >= 0"),
+            (("alpha_fraction", "relaxation"), lambda v: 0 < v < 1, "lie in (0, 1)"),
+        ):
+            for name in names:
+                if not holds(value := getattr(self, name)):
+                    raise ValueError(f"{name} must {rule}, got {value}")
 
 
 EXP1 = ExperimentSpec(target_ratio=15.96, rho_rule=1.0)
@@ -218,10 +229,6 @@ class ProblemInstance:
 
     def problem(self) -> Problem:
         return Problem(QuadraticTerm(self.operator, self.y), self.penalty)
-
-    def condition_ratio(self) -> float:
-        s, sigma = self.operator.gram_extremes()
-        return sigma / s
 
     def to_json_dict(self) -> dict:
         return {
@@ -303,6 +310,8 @@ def build_instance(spec: ExperimentSpec, seed: int) -> ProblemInstance:
 def block_problem(instances) -> Problem:
     """One block problem over instances that share their filter and rho:
     the observations stacked to (B, m), the weights tau to a (B, 1) column."""
+    if not instances:
+        raise ValueError("block_problem needs at least one instance")
     first, taps_key = instances[0], _taps_key(instances[0].filter_taps)
     for inst in instances[1:]:
         if _taps_key(inst.filter_taps) != taps_key or inst.penalty.rho != first.penalty.rho:
@@ -418,25 +427,25 @@ class ExperimentReport:
 
 def _certified_minimizer(problem: Problem, x) -> tuple[np.ndarray, np.ndarray]:
     """(x_star, ok) for each row of a block problem and a (B, n) block x near
-    its minimizers.  Row b's support S and middle band M (0 < |x| < tau/rho)
-    give x_star: on S the solution of (HᵀH - rho diag(M))_SS x_S = (Hᵀy - tau
-    sign(x) M)_S, 0 off S.  ok certifies it: its signs are x's on S, |x_star|
-    < tau/rho holds on S exactly on M, and |Hᵀy - HᵀH x_star| <= tau off S.
-    Such a point is stationary, and a global minimizer when rho <= s.  A
-    singular zone system leaves its row uncertified."""
-    operator, rho = problem.smooth.operator, problem.rho
-    gram, hty = operator.gram(), operator.adjoint_apply(problem.smooth.y)
-    x_star, ok = np.zeros(x.shape), np.zeros(len(x), dtype=bool)
-    for b, (row, tau) in enumerate(zip(x, problem.penalty.tau[:, 0].tolist())):
-        on = row != 0
-        sign, band = np.sign(row[on]), np.abs(row[on]) < tau / rho
+    its minimizers.  ``FirmPenalty.zones`` reads row b's zones off x: its
+    support S (sign != 0) and middle band M (S where band holds).  They give
+    x_star: on S the solution of (HᵀH - rho diag(M))_SS x_S = (Hᵀy - tau
+    sign(x) M)_S, 0 off S.  ok certifies it: x_star has x's zones, and
+    |Hᵀy - HᵀH x_star| <= tau off S.  Such a point is stationary, and a
+    global minimizer when rho <= s.  A singular zone system leaves its row
+    uncertified: x_star stays 0 on S, so its zones are not x's."""
+    smooth, penalty, rho = problem.smooth, problem.penalty, problem.rho
+    gram, hty = smooth.operator.gram(), smooth.operator.adjoint_apply(smooth.y)
+    sign, band = penalty.zones(x)
+    x_star, rhs = np.zeros(x.shape), hty - penalty.tau * sign * band
+    for b, on in enumerate(sign != 0):
         try:
-            x_star[b, on] = np.linalg.solve(gram[np.ix_(on, on)] - rho * np.diag(band), hty[b, on] - tau * sign * band)
+            x_star[b, on] = np.linalg.solve(gram[np.ix_(on, on)] - rho * np.diag(band[b, on]), rhs[b, on])
         except np.linalg.LinAlgError:
             continue
-        x_on, off = x_star[b, on], np.abs(hty[b] - gram @ x_star[b])[~on]
-        ok[b] = (np.sign(x_on) == sign).all() and ((np.abs(x_on) < tau / rho) == band).all() and (off <= tau).all()
-    return x_star, ok
+    star_sign, star_band = penalty.zones(x_star)
+    kkt = (star_sign == sign) & (star_band == band) & ((sign != 0) | (np.abs(smooth.grad(x_star)) <= penalty.tau))
+    return x_star, kkt.all(axis=-1)
 
 
 def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResult, dict]]:

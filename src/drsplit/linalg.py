@@ -49,10 +49,10 @@ def row_norm(v: np.ndarray):
 # flops, is the cost: 16 audit rows took a 58-iteration EXP2 solve from 5.8 to
 # 3.4 ms (96 rows: no slower), and certify(1000, seed) took 0.52-0.91 s at
 # one pair per call and 0.08-0.19 s at 16 to 256.  Temporaries grow with the
-# points and the allocator keeps memory after them: run_experiment at 20
-# seeds (10-seed blocks) into an out_dir peaked at 63.7-65.5 MB at 160 points
-# per audit call and 61.9-63.4 MB at 90.  (2-core x86-64 host,
-# OPENBLAS_NUM_THREADS=1.)
+# points and the allocator keeps memory after them: a fresh process running
+# run_experiment(EXP1) at 20 seeds (one block) into an out_dir peaked at
+# 44.1-44.2 MB at 160 points per call and 43.9-44.2 MB at 96; EXP2 at
+# 43.6-43.7 and 43.4-43.5 MB.  (2-core x86-64 host, OPENBLAS_NUM_THREADS=1.)
 STACK_POINTS = 96
 
 

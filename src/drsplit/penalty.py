@@ -18,7 +18,8 @@ bound (alpha > 0, and alpha * rho < 1 for the firm prox); a NaN fails it.
 Every operation is elementwise, so it also acts on a (B, n) block of points,
 or any (..., n) stack of them, row by row; ``value`` then returns one total
 per row.  ``FirmPenalty`` takes its weight tau as a scalar or as a (B, 1)
-column, one weight per row; ``take(rows)`` cuts a column to some of its rows.
+column, one weight per row; ``take(rows)`` cuts a column to some of its rows,
+and ``zones(x)`` reads which of its three zones each coordinate of x lies in.
 """
 
 from __future__ import annotations
@@ -109,6 +110,15 @@ class FirmPenalty(SeparablePenalty):
         a = np.abs(x)
         middle = np.sign(x) * (a - alpha * self.tau) / (1.0 - alpha * self.rho)
         return np.where(a < alpha * self.tau, 0.0, np.where(a < self.tau / self.rho, middle, x))
+
+    def zones(self, x):
+        """(sign, band) of each coordinate of a point, a stack or a (B, n)
+        block x: its sign, 0 in the dead zone (x = 0), and whether |x| <
+        tau/rho, which holds in the dead zone and the middle band and fails
+        in the identity zone.  A (B, 1) column tau gives each row its own
+        threshold."""
+        x = np.asarray(x, dtype=float)
+        return np.sign(x), np.abs(x) < self.tau / self.rho
 
     def __repr__(self):
         return f"FirmPenalty(tau={self.tau!r}, rho={self.rho!r})"

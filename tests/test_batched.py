@@ -130,6 +130,11 @@ def test_block_problem_rejects_foreign_filter():
         block_problem([experiment.build_instance(EXP1, 1), experiment.build_instance(EXP2, 2)])
 
 
+def test_block_problem_rejects_an_empty_block():
+    with pytest.raises(ValueError, match="needs at least one instance"):
+        block_problem([])
+
+
 def single_seed_experiment(spec, master_seed, out_path):
     """The per-seed loop run_experiment ran before seeds were blocked, with
     runs that stop at the distance threshold and the reference it now takes:

@@ -128,8 +128,8 @@ class TestBuildInstance:
 
     def test_condition_ratio_within_spec(self):
         for spec in (EXP1, EXP2):
-            inst = build_instance(spec, seed=3)
-            assert abs(inst.condition_ratio() - spec.target_ratio) <= spec.ratio_tol * spec.target_ratio
+            s, sigma = build_instance(spec, seed=3).operator.gram_extremes()
+            assert abs(sigma / s - spec.target_ratio) <= spec.ratio_tol * spec.target_ratio
 
     def test_deterministic(self):
         a = build_instance(EXP2, seed=21)
@@ -338,6 +338,24 @@ class TestRunExperiment:
         # With no DR run, dr_beats_ista_every_seed would hold vacuously
         with pytest.raises(ValueError, match="variants must name at least one DR variant"):
             dataclasses.replace(EXP2, variants=())
+
+    # Each range fails when the spec is built, naming its field, not later in
+    # a run with another field's name or with numpy's message.
+    @pytest.mark.parametrize("name", ["n_seeds", "max_iters", "reference_iters"])
+    def test_counts_must_be_nonnegative(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 0, got -1")):
+            dataclasses.replace(EXP2, **{name: -1})
+
+    @pytest.mark.parametrize("name", ["alpha_fraction", "relaxation"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_fractions_must_lie_in_the_open_unit_interval(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1), got {value}")):
+            dataclasses.replace(EXP2, **{name: value})
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan])
+    def test_dist_threshold_must_be_nonnegative(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"dist_threshold must be >= 0, got {value}")):
+            dataclasses.replace(EXP2, dist_threshold=value)
 
     def test_report_deterministic_under_master_seed(self):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=150, reference_iters=1500)

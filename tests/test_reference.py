@@ -1,12 +1,12 @@
 """The certified reference minimizer of ``run_experiment``.
 
-``experiment._certified_minimizer`` reads each row's zones of the firm
-penalty (dead, middle band, identity) and signs off an approximate
-minimizer, solves the zone system on the support and certifies the result
-by the zone inequalities.  ``_solve`` takes the zones from a dr-main-fg run
-of at most ZONE_STEPS steps (its stages are checked in test_zone_stages.py)
-and gives a row the certificate rejects the ISTA reference of
-``spec.reference_iters`` iterations instead.
+``FirmPenalty.zones`` reads the zones of the firm penalty (dead, middle
+band, identity) off a point or a block.  ``experiment._certified_minimizer``
+reads them off an approximate minimizer, solves the zone system on the
+support and certifies the result by the zone inequalities.  ``_solve``
+takes the zones from a dr-main-fg run of at most ZONE_STEPS steps (its
+stages are checked in test_zone_stages.py) and gives a row the certificate
+rejects the ISTA reference of ``spec.reference_iters`` iterations instead.
 """
 
 import dataclasses
@@ -43,6 +43,40 @@ PERTURBATIONS = {
     "flipped sign": lambda x: x.__setitem__(3, 0.4),
     "identity read as middle band": lambda x: x.__setitem__(4, 1.9),
 }
+
+
+def test_zones_give_each_coordinate_its_sign_and_band():
+    sign, band = FirmPenalty(1.0, 0.5).zones(X_STAR)
+    assert sign.tolist() == [0, 0, 1, -1, 1, -1]
+    assert band.tolist() == [True, True, True, True, False, False]
+
+
+def test_the_band_edge_belongs_to_the_identity_zone():
+    # |x| = tau/rho = 2 is in the identity zone, as in FirmPenalty.prox.
+    below = np.nextafter(2.0, 0.0)
+    sign, band = FirmPenalty(1.0, 0.5).zones([2.0, -2.0, below, -below])
+    assert sign.tolist() == [1, -1, 1, -1]
+    assert band.tolist() == [False, False, True, True]
+
+
+def test_a_tau_column_gives_each_row_its_scalar_zones():
+    taus, x = [0.5, 1.0, 1.5], np.tile([0.0, 0.5, -1.5, 2.5, -3.5], (3, 1))
+    penalty = FirmPenalty(np.array(taus)[:, None], 0.5)
+    sign, band = penalty.zones(x)
+    assert band.tolist() == [
+        [True, True, False, False, False],
+        [True, True, True, False, False],
+        [True, True, True, True, False],
+    ]
+    for b, tau in enumerate(taus):
+        row_sign, row_band = FirmPenalty(tau, 0.5).zones(x[b])
+        assert sign[b].tobytes() == row_sign.tobytes() and band[b].tolist() == row_band.tolist()
+    stack = np.stack([x, -x, 3.0 * x, np.zeros_like(x)])  # (k, B, n)
+    stack_sign, stack_band = penalty.zones(stack)
+    assert stack_sign.shape == stack_band.shape == stack.shape
+    for k, block in enumerate(stack):
+        block_sign, block_band = penalty.zones(block)
+        assert stack_sign[k].tobytes() == block_sign.tobytes() and stack_band[k].tolist() == block_band.tolist()
 
 
 def test_hand_built_zones_give_the_known_minimizer():
@@ -91,6 +125,31 @@ def test_block_certificate_equals_the_per_row_ones(exp2_block):
         # A minimizer is a fixed point of the ISTA map.
         alpha = 1.0 / inst.problem().grad_lipschitz
         assert inst.problem().fixed_point_residual(x_star[b], alpha) <= 1e-13
+
+
+def test_a_mixed_block_certificate_equals_the_per_row_ones(monkeypatch):
+    # EXP1 zones after the first stage's 20 steps certify some rows and not
+    # others.  The last row is a point with one support coordinate, whose
+    # 1x1 zone system np.linalg.solve reports singular, as LAPACK does for
+    # an exactly singular one.
+    instances = [build_instance(EXP1, seed) for seed in derive_seeds(0, 7)]
+    zone_run = SolverConfig("dr-main-fg", max_iters=experiment._ZONE_STAGES[0], audit=False)
+    x = run(block_problem(instances), zone_run).final_x
+    x[-1] = np.eye(1, x.shape[1])
+    solve = np.linalg.solve
+
+    def singular_if_1x1(a, b):
+        if a.shape == (1, 1):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_if_1x1)
+    x_star, ok = experiment._certified_minimizer(block_problem(instances), x)
+    assert ok[:-1].any() and not ok[:-1].all()
+    assert not ok[-1] and not x_star[-1].any()
+    for b, inst in enumerate(instances):
+        row, row_ok = experiment._certified_minimizer(block_problem([inst]), x[b : b + 1])
+        assert row_ok.tolist() == [ok[b]] and row[0].tobytes() == x_star[b].tobytes()
 
 
 def test_forced_fallback_rows_get_the_ista_reference_bit_for_bit(monkeypatch):
