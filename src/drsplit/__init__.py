@@ -12,7 +12,6 @@ import importlib
 from .errors import (
     BoundInapplicableError,
     DivergenceError,
-    FactorizationError,
     FilterDesignError,
     InvalidFilterError,
     NonConvexShiftError,
@@ -75,7 +74,6 @@ __all__ = [
     "EXP2",
     "ExperimentReport",
     "ExperimentSpec",
-    "FactorizationError",
     "FilterDesignError",
     "FirmPenalty",
     "InvalidFilterError",

@@ -13,10 +13,6 @@ class RankDeficiencyError(DrsplitError, ValueError):
     """Gram matrix is numerically rank deficient; no strong convexity."""
 
 
-class FactorizationError(DrsplitError, ValueError):
-    """A Cholesky solve failed: LAPACK returned a nonzero info."""
-
-
 class StepSizeError(DrsplitError, ValueError):
     """Step size violates the gate of the requested operation or variant."""
 

@@ -457,7 +457,7 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
 
     The reference of a row is ``_certified_minimizer`` of a dr-main-fg zone
     run, made in the stages _ZONE_STAGES: the first on the block problem
-    itself (so the traced dr-main-fg run reuses its Cholesky factor), each
+    itself (so the traced dr-main-fg run reuses its prox matrix), each
     later one, again from z0 = 0, on the ``take`` of the rows no earlier stage
     certified.  A row no stage certifies gets an ISTA run of
     spec.reference_iters steps instead.  A row's zone runs are bit-identical

@@ -12,79 +12,45 @@ valid when alpha, rho and s pass ``errors.check_prox_step``, the step rule
 of every prox and bound: a*rho < 1 and rho <= s; a NaN fails it.
 
 ``QuadraticTerm`` reads s and sigma once, when it is built, and keeps one
-Cholesky factor: that of the last step its prox was called at.  It also
-holds a block of B observations y, shape (B, m), that share one operator H;
-its methods then act on (B, n) blocks of points row by row, with the same
-bits per row as a term built on that row's observation, and ``take(rows)``
-cuts the block to some of its rows, sharing H and the factor.  Its prox calls
-LAPACK ``dpotrs`` on the factor and does not scan its input for non-finite
-values: a NaN in comes back as a NaN out, and ``solver.run`` reports it as
-divergence.
+matrix M = (I + alpha HᵀH)^-1: that of the last step its prox was called at,
+so its prox is the map x -> M (x + alpha Hᵀy) and its reflection 2M - I.  It
+also holds a block of B observations y, shape (B, m), that share one
+operator H; its methods then act on (B, n) blocks of points row by row, with
+the same bits per row as a term built on that row's observation, and
+``take(rows)`` cuts the block to some of its rows, sharing H and M.  Its prox
+does not scan its input for non-finite values: a NaN in comes back as a NaN
+out, and ``solver.run`` reports it as divergence.
 
 ``value`` and ``grad`` also take any (..., n) stack of points, such as the
 iterates that ``solver.run`` audits in one call, and return one result per
 row; so does ``SubspaceConstraint.value``.
-
-The prox needs two LAPACK routines, ``dpotrf`` and ``dpotrs``, and nothing
-else of ``scipy.linalg``, whose import takes about 0.3 s on a 2-core x86-64
-host, most of it in helpers that pull in ``numpy.f2py``, ``numpy.testing``
-and ``numpy.ma``.  So this module imports the ``scipy`` package only, which
-sets up scipy's BLAS, and loads the extension ``scipy/linalg/_flapack``
-under its own name ``scipy.linalg._flapack`` (about 5 ms); a drsplit
-process never imports ``scipy.linalg``.  ``dpotrf`` and ``dpotrs`` here are
-the objects that ``scipy.linalg.lapack`` exports, and ``cho_factor`` keeps
-the checks of scipy's.  A ``scipy.linalg`` imported earlier is reused; one
-imported later reuses the loaded extension and works as usual, except that
-its package then lacks the private attribute ``scipy.linalg._flapack``.
 """
 
 from __future__ import annotations
 
 import copy
-import importlib.machinery
-import importlib.util
-import os
-import sys
 
 import numpy as np
-import scipy
 
-from .errors import FactorizationError, check_prox_step
+from .errors import StepSizeError, check_prox_step
 from .linalg import LinearMap, as_rows, matvec
 
 
-def _load_flapack():
-    """scipy's LAPACK extension module, loaded without ``scipy.linalg``; a
-    missing file raises ImportError naming its path."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = os.path.join(
-        os.path.dirname(scipy.__file__), "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]
-    )
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
-
-
-_flapack = _load_flapack()
-dpotrf = _flapack.dpotrf
-dpotrs = _flapack.dpotrs
-
-
-def cho_factor(a):
-    """(c, lower) for a square matrix a, with the upper Cholesky factor in c's
-    upper triangle, as ``scipy.linalg.cho_factor(a)`` returns it: ValueError
-    on a non-finite entry or a LAPACK argument error, ``np.linalg.LinAlgError``
-    naming the first leading minor that is not positive definite."""
-    c, info = dpotrf(np.asarray_chkfinite(a), lower=0, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"leading minor of order {info} is not positive definite")
-    if info < 0:
-        raise ValueError(f"LAPACK dpotrf rejected its argument {-info}")
-    return c, False
+def prox_matrix(gram: np.ndarray, alpha: float) -> np.ndarray:
+    """M = (I + alpha gram)^-1, symmetric and read-only, for a positive
+    semidefinite gram.  StepSizeError when alpha overflows I + alpha gram,
+    ``np.linalg.LinAlgError`` when it is not positive definite.  For gram =
+    HᵀH, cond(I + alpha gram) = (1 + alpha sigma)/(1 + alpha s) < sigma/s
+    bounds what the explicit inverse loses to rounding."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.eye(gram.shape[0]) + alpha * gram
+    if not np.isfinite(a).all():
+        raise StepSizeError(f"alpha = {alpha:.6g} overflows I + alpha HᵀH")
+    np.linalg.cholesky(a)
+    m = np.linalg.inv(a)
+    m = 0.5 * (m + m.T)
+    m.setflags(write=False)
+    return m
 
 
 def support_mask(dim: int, support) -> np.ndarray:
@@ -115,11 +81,10 @@ class QuadraticTerm(SmoothTerm):
     Strongly convex with modulus s = lambda_min(HᵀH); the gradient is
     Lipschitz with constant sigma = lambda_max(HᵀH).  Both are computed at
     construction, which raises RankDeficiencyError when H lacks full column
-    rank.  Prox evaluations solve (I + alpha HᵀH) z = x + alpha Hᵀy with
-    LAPACK ``dpotrs`` on the Cholesky factor of the last step used, so
-    iterating at a fixed step factorizes once; a call at another step
-    factorizes and replaces it.  y of shape (B, m) makes a block of B terms
-    that share H.
+    rank.  Prox evaluations apply M = ``prox_matrix(HᵀH, alpha)`` of the last
+    step used to x + alpha Hᵀy, so iterating at a fixed step builds M once; a
+    call at another step builds and replaces it.  y of shape (B, m) makes a
+    block of B terms that share H.
     """
 
     def __init__(self, operator, y):
@@ -137,10 +102,9 @@ class QuadraticTerm(SmoothTerm):
         self.strong_convexity, self.grad_lipschitz = operator.gram_extremes()
         self._gram = operator.gram()
         self._hty = operator.adjoint_apply(self.y)
-        # (step, its cho_factor result), read and replaced as a whole, so
-        # concurrent callers may factorize twice but never get another
-        # step's factor.
-        self._last_factor: tuple | None = None
+        # (step, its prox_matrix), read and replaced as a whole, so concurrent
+        # callers may build M twice but never get another step's M.
+        self._last_matrix: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -153,8 +117,8 @@ class QuadraticTerm(SmoothTerm):
 
     def take(self, rows) -> "QuadraticTerm":
         """The block of the given rows (indices into the block axis): y and
-        Hᵀy cut to them, sharing H, HᵀH, (s, sigma) and the current Cholesky
-        factor, so nothing is computed or factorized again."""
+        Hᵀy cut to them, sharing H, HᵀH, (s, sigma) and the current M, so
+        nothing is computed again."""
         term = copy.copy(self)
         term.y, term._hty = self.y[rows], self._hty[rows]
         term.y.setflags(write=False)
@@ -168,23 +132,12 @@ class QuadraticTerm(SmoothTerm):
     def grad(self, x) -> np.ndarray:
         return matvec(self._gram, as_rows(x)) - self._hty
 
-    def _factor(self, alpha: float):
-        last = self._last_factor
-        if last is None or last[0] != alpha:
-            last = (alpha, cho_factor(np.eye(self.dim) + alpha * self._gram))
-            self._last_factor = last
-        return last[1]
-
     def prox(self, x, alpha: float) -> np.ndarray:
         check_prox_step(alpha)
-        rhs = as_rows(x) + alpha * self._hty
-        # Rows of a block are the columns of one multi-right-hand-side solve,
-        # which gives each column the bits of its own single solve.
-        c, lower = self._factor(alpha)
-        z, info = dpotrs(c, rhs.T, lower=lower)
-        if info:
-            raise FactorizationError(f"dpotrs rejected its argument {-info}")
-        return z.T
+        last = self._last_matrix
+        if last is None or last[0] != alpha:
+            self._last_matrix = last = (alpha, prox_matrix(self._gram, alpha))
+        return matvec(last[1], as_rows(x) + alpha * self._hty)
 
 
 class SubspaceConstraint(SmoothTerm):

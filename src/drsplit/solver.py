@@ -210,8 +210,9 @@ def double_reflection(problem: Problem, alpha: float, variant: str) -> Callable:
     operator whose contraction rates the rate calculators bound.  On a
     single problem it maps a point (n,), or a (k, n) stack of points row by
     row: each row of the result has the bits of the call on that row alone
-    (the quadratic prox is one multi-right-hand-side ``dpotrs`` solve, the
-    rest is elementwise), which ``analysis.empirical_lipschitz`` relies on.
+    (the quadratic prox is one stacked ``linalg.matvec`` with its stored
+    matrix, the rest is elementwise), which ``analysis.empirical_lipschitz``
+    relies on.
     """
     first, second = prox_pair(problem, alpha, variant)
 

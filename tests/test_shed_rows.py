@@ -3,7 +3,7 @@
 When rows of a block stop, ``solver.run`` keeps their final points, audits
 what it has buffered and goes on with ``Problem.take`` of the rows left:
 ``QuadraticTerm.take`` and ``FirmPenalty.take`` cut y, Hᵀy and tau to those
-rows and share the operator and the Cholesky factor.  These tests count the
+rows and share the operator and the prox matrix.  These tests count the
 rows the step's prox is called on, check each row's trace against a run of
 that row alone, bit for bit, and check the ``take`` protocol itself.
 """
@@ -105,18 +105,18 @@ ROWS = [3, 0, 4]
 def test_take_gives_the_bits_of_a_block_built_on_those_rows(exp2_five, monkeypatch):
     insts, block = exp2_five
     alpha = 0.3
-    block.smooth.prox(np.zeros(block.shape), alpha)  # the factor a run holds
+    block.smooth.prox(np.zeros(block.shape), alpha)  # the matrix a run holds
     alone = block_problem([insts[i] for i in ROWS])
     rng = np.random.default_rng(3)
     point, stack = rng.normal(size=(3, block.dim)), rng.normal(size=(4, 3, block.dim))
-    factorized = []
+    built, build = [], smooth.prox_matrix
     with monkeypatch.context() as m:
-        m.setattr(smooth, "dpotrf", lambda *a, **k: factorized.append(1) or smooth._flapack.dpotrf(*a, **k))
+        m.setattr(smooth, "prox_matrix", lambda *a: built.append(1) or build(*a))
         cut = block.take(ROWS)
         prox = [cut.smooth.prox(point, alpha)]
-        assert not factorized  # the cut term solves with the block's factor
+        assert not built  # the cut term applies the block's matrix
         prox.append(alone.smooth.prox(point, alpha))
-        assert len(factorized) == 1
+        assert len(built) == 1
     pairs = [
         (term.smooth.shifted_prox(point, alpha, block.rho), term.smooth.grad(stack), term.smooth.value(stack),
          term.penalty.prox(stack, alpha), term.penalty.shifted_prox(point, alpha), term.penalty.value(stack),

@@ -5,9 +5,9 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
 
 from drsplit import (
+    EXP1,
     EXP2,
     LinearMap,
     NonConvexShiftError,
@@ -15,10 +15,13 @@ from drsplit import (
     RankDeficiencyError,
     StepSizeError,
     SubspaceConstraint,
+    build_instance,
     run_experiment,
 )
 from drsplit import smooth
 from drsplit.analysis import certify
+from drsplit.experiment import block_problem, derive_seeds
+from drsplit.solver import default_alpha
 from oracles import central_difference_gradient
 
 
@@ -116,18 +119,35 @@ class TestQuadProx:
         with pytest.raises(StepSizeError):
             f.prox(np.zeros(5), math.nan)
 
+    @pytest.mark.parametrize("spec", [EXP1, EXP2], ids=["exp1", "exp2"])
+    def test_stored_matrix_matches_a_solve_on_a_block(self, spec):
+        problem = block_problem([build_instance(spec, seed) for seed in derive_seeds(5, 6)])
+        f, rng = problem.smooth, np.random.default_rng(11)
+        x = rng.normal(size=problem.shape) * 3.0
+        a = np.eye(f.dim) + (alpha := default_alpha(problem, "dr-main-fg")) * f.operator.gram()
+        for got, row, hty in zip(f.prox(x, alpha), x, f.operator.adjoint_apply(f.y)):
+            want = np.linalg.solve(a, row + alpha * hty)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_step_that_overflows_the_system_is_rejected(self):
+        # I + alpha HᵀH is not finite; its inverse would make every prox NaN.
+        f, _ = random_term(12)
+        with pytest.raises(StepSizeError, match=r"alpha = 1e\+308 overflows I \+ alpha HᵀH"):
+            f.prox(np.zeros(5), 1e308)
+        assert f._last_matrix is None
+
     def test_factor_cache_is_bounded(self):
         f, rng = random_term(9)
         x = rng.normal(size=5)
         alphas = np.linspace(0.01, 3.0, 100)
         swept = [f.prox(x, alpha) for alpha in alphas]
-        assert_holds_factor_of(f, alphas[-1])
-        # replaced steps are factorized again with the same bits
+        assert_holds_matrix_of(f, alphas[-1])
+        # replaced steps get their matrix again with the same bits
         for alpha, got in zip(alphas[::7], swept[::7]):
             fresh, _ = random_term(9)
             np.testing.assert_array_equal(got, fresh.prox(x, alpha))
             np.testing.assert_array_equal(f.prox(x, alpha), got)
-        assert_holds_factor_of(f, alphas[::7][-1])
+        assert_holds_matrix_of(f, alphas[::7][-1])
 
     def test_factor_cache_under_threads(self):
         f, rng = random_term(10)
@@ -155,27 +175,27 @@ class TestQuadProx:
         assert mismatches == []
 
 
-def assert_holds_factor_of(f, alpha):
-    """f keeps exactly the Cholesky factor of step alpha."""
-    step, (c, lower) = f._last_factor
+def assert_holds_matrix_of(f, alpha):
+    """f keeps exactly the prox matrix of step alpha."""
+    step, m = f._last_matrix
     assert step == alpha
-    expected, expected_lower = cho_factor(np.eye(f.dim) + alpha * f.operator.gram())
-    assert lower == expected_lower
-    np.testing.assert_array_equal(c, expected)
+    np.testing.assert_array_equal(m, smooth.prox_matrix(f.operator.gram(), alpha))
 
 
 class TestFactorTraffic:
-    # One factor per term suffices because each run iterates at one step:
-    # these counts are the factorizations the stock entry points need.
+    # One prox matrix per term suffices because each run iterates at one
+    # step: these counts are the matrices (each a factorization and an
+    # inverse) the stock entry points build.
     @pytest.fixture
     def factorizations(self, monkeypatch):
         calls = []
+        build = smooth.prox_matrix
 
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return cho_factor(a, *args, **kwargs)
+        def counted(gram, alpha):
+            calls.append(alpha)
+            return build(gram, alpha)
 
-        monkeypatch.setattr(smooth, "cho_factor", counted)
+        monkeypatch.setattr(smooth, "prox_matrix", counted)
         return calls
 
     def test_experiment_factorizes_once_per_dr_variant(self, factorizations):

@@ -6,10 +6,10 @@ sha256 of the printed summary and of the CSV.  Every variant is solved twice
 in one process, so the second call runs on the parser and the filter
 operator that the first call left cached; both must give the pinned bytes.
 
-The hashes were taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on
-OpenBLAS 0.3.31 (x86-64), identical at 1 and 2 BLAS threads.  Another numpy,
-scipy or BLAS build may round differently and change them without any change
-to drsplit.
+The hashes were taken with Python 3.11.7 and numpy 2.4.6 on OpenBLAS 0.3.31
+(x86-64), identical at 1 and 2 BLAS threads.  Another numpy or BLAS build may
+round differently and change them without any change to drsplit;
+``test_study_pins.py`` checks the study's results on any build.
 """
 
 import hashlib
@@ -20,10 +20,10 @@ from drsplit import solver
 from drsplit.cli import main
 
 PINS = {
-    "dr-main-fg": ("909f779eebaf070240fdfb2ffbb750cef5e17162f36e2831492c83b04b41ae47", "18e75fc0fa2f20cfa792de217bc038409b0cf5e7b0ffe1dbc6cdb650cf4b31c2"),
-    "dr-main-gf": ("e149af85d07141afe14423d555df84608d16dab421aeb7b0f6c08014c91d9f2a", "5ab4d951314dfd8b2f8ffe4bb7e5c1df179ba6e3aaf78bdcd354ffcccb873748"),
-    "dr-shift-fg": ("85fab0fb631dbe5324aa890e5a84677e6086f71d92be050dbb2337790c822806", "2df400defd1b9e13360c00714387328818cd89319f4c3119876f7ac607eace19"),
-    "dr-shift-gf": ("7df0f9fd02d0f4dae6c547c857b9b309db0fdc8ed2621977bad0abe1d13ac925", "99bb4a299b61e916feedb5a21e94c1b6895d3263fcb48b509e6468a28a4be73c"),
+    "dr-main-fg": ("db8ce24becba13218f5b2a7a96b94923f3dfa774406f58251b5f857a34c0ded1", "43f4f5dfd3dbf065856e9c4de71c563ed1aca48283102cffb9134b8f57d9828b"),
+    "dr-main-gf": ("23cbb6f18637c2460484281ae2cd569ccf23c1d9b24ea37d20cfdcbd42ed8a98", "c410fcfce3fa0e446559222a69fbdb17076f2bb526709bdf8b6f384afe6a7c83"),
+    "dr-shift-fg": ("e1e290c5d7d420cb2c6db8eda62e0211686d1fede08fdd749a1070061846d878", "f6525104e2df8ea30712f3de612e026e5cccd93c623d01bb4da77b0b78ea1125"),
+    "dr-shift-gf": ("2e27116ea642b27e6b98c139359118c40987b074c54127e2ebc5875383a03a20", "002ce6c521966059d5bab67afba0cdf7b2a5d71f84c5df4b6e4688c349ff4d9c"),
     "ista": ("74bf79fae68e9b7ec76f167eb544a7addb549315afbc03d6154896cf8d0499be", "7d94fabb5e1b09df8c671d4c7eb355f327d03cb6e2a1f4ea9c3c4513999cbd37"),
 }
 

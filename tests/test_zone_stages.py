@@ -96,7 +96,7 @@ def test_each_row_runs_only_until_its_stage_certifies_it(stock):
 
 
 def test_the_first_stage_runs_on_the_block_problem_itself(stock):
-    # So the traced dr-main-fg run reuses the zone run's Cholesky factor.
+    # So the traced dr-main-fg run reuses the zone run's prox matrix.
     spec, *_, runs = stock
     first = [problem for problem, config in runs if config.max_iters == experiment._ZONE_STAGES[0]]
     traced = [problem for problem, _ in traced_ista(runs)]
