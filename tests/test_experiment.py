@@ -357,6 +357,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(f"dist_threshold must be >= 0, got {value}")):
             dataclasses.replace(EXP2, dist_threshold=value)
 
+    # rho_rule 0 and NaN snr_db used to fail as "tau must be positive", and
+    # rho_rule 3 only after the zone run, as a NonConvexShiftError.
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [("rho_rule", v, "lie in (0, 1]") for v in (0.0, -0.5, 1.5, 3.0, math.nan)]
+        + [("snr_db", v, "be finite") for v in (math.nan, math.inf, -math.inf)],
+    )
+    def test_rho_rule_and_snr_db_ranges(self, name, value, rule):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must {rule}, got {value}")):
+            dataclasses.replace(EXP2, **{name: value})
+
     def test_report_deterministic_under_master_seed(self):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=150, reference_iters=1500)
         a = run_experiment(spec, master_seed=5).to_json_dict()
