@@ -200,10 +200,10 @@ class ExperimentSpec:
             raise ValueError(f"variants must be DR variants {DR_VARIANTS}, got {bad}")
         if repeated := sorted({v for v in self.variants if self.variants.count(v) > 1}):
             raise ValueError(f"variants must be distinct, got {repeated} more than once")
-        # The CLI's ranges, checked here so that a bad number names its field
-        # before any run; a NaN fails each.  rho_rule <= 1 keeps rho <= s, where
-        # f + g is convex and the reference's certificate proves a global
-        # minimizer.
+        # Ranges checked here, so that a bad number names its field before any
+        # run (the exp1/exp2 flags check theirs alike); a NaN fails each.
+        # rho_rule <= 1 keeps rho <= s, where f + g is convex and the
+        # reference's certificate proves a global minimizer.
         for names, holds, rule in (
             (("n_seeds", "max_iters", "reference_iters", "dist_threshold"), lambda v: v >= 0, "be >= 0"),
             (("alpha_fraction", "relaxation"), lambda v: 0 < v < 1, "lie in (0, 1)"),

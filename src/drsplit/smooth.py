@@ -42,11 +42,11 @@ def prox_matrix(gram: np.ndarray, alpha: float) -> np.ndarray:
     ``np.linalg.LinAlgError`` when it is not positive definite.  For gram =
     HᵀH, cond(I + alpha gram) = (1 + alpha sigma)/(1 + alpha s) < sigma/s
     bounds what the explicit inverse loses to rounding."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         a = np.eye(gram.shape[0]) + alpha * gram
     if not np.isfinite(a).all():
         raise StepSizeError(f"alpha = {alpha:.6g} overflows I + alpha HᵀH")
-    np.linalg.cholesky(a)
+    np.linalg.cholesky(a)  # LinAlgError unless positive definite
     m = np.linalg.inv(a)
     m = 0.5 * (m + m.T)
     m.setflags(write=False)

@@ -124,10 +124,19 @@ class TestQuadProx:
         problem = block_problem([build_instance(spec, seed) for seed in derive_seeds(5, 6)])
         f, rng = problem.smooth, np.random.default_rng(11)
         x = rng.normal(size=problem.shape) * 3.0
-        a = np.eye(f.dim) + (alpha := default_alpha(problem, "dr-main-fg")) * f.operator.gram()
+        alpha = default_alpha(problem, "dr-main-fg")
+        a = np.eye(f.dim) + alpha * f.operator.gram()
         for got, row, hty in zip(f.prox(x, alpha), x, f.operator.adjoint_apply(f.y)):
             want = np.linalg.solve(a, row + alpha * hty)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_prox_matrix_is_a_symmetric_inverse_of_a_definite_system(self):
+        f, _ = random_term(13)
+        m = smooth.prox_matrix(f.operator.gram(), 0.7)
+        assert not m.flags.writeable and np.array_equal(m, m.T)
+        np.testing.assert_allclose(m @ (np.eye(5) + 0.7 * f.operator.gram()), np.eye(5), atol=1e-12)
+        with pytest.raises(np.linalg.LinAlgError):
+            smooth.prox_matrix(np.diag([1.0, -3.0, 1.0]), 1.0)
 
     def test_step_that_overflows_the_system_is_rejected(self):
         # I + alpha HᵀH is not finite; its inverse would make every prox NaN.
