@@ -70,9 +70,11 @@ BLOCK_SEEDS = 20
 
 # The zone run: dr-main-fg steps from z0 = 0 whose final point gives each
 # seed's zones; the fg order extracts x = prox_g(z), so a dead coordinate is
-# exactly 0.  _solve runs it in the stages _ZONE_STAGES, and only the rows the
-# certificate rejects go on, from z0 = 0 again, to the next stage.  Over 400
-# stock rows (EXP1 and EXP2, 20 seeds of master seeds 0-9 each) the first
+# exactly 0.  _solve runs it in the stages _ZONE_STAGES, the step counts at
+# which the certificate is tried, and only the rows it rejects go on to the
+# next stage, from the z their last stage ended at: a row certified at 80
+# steps takes 80 of them, not 20 + 40 + 80.  Over 400 stock rows (EXP1 and
+# EXP2, 20 seeds of master seeds 0-9 each) the first
 # step that certified, on a grid of 10 steps, had a median of 10 (EXP2) and
 # 20 (EXP1), a p90 of 40 on EXP1 and a worst case of 30 (EXP2) and 80 (EXP1):
 # 20 steps certify most rows and 40 and 80 the rest.  Every certificate from
@@ -167,7 +169,8 @@ def _taps_key(taps) -> bytes:
 
 
 # One entry holds a filter's 120x90 convolution matrix and, once a problem is
-# built on it, its 90x90 Gram matrix: about 150 KB.
+# built on it, its 90x90 Gram matrix and up to linalg.PROX_STEPS 90x90 prox
+# matrices: about 280 KB.
 @lru_cache(maxsize=8)
 def _filter_operator(taps_key: bytes, signal_len: int) -> LinearMap:
     """The operator every instance with these ``_taps_key`` taps shares, designed or loaded."""
@@ -461,9 +464,11 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
 
     The reference of a row is ``_certified_minimizer`` of a dr-main-fg zone
     run, made in the stages _ZONE_STAGES: the first on the block problem
-    itself (so the traced dr-main-fg run reuses its prox matrix), each
-    later one, again from z0 = 0, on the ``take`` of the rows no earlier stage
-    certified.  A row no stage certifies gets an ISTA run of
+    itself (so the traced dr-main-fg run reuses its prox constants), each
+    later one on the ``take`` of the rows no earlier stage certified, going
+    on from the final z of their last stage for the steps between the two
+    stages.  So a row's zones at each stage are those of one run from z0 = 0
+    of that stage's steps.  A row no stage certifies gets an ISTA run of
     spec.reference_iters steps instead.  A row's zone runs are bit-identical
     to runs on that row alone, so its reference does not depend on which
     rows share its stages.
@@ -476,14 +481,14 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
     problem = block_problem(instances)
     try:
         x_ref, certified = np.zeros(problem.shape), np.zeros(len(instances), dtype=bool)
-        open_rows, stage = np.arange(len(instances)), problem
+        open_rows, stage, start, done = np.arange(len(instances)), problem, None, 0
         for steps in _ZONE_STAGES:
-            zones = run(stage, SolverConfig("dr-main-fg", max_iters=steps, audit=False)).final_x
-            x_star, ok = _certified_minimizer(stage, zones)
+            zones = run(stage, SolverConfig("dr-main-fg", max_iters=steps - done, audit=False, start=start))
+            x_star, ok = _certified_minimizer(stage, zones.final_x)
             x_ref[open_rows[ok]], certified[open_rows[ok]] = x_star[ok], True
             if not (open_rows := open_rows[~ok]).size:
                 break
-            stage = problem.take(open_rows)
+            stage, start, done = problem.take(open_rows), zones.final_z[~ok], steps
         else:
             x_ref[open_rows] = run(stage, SolverConfig("ista", max_iters=spec.reference_iters, audit=False)).final_x
         ista = SolverConfig(

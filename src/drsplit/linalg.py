@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidFilterError, RankDeficiencyError
+from .errors import InvalidFilterError, RankDeficiencyError, StepSizeError
 
 # Relative floor under which the least Gram eigenvalue counts as zero.
 RANK_TOL = 1e-12
@@ -61,6 +61,32 @@ def rows_per_call(points_per_row: int) -> int:
     return max(1, STACK_POINTS // points_per_row)
 
 
+def prox_matrix(gram: np.ndarray, alpha: float) -> np.ndarray:
+    """M = (I + alpha gram)^-1, symmetric and read-only, for a positive
+    semidefinite gram.  StepSizeError when alpha overflows I + alpha gram,
+    ``np.linalg.LinAlgError`` when it is not positive definite.  For gram =
+    HᵀH, cond(I + alpha gram) = (1 + alpha sigma)/(1 + alpha s) < sigma/s
+    bounds what the explicit inverse loses to rounding."""
+    with np.errstate(over="ignore"):
+        a = np.eye(gram.shape[0]) + alpha * gram
+    if not np.isfinite(a).all():
+        raise StepSizeError(f"alpha = {alpha:.6g} overflows I + alpha HᵀH")
+    np.linalg.cholesky(a)  # LinAlgError unless positive definite
+    m = np.linalg.inv(a)
+    m = 0.5 * (m + m.T)
+    m.setflags(write=False)
+    return m
+
+
+# Steps whose prox matrix a LinearMap keeps.  Each run iterates at one step,
+# and the quadratic prox is called at two: a run's step and, for the shifted
+# variants, its shifted step alpha / (1 - alpha rho).  So two cover every run
+# of a solve, an experiment or certify; 40 solves of one filter, over the
+# five variants, build two matrices.  One matrix of a 90-column operator is
+# 65 KB.
+PROX_STEPS = 2
+
+
 def convolution_matrix(filter_taps, signal_len: int) -> np.ndarray:
     """Build the full (zero-padded) linear convolution matrix.
 
@@ -85,7 +111,8 @@ def convolution_matrix(filter_taps, signal_len: int) -> np.ndarray:
 
 
 class LinearMap:
-    """Immutable dense operator with cached extreme Gram eigenvalues."""
+    """Immutable dense operator with cached Gram matrix, extreme Gram
+    eigenvalues and the prox matrices of its last PROX_STEPS steps."""
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float).copy()
@@ -97,6 +124,10 @@ class LinearMap:
         self.matrix = m
         self._gram: np.ndarray | None = None
         self._extremes: tuple[float, float] | None = None
+        # ((step, prox_matrix), ...), newest first, read and replaced as a
+        # whole: concurrent callers may build a matrix twice or drop one
+        # another's, but never get another step's.
+        self._prox_matrices: tuple = ()
 
     @property
     def rows(self) -> int:
@@ -148,3 +179,14 @@ class LinearMap:
             self._extremes = (s, sigma)
         return self._extremes
 
+    def prox_matrix(self, alpha: float) -> np.ndarray:
+        """The (cached) ``prox_matrix(HᵀH, alpha)`` of step alpha: built on
+        the first call at a step, then kept among the last PROX_STEPS steps
+        built, which every term on this operator shares."""
+        kept = self._prox_matrices
+        for step, m in kept:
+            if step == alpha:
+                return m
+        m = prox_matrix(self.gram(), alpha)
+        self._prox_matrices = ((alpha, m), *kept[: PROX_STEPS - 1])
+        return m

@@ -14,6 +14,11 @@ beta = alpha / (1 + alpha rho) it equals ``prox(x * beta / alpha, beta)``, and
 its step gate ``beta * rho < 1`` holds for every alpha > 0.  Each prox checks
 its step with ``errors.check_prox_step``, the one rule of every prox and
 bound (alpha > 0, and alpha * rho < 1 for the firm prox); a NaN fails it.
+``FirmPenalty.prox`` keeps the constants of the last step it was called at,
+(alpha, alpha tau, tau/rho, 1 - alpha rho), so a call at that step checks
+nothing again and pays only for the elementwise work; a call at another step
+checks it and replaces them, and a NaN step, equal to no step, is checked and
+rejected on every call.
 
 Every operation is elementwise, so it also acts on a (B, n) block of points,
 or any (..., n) stack of them, row by row; ``value`` then returns one total
@@ -82,6 +87,9 @@ class FirmPenalty(SeparablePenalty):
         self.tau = tau
         self.rho = float(rho)
         self.modulus = self.rho
+        # (step, step * tau, tau / rho, 1 - step * rho), read and replaced as
+        # a whole, so concurrent callers never mix two steps' constants.
+        self._step: tuple | None = None
 
     @property
     def block_shape(self) -> tuple:
@@ -92,7 +100,7 @@ class FirmPenalty(SeparablePenalty):
         """The block of the given rows (indices into the block axis) of a
         column of weights: tau and its squares cut to them."""
         penalty = copy.copy(self)
-        penalty.tau, penalty._tau_sq = self.tau[rows], self._tau_sq[rows]
+        penalty.tau, penalty._tau_sq, penalty._step = self.tau[rows], self._tau_sq[rows], None
         penalty.tau.setflags(write=False)
         return penalty
 
@@ -105,11 +113,18 @@ class FirmPenalty(SeparablePenalty):
     def prox(self, x, alpha: float):
         """Firm threshold: dead zone below alpha*tau, expansive middle band,
         identity above tau/rho.  Requires alpha * rho < 1."""
-        check_prox_step(alpha, self.rho)
+        step = self._step
+        if step is None or step[0] != alpha:  # a NaN never equals: checked, and rejected, every call
+            check_prox_step(alpha, self.rho)
+            self._step = step = (alpha, alpha * self.tau, self.tau / self.rho, 1.0 - alpha * self.rho)
+        _, dead, edge, denom = step
         x = np.asarray(x, dtype=float)
         a = np.abs(x)
-        middle = np.sign(x) * (a - alpha * self.tau) / (1.0 - alpha * self.rho)
-        return np.where(a < alpha * self.tau, 0.0, np.where(a < self.tau / self.rho, middle, x))
+        # copysign has the bits of sign(x) * (a - dead) / denom wherever the
+        # middle band is taken, as x is finite and nonzero there (unless
+        # alpha * tau underflows to 0: then x = -0.0 gives -0.0, not 0.0).
+        middle = np.copysign((a - dead) / denom, x)
+        return np.where(a < dead, 0.0, np.where(a < edge, middle, x))
 
     def zones(self, x):
         """(sign, band) of each coordinate of a point, a stack or a (B, n)

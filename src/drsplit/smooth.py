@@ -11,15 +11,18 @@ computed through the rescaling
 valid when alpha, rho and s pass ``errors.check_prox_step``, the step rule
 of every prox and bound: a*rho < 1 and rho <= s; a NaN fails it.
 
-``QuadraticTerm`` reads s and sigma once, when it is built, and keeps one
-matrix M = (I + alpha HᵀH)^-1: that of the last step its prox was called at,
-so its prox is the map x -> M (x + alpha Hᵀy) and its reflection 2M - I.  It
-also holds a block of B observations y, shape (B, m), that share one
-operator H; its methods then act on (B, n) blocks of points row by row, with
-the same bits per row as a term built on that row's observation, and
-``take(rows)`` cuts the block to some of its rows, sharing H and M.  Its prox
-does not scan its input for non-finite values: a NaN in comes back as a NaN
-out, and ``solver.run`` reports it as divergence.
+``QuadraticTerm`` reads s and sigma once, when it is built.  Its prox is the
+map x -> M (x + alpha Hᵀy) with M = (I + alpha HᵀH)^-1, and its reflection
+2M - I.  M comes from ``LinearMap.prox_matrix``, which keeps the matrices of
+the operator's last two steps for every term built on it, and the term keeps
+the constants of the last step its prox was called at, (alpha, M, alpha
+Hᵀy), so a call at that step checks nothing again and costs one addition and
+one matvec.  It also holds a block of B observations y, shape (B, m), that
+share one operator H; its methods then act on (B, n) blocks of points row by
+row, with the same bits per row as a term built on that row's observation,
+and ``take(rows)`` cuts the block to some of its rows, sharing H and its
+matrices.  Its prox does not scan its input for non-finite values: a NaN in
+comes back as a NaN out, and ``solver.run`` reports it as divergence.
 
 ``value`` and ``grad`` also take any (..., n) stack of points, such as the
 iterates that ``solver.run`` audits in one call, and return one result per
@@ -32,25 +35,8 @@ import copy
 
 import numpy as np
 
-from .errors import StepSizeError, check_prox_step
+from .errors import check_prox_step
 from .linalg import LinearMap, as_rows, matvec
-
-
-def prox_matrix(gram: np.ndarray, alpha: float) -> np.ndarray:
-    """M = (I + alpha gram)^-1, symmetric and read-only, for a positive
-    semidefinite gram.  StepSizeError when alpha overflows I + alpha gram,
-    ``np.linalg.LinAlgError`` when it is not positive definite.  For gram =
-    HᵀH, cond(I + alpha gram) = (1 + alpha sigma)/(1 + alpha s) < sigma/s
-    bounds what the explicit inverse loses to rounding."""
-    with np.errstate(over="ignore"):
-        a = np.eye(gram.shape[0]) + alpha * gram
-    if not np.isfinite(a).all():
-        raise StepSizeError(f"alpha = {alpha:.6g} overflows I + alpha HᵀH")
-    np.linalg.cholesky(a)  # LinAlgError unless positive definite
-    m = np.linalg.inv(a)
-    m = 0.5 * (m + m.T)
-    m.setflags(write=False)
-    return m
 
 
 def support_mask(dim: int, support) -> np.ndarray:
@@ -81,10 +67,11 @@ class QuadraticTerm(SmoothTerm):
     Strongly convex with modulus s = lambda_min(HᵀH); the gradient is
     Lipschitz with constant sigma = lambda_max(HᵀH).  Both are computed at
     construction, which raises RankDeficiencyError when H lacks full column
-    rank.  Prox evaluations apply M = ``prox_matrix(HᵀH, alpha)`` of the last
-    step used to x + alpha Hᵀy, so iterating at a fixed step builds M once; a
-    call at another step builds and replaces it.  y of shape (B, m) makes a
-    block of B terms that share H.
+    rank.  Prox evaluations apply M = ``prox_matrix(HᵀH, alpha)``, the
+    operator's stored matrix of step alpha, to x + alpha Hᵀy.  The term keeps
+    (alpha, M, alpha Hᵀy) of the last step used, so iterating at a fixed step
+    checks the step and fetches M once; a call at another step checks it and
+    replaces them.  y of shape (B, m) makes a block of B terms that share H.
     """
 
     def __init__(self, operator, y):
@@ -102,9 +89,9 @@ class QuadraticTerm(SmoothTerm):
         self.strong_convexity, self.grad_lipschitz = operator.gram_extremes()
         self._gram = operator.gram()
         self._hty = operator.adjoint_apply(self.y)
-        # (step, its prox_matrix), read and replaced as a whole, so concurrent
-        # callers may build M twice but never get another step's M.
-        self._last_matrix: tuple | None = None
+        # (step, its prox matrix, step * Hᵀy), read and replaced as a whole,
+        # so concurrent callers never mix two steps' constants.
+        self._step: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -117,10 +104,10 @@ class QuadraticTerm(SmoothTerm):
 
     def take(self, rows) -> "QuadraticTerm":
         """The block of the given rows (indices into the block axis): y and
-        Hᵀy cut to them, sharing H, HᵀH, (s, sigma) and the current M, so
-        nothing is computed again."""
+        Hᵀy cut to them, sharing H, HᵀH, (s, sigma) and the operator's
+        stored matrices, so no matrix is built again."""
         term = copy.copy(self)
-        term.y, term._hty = self.y[rows], self._hty[rows]
+        term.y, term._hty, term._step = self.y[rows], self._hty[rows], None
         term.y.setflags(write=False)
         return term
 
@@ -133,11 +120,11 @@ class QuadraticTerm(SmoothTerm):
         return matvec(self._gram, as_rows(x)) - self._hty
 
     def prox(self, x, alpha: float) -> np.ndarray:
-        check_prox_step(alpha)
-        last = self._last_matrix
-        if last is None or last[0] != alpha:
-            self._last_matrix = last = (alpha, prox_matrix(self._gram, alpha))
-        return matvec(last[1], as_rows(x) + alpha * self._hty)
+        step = self._step
+        if step is None or step[0] != alpha:  # a NaN never equals: checked, and rejected, every call
+            check_prox_step(alpha)
+            self._step = step = (alpha, self.operator.prox_matrix(alpha), alpha * self._hty)
+        return matvec(step[1], as_rows(x) + step[2])
 
 
 class SubspaceConstraint(SmoothTerm):

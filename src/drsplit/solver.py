@@ -244,8 +244,9 @@ def ista_step(problem, x, alpha):
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters: variant, step alpha (None = variant default),
-    relaxation weight in (0,1), iteration/tolerance limits, and an optional
-    reference point for distance recording.
+    relaxation weight in (0,1), iteration/tolerance limits, an optional
+    reference point for distance recording, and the first iterate ``start``
+    (z0 of a DR variant, x0 of ista; None = 0), of the iterate shape.
 
     ``stop_dist`` (needs the reference) stops a row after the first iterate
     whose distance to the reference is at most stop_dist.  ``audit=False``
@@ -261,6 +262,7 @@ class SolverConfig:
     record_reference: np.ndarray | None = field(default=None, repr=False)
     stop_dist: float | None = None
     audit: bool = True
+    start: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -329,16 +331,16 @@ class IterationTrace:
 
     def split(self) -> list["IterationTrace"]:
         """One trace per row of a block trace, each ending at its row's last
-        iteration, with that row of the config's reference; ``[self]`` for
-        the trace of a single problem."""
+        iteration, with that row of the config's reference and start;
+        ``[self]`` for the trace of a single problem."""
         if self.row_iters is None:
             return [self]
-        ref = self.config.record_reference
+        per_row = {k: v for k in ("record_reference", "start") if (v := getattr(self.config, k)) is not None}
         # Each row trace views the block's arrays rather than copying them.
         return [
             replace(
                 self,
-                config=self.config if ref is None else replace(self.config, record_reference=ref[b]),
+                config=replace(self.config, **{k: v[b] for k, v in per_row.items()}) if per_row else self.config,
                 **{name: getattr(self, name)[: k + 1, b] for name in self.COLUMNS},
                 final_x=self.final_x[b],
                 final_z=self.final_z[b],
@@ -391,8 +393,10 @@ def _iteration(problem: Problem, variant: str, alpha: float, relaxation: float) 
 
 
 def run(problem: Problem, config: SolverConfig) -> IterationTrace:
-    """Iterate the configured variant from z0 = 0 until tol, stop_dist or
-    max_iters.
+    """Iterate the configured variant from z0 = config.start (0 when None)
+    until tol, stop_dist or max_iters.  Each step depends on z alone, so a
+    run started at the final_z of an earlier run of the same rows, variant
+    and step continues it: its iterates have the bits of the one longer run.
 
     Records cost, step norm, fixed-point residual, and reference distance at
     every iterate (including the initial point); with ``audit=False`` no cost
@@ -432,11 +436,15 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         if getattr(term, "block_shape", ()) and not callable(getattr(term, "take", None)):
             raise TypeError(f"{side} term {term!r} holds a block of rows but has no take(rows)")
 
-    reference = None
-    if config.record_reference is not None:
-        reference = np.asarray(config.record_reference, dtype=float)
-        if reference.shape != shape:
-            raise ValueError(f"reference has shape {reference.shape}, iterates have shape {shape}")
+    def shaped(name, given):
+        """given as a float array of the iterate shape; ValueError otherwise."""
+        v = np.asarray(given, dtype=float)
+        if v.shape != shape:
+            raise ValueError(f"{name} has shape {v.shape}, iterates have shape {shape}")
+        return v
+
+    reference = None if config.record_reference is None else shaped("reference", config.record_reference)
+    z = np.zeros(shape) if config.start is None else shaped("start", config.start)
 
     step, extract = _iteration(problem, config.variant, alpha, config.relaxation)
 
@@ -475,7 +483,6 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             fp_residual[done, cols] = math.nan if audit_alpha is None else problem.fixed_point_residual(h, audit_alpha)
             base = n + 1
 
-    z = np.zeros(shape)
     x = extract(z)
     if not np.all(np.isfinite(x)):
         raise DivergenceError(f"non-finite x0 at iteration 0 of {config.variant}")

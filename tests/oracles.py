@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: prox outputs are compared
 against dense grid minimization, eigenvalue extremes against characteristic
 polynomial roots (Faddeev-LeVerrier coefficients + companion-matrix roots),
 gradients against central finite differences, the blocked Lipschitz
-sampler against one operator call per point, and the staged zone run of a
-block against zone runs of one seed alone.
+sampler against one operator call per point, the staged zone run of a
+block against zone runs of one seed alone, and the firm prox against its
+formula as it was before the prox kept its step's constants.
 """
 
 import numpy as np
@@ -106,3 +107,14 @@ def zone_stage(inst):
         if experiment._certified_minimizer(problem, zones)[1][0]:
             return k
     return len(experiment._ZONE_STAGES)
+
+
+def firm_prox(x, alpha, tau, rho):
+    """The firm threshold with every constant formed on each call and the
+    middle band as sign(x) * (|x| - alpha tau) / (1 - alpha rho): the
+    formula ``FirmPenalty.prox`` used before it kept its step's constants.
+    tau is a scalar or a (B, 1) column."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    middle = np.sign(x) * (a - alpha * tau) / (1.0 - alpha * rho)
+    return np.where(a < alpha * tau, 0.0, np.where(a < tau / rho, middle, x))

@@ -3,7 +3,7 @@
 When rows of a block stop, ``solver.run`` keeps their final points, audits
 what it has buffered and goes on with ``Problem.take`` of the rows left:
 ``QuadraticTerm.take`` and ``FirmPenalty.take`` cut y, Hᵀy and tau to those
-rows and share the operator and the prox matrix.  These tests count the
+rows and share the operator and its stored prox matrices.  These tests count the
 rows the step's prox is called on, check each row's trace against a run of
 that row alone, bit for bit, and check the ``take`` protocol itself.
 """
@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from drsplit import EXP1, EXP2, FirmPenalty, Problem, QuadraticTerm, SolverConfig, experiment, run, smooth
+from drsplit import EXP1, EXP2, FirmPenalty, Problem, QuadraticTerm, SolverConfig, experiment, linalg, run
 from drsplit.experiment import block_problem, derive_seeds
 
 COLUMNS = ("iterations", "cost", "step_norm", "fp_residual", "dist_to_ref", "final_x", "final_z")
@@ -109,14 +109,15 @@ def test_take_gives_the_bits_of_a_block_built_on_those_rows(exp2_five, monkeypat
     alone = block_problem([insts[i] for i in ROWS])
     rng = np.random.default_rng(3)
     point, stack = rng.normal(size=(3, block.dim)), rng.normal(size=(4, 3, block.dim))
-    built, build = [], smooth.prox_matrix
+    built, build = [], linalg.prox_matrix
     with monkeypatch.context() as m:
-        m.setattr(smooth, "prox_matrix", lambda *a: built.append(1) or build(*a))
+        m.setattr(linalg, "prox_matrix", lambda *a: built.append(1) or build(*a))
         cut = block.take(ROWS)
         prox = [cut.smooth.prox(point, alpha)]
-        assert not built  # the cut term applies the block's matrix
         prox.append(alone.smooth.prox(point, alpha))
-        assert len(built) == 1
+        # Both apply the matrix the block's operator stored, shared by every
+        # instance of the filter.
+        assert not built and cut.smooth._step[1] is alone.smooth._step[1] is block.smooth._step[1]
     pairs = [
         (term.smooth.shifted_prox(point, alpha, block.rho), term.smooth.grad(stack), term.smooth.value(stack),
          term.penalty.prox(stack, alpha), term.penalty.shifted_prox(point, alpha), term.penalty.value(stack),

@@ -18,10 +18,10 @@ from drsplit import (
     build_instance,
     run_experiment,
 )
-from drsplit import smooth
+from drsplit import cli, experiment, linalg, smooth
 from drsplit.analysis import certify
 from drsplit.experiment import block_problem, derive_seeds
-from drsplit.solver import default_alpha
+from drsplit.solver import VARIANTS, default_alpha
 from oracles import central_difference_gradient
 
 
@@ -132,18 +132,18 @@ class TestQuadProx:
 
     def test_prox_matrix_is_a_symmetric_inverse_of_a_definite_system(self):
         f, _ = random_term(13)
-        m = smooth.prox_matrix(f.operator.gram(), 0.7)
+        m = linalg.prox_matrix(f.operator.gram(), 0.7)
         assert not m.flags.writeable and np.array_equal(m, m.T)
         np.testing.assert_allclose(m @ (np.eye(5) + 0.7 * f.operator.gram()), np.eye(5), atol=1e-12)
         with pytest.raises(np.linalg.LinAlgError):
-            smooth.prox_matrix(np.diag([1.0, -3.0, 1.0]), 1.0)
+            linalg.prox_matrix(np.diag([1.0, -3.0, 1.0]), 1.0)
 
     def test_step_that_overflows_the_system_is_rejected(self):
         # I + alpha HᵀH is not finite; its inverse would make every prox NaN.
         f, _ = random_term(12)
         with pytest.raises(StepSizeError, match=r"alpha = 1e\+308 overflows I \+ alpha HᵀH"):
             f.prox(np.zeros(5), 1e308)
-        assert f._last_matrix is None
+        assert f._step is None and f.operator._prox_matrices == ()
 
     def test_factor_cache_is_bounded(self):
         f, rng = random_term(9)
@@ -151,12 +151,43 @@ class TestQuadProx:
         alphas = np.linspace(0.01, 3.0, 100)
         swept = [f.prox(x, alpha) for alpha in alphas]
         assert_holds_matrix_of(f, alphas[-1])
+        assert [step for step, _ in f.operator._prox_matrices] == list(alphas[-linalg.PROX_STEPS :][::-1])
         # replaced steps get their matrix again with the same bits
         for alpha, got in zip(alphas[::7], swept[::7]):
             fresh, _ = random_term(9)
             np.testing.assert_array_equal(got, fresh.prox(x, alpha))
             np.testing.assert_array_equal(f.prox(x, alpha), got)
         assert_holds_matrix_of(f, alphas[::7][-1])
+
+    def test_store_is_bounded_after_a_sweep_of_50_steps(self, monkeypatch):
+        # Two terms share one operator: each step is built once for both,
+        # and the operator keeps only the last PROX_STEPS of them.
+        f, rng = random_term(14)
+        g = QuadraticTerm(f.operator, rng.normal(size=8))
+        built = count_builds(monkeypatch)
+        x, alphas = rng.normal(size=5), np.linspace(0.02, 2.0, 50)
+        for alpha in alphas:
+            f.prox(x, alpha), g.prox(x, alpha)
+        steps = built[id(f.operator.gram())]
+        assert len(built) == 1 and steps == list(alphas)
+        assert [step for step, _ in f.operator._prox_matrices] == list(alphas[-linalg.PROX_STEPS :][::-1])
+        g.prox(x, alphas[0])  # evicted long ago: built again
+        assert steps == [*alphas, alphas[0]]
+
+    def test_two_operators_never_share_a_matrix(self):
+        # Two operators with the same entries still build one matrix each,
+        # and each term applies its own operator's matrix.
+        f, rng = random_term(15)
+        twin = QuadraticTerm(LinearMap(f.operator.matrix), f.y)
+        other, _ = random_term(16)
+        x = rng.normal(size=5)
+        for term in (f, twin, other):
+            term.prox(x, 0.4)
+        mats = [term._step[1] for term in (f, twin, other)]
+        assert mats[0] is not mats[1] and mats[0].tobytes() == mats[1].tobytes()
+        assert mats[2].tobytes() != mats[0].tobytes()
+        for term, m in zip((f, twin, other), mats):
+            assert term.operator.prox_matrix(0.4) is m
 
     def test_factor_cache_under_threads(self):
         f, rng = random_term(10)
@@ -185,38 +216,59 @@ class TestQuadProx:
 
 
 def assert_holds_matrix_of(f, alpha):
-    """f keeps exactly the prox matrix of step alpha."""
-    step, m = f._last_matrix
-    assert step == alpha
-    np.testing.assert_array_equal(m, smooth.prox_matrix(f.operator.gram(), alpha))
+    """f keeps exactly the constants of step alpha: the prox matrix, which
+    its operator stores as the newest, and alpha Hᵀy."""
+    step, m, shift = f._step
+    assert step == alpha and f.operator._prox_matrices[0] == (alpha, m)
+    np.testing.assert_array_equal(m, linalg.prox_matrix(f.operator.gram(), alpha))
+    assert shift.tobytes() == (alpha * f._hty).tobytes()
+
+
+def count_builds(monkeypatch):
+    """{id of an operator's HᵀH: [each step a prox matrix is built at]}."""
+    built, build = {}, linalg.prox_matrix
+
+    def counted(gram, alpha):
+        built.setdefault(id(gram), []).append(alpha)
+        return build(gram, alpha)
+
+    monkeypatch.setattr(linalg, "prox_matrix", counted)
+    return built
 
 
 class TestFactorTraffic:
-    # One prox matrix per term suffices because each run iterates at one
-    # step: these counts are the matrices (each a factorization and an
-    # inverse) the stock entry points build.
+    # Each run iterates at one step, and the shifted variants call the
+    # quadratic prox at one shifted step, so an operator's PROX_STEPS = 2
+    # stored matrices cover every stock entry point.  These count the
+    # matrices (each a factorization and an inverse) built per operator, on
+    # filter operators made afresh for the test.
     @pytest.fixture
-    def factorizations(self, monkeypatch):
-        calls = []
-        build = smooth.prox_matrix
+    def builds(self, monkeypatch):
+        experiment._filter_operator.cache_clear()
+        return count_builds(monkeypatch)
 
-        def counted(gram, alpha):
-            calls.append(alpha)
-            return build(gram, alpha)
-
-        monkeypatch.setattr(smooth, "prox_matrix", counted)
-        return calls
-
-    def test_experiment_factorizes_once_per_dr_variant(self, factorizations):
+    def test_experiment_factorizes_once_per_dr_variant(self, builds):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=100, reference_iters=500)
         run_experiment(spec, master_seed=3)
-        assert len(factorizations) == len(spec.variants) == 2
+        assert [len(steps) for steps in builds.values()] == [len(spec.variants)] == [2]
 
-    def test_certify_factorizes_once_per_step(self, factorizations):
+    def test_certify_factorizes_once_per_step(self, builds):
         # EXP1: both direct orders at one step; EXP2: the direct and the
         # shifted step.
         certify(10, 0)
-        assert len(factorizations) == 3
+        assert sorted(len(steps) for steps in builds.values()) == [1, 2]
+
+    def test_40_solves_of_one_filter_build_two_matrices(self, builds, tmp_path, capsys):
+        paths = []
+        for i, seed in enumerate(derive_seeds(4, 8)):
+            paths.append(tmp_path / f"instance_{i}.json")
+            build_instance(EXP2, seed).save(paths[-1])
+        for path in paths:
+            for variant in VARIANTS:
+                assert cli.main(["solve", "--instance", str(path), "--variant", variant, "--iters", "20"]) == 0
+        capsys.readouterr()
+        # dr-main at its step, dr-shift at its shifted step; ista uses none.
+        assert [len(steps) for steps in builds.values()] == [2]
 
 
 class TestShiftedProx:
