@@ -48,21 +48,11 @@ from .solver import (
 )
 
 # The rate calculators load with ``analysis`` on first use, which solving
-# and the experiments never need.
-_ANALYSIS = (
-    "contraction_rate_main",
-    "contraction_rate_shift",
-    "empirical_lipschitz",
-    "min_rate_main",
-    "rate_table",
-    "reflection_bound_smooth",
-    "reflection_bound_weak",
-    "shift_rate_floor",
-)
+# and the experiments never need: any name of __all__ not bound above is one.
 
 
 def __getattr__(name: str):
-    if name in _ANALYSIS:
+    if name in __all__:
         return getattr(importlib.import_module(".analysis", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -57,11 +57,15 @@ def _add_experiment_flags(p: argparse.ArgumentParser, spec: experiment.Experimen
     p.set_defaults(func=lambda a: _run_experiment(spec, a))
 
 
+def _print_json(obj) -> None:
+    """obj as indented JSON and a newline, in one write."""
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+
+
 def _run_experiment(base: experiment.ExperimentSpec, args) -> int:
     spec = dataclasses.replace(base, **{name: getattr(args, name) for _, name, _, _ in SPEC_FLAGS})
     report = experiment.run_experiment(spec, master_seed=args.master_seed, out_dir=args.out_dir)
-    json.dump(report.to_json_dict()["aggregate"], sys.stdout, indent=2)
-    print()
+    _print_json(report.to_json_dict()["aggregate"])
     return 0
 
 
@@ -82,8 +86,7 @@ def _cmd_solve(args) -> int:
     trace = solver.run(problem, config)
     if args.trace:
         trace.to_csv(args.trace)
-    json.dump(trace.to_json_dict(), sys.stdout, indent=2)
-    print()
+    _print_json(trace.to_json_dict())
     return 0
 
 

@@ -205,10 +205,15 @@ class ExperimentSpec:
             raise ValueError(f"variants must be distinct, got {repeated} more than once")
         # Ranges checked here, so that a bad number names its field before any
         # run (the exp1/exp2 flags check theirs alike); a NaN fails each.
-        # rho_rule <= 1 keeps rho <= s, where f + g is convex and the
-        # reference's certificate proves a global minimizer.
+        # signal_len is checked before the sparsity it bounds.  rho_rule <= 1
+        # keeps rho <= s, where f + g is convex and the reference's
+        # certificate proves a global minimizer.
         for names, holds, rule in (
             (("n_seeds", "max_iters", "reference_iters", "dist_threshold"), lambda v: v >= 0, "be >= 0"),
+            (("filter_len", "signal_len"), lambda v: v >= 1, "be >= 1"),
+            (("sparsity",), lambda v: 0 <= v <= self.signal_len, f"lie in [0, signal_len = {self.signal_len}]"),
+            (("ratio_tol",), lambda v: v > 0, "be > 0"),
+            (("target_ratio",), lambda v: v > 1, "exceed 1"),
             (("alpha_fraction", "relaxation"), lambda v: 0 < v < 1, "lie in (0, 1)"),
             (("rho_rule",), lambda v: 0 < v <= 1, "lie in (0, 1]"),
             (("snr_db",), math.isfinite, "be finite"),

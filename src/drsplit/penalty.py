@@ -23,13 +23,12 @@ rejected on every call.
 Every operation is elementwise, so it also acts on a (B, n) block of points,
 or any (..., n) stack of them, row by row; ``value`` then returns one total
 per row.  ``FirmPenalty`` takes its weight tau as a scalar or as a (B, 1)
-column, one weight per row; ``take(rows)`` cuts a column to some of its rows,
-and ``zones(x)`` reads which of its three zones each coordinate of x lies in.
+column, one weight per row; ``take(rows)`` is the penalty built on the kept
+rows of the column, and ``zones(x)`` reads which of its three zones each
+coordinate of x lies in.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -98,11 +97,8 @@ class FirmPenalty(SeparablePenalty):
 
     def take(self, rows) -> "FirmPenalty":
         """The block of the given rows (indices into the block axis) of a
-        column of weights: tau and its squares cut to them."""
-        penalty = copy.copy(self)
-        penalty.tau, penalty._tau_sq, penalty._step = self.tau[rows], self._tau_sq[rows], None
-        penalty.tau.setflags(write=False)
-        return penalty
+        column of weights: the penalty built on those rows of tau."""
+        return FirmPenalty(self.tau[rows], self.rho)
 
     def pointwise(self, t):
         t = np.asarray(t, dtype=float)

@@ -20,9 +20,10 @@ Hᵀy), so a call at that step checks nothing again and costs one addition and
 one matvec.  It also holds a block of B observations y, shape (B, m), that
 share one operator H; its methods then act on (B, n) blocks of points row by
 row, with the same bits per row as a term built on that row's observation,
-and ``take(rows)`` cuts the block to some of its rows, sharing H and its
-matrices.  Its prox does not scan its input for non-finite values: a NaN in
-comes back as a NaN out, and ``solver.run`` reports it as divergence.
+and ``take(rows)`` is the term built on the same operator and the kept
+rows of y, so it shares H and its matrices.  Its prox does not scan its
+input for non-finite values: a NaN in comes back as a NaN out, and
+``solver.run`` reports it as divergence.
 
 ``value`` and ``grad`` also take any (..., n) stack of points, such as the
 iterates that ``solver.run`` audits in one call, and return one result per
@@ -30,8 +31,6 @@ row; so does ``SubspaceConstraint.value``.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -103,13 +102,10 @@ class QuadraticTerm(SmoothTerm):
         return self.y.shape[:-1]
 
     def take(self, rows) -> "QuadraticTerm":
-        """The block of the given rows (indices into the block axis): y and
-        Hᵀy cut to them, sharing H, HᵀH, (s, sigma) and the operator's
-        stored matrices, so no matrix is built again."""
-        term = copy.copy(self)
-        term.y, term._hty, term._step = self.y[rows], self._hty[rows], None
-        term.y.setflags(write=False)
-        return term
+        """The block of the given rows (indices into the block axis): the
+        term built on the same operator and those rows of y, so it shares H,
+        HᵀH, (s, sigma) and the operator's stored matrices."""
+        return QuadraticTerm(self.operator, self.y[rows])
 
     def value(self, x):
         """f(x), one value per row of a block."""

@@ -7,11 +7,11 @@ byte-identical to that of ``run`` on the row's problem alone, and that
 ``run_experiment``, which solves its seeds in such blocks, reports and
 writes exactly what a loop over single seeds does.
 
-Byte identity rests on per-row-exact numpy and scipy calls (stacked matmul,
-vecdot, multi-right-hand-side Cholesky solves).  It was checked with Python
-3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS 0.3.31 (x86-64) at one BLAS
-thread; another numpy, scipy or BLAS build may round a block differently
-from a single row.
+Byte identity rests on per-row-exact numpy calls (stacked matmul, as the
+quadratic prox applies its stored matrix, and vecdot).  It was checked with
+Python 3.11.7 and numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64) at one BLAS
+thread; another numpy or BLAS build may round a block differently from a
+single row.
 """
 
 import dataclasses

@@ -10,8 +10,8 @@ coinciding pairs inside a block.  The errors for a non-finite ratio, a 0-d
 sample and an operator that changes the shape are checked, and ``drsplit
 certify`` stdout is pinned by its sha256.
 
-The hashes were taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on
-OpenBLAS 0.3.31 (x86-64), identical at 1 and 2 BLAS threads.
+The hashes were taken with Python 3.11.7 and numpy 2.4.6 on OpenBLAS 0.3.31
+(x86-64), identical at 1 and 2 BLAS threads.
 """
 
 import hashlib

@@ -368,6 +368,26 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(f"{name} must {rule}, got {value}")):
             dataclasses.replace(EXP2, **{name: value})
 
+    # filter_len 0 used to fail as "filter must contain at least one nonzero
+    # tap", sparsity 100 as "sparsity k must lie in [0, 90]", and ratio_tol
+    # -1 or NaN only after 200 bisection steps, as "bisection failed".
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [(name, v, "be >= 1") for name in ("filter_len", "signal_len") for v in (0, -3, math.nan)]
+        + [("sparsity", v, "lie in [0, signal_len = 90]") for v in (-1, 91, 100, math.nan)]
+        + [("ratio_tol", v, "be > 0") for v in (0.0, -1.0, math.nan)]
+        + [("target_ratio", v, "exceed 1") for v in (1.0, 0.5, -2.0, math.nan)],
+    )
+    def test_sizes_and_filter_design_ranges(self, name, value, rule):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must {rule}, got {value}")):
+            dataclasses.replace(EXP2, **{name: value})
+
+    def test_sparsity_may_fill_a_shorter_signal(self):
+        spec = dataclasses.replace(EXP2, signal_len=40, sparsity=40)
+        assert (spec.sparsity, spec.signal_len) == (40, 40)
+        with pytest.raises(ValueError, match=re.escape("sparsity must lie in [0, signal_len = 40], got 41")):
+            dataclasses.replace(spec, sparsity=41)
+
     def test_report_deterministic_under_master_seed(self):
         spec = dataclasses.replace(EXP2, n_seeds=2, max_iters=150, reference_iters=1500)
         a = run_experiment(spec, master_seed=5).to_json_dict()

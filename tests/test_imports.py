@@ -29,13 +29,20 @@ print(code, scipy, "drsplit.analysis" in sys.modules, file=sys.stderr)
 """
 
 # Builds an EXP1 and an EXP2 instance and their problems after a plain
-# import, then resolves one analysis name through the package.
+# import, looks up a name the package lacks, then resolves one analysis name
+# through the package.
 LAZY = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import drsplit
 for spec in (drsplit.EXP1, drsplit.EXP2):
     drsplit.build_instance(spec, seed=0).problem()
+try:
+    drsplit.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'drsplit' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("drsplit.no_such_name resolved")
 assert "drsplit.analysis" not in sys.modules
 assert drsplit.empirical_lipschitz is sys.modules["drsplit.analysis"].empirical_lipschitz
 """
