@@ -110,48 +110,65 @@ def shift_rate_floor(eta: float) -> float:
     return eta / (2.0 - eta)
 
 
-def _sampled_lipschitz(operator, draw, n_pairs: int, seed: int = 0) -> float:
-    """The engine of ``empirical_lipschitz``, which draws a block at a time:
-    ``draw(rng, 2k)`` returns the (2k, *shape) points of the next k <=
-    ``rows_per_call(2)`` pairs (48), x then y of each pair, and is asked for
-    2 * n_pairs points in all.  Raises ValueError for a draw of another row
-    count or of fewer than two dimensions, and otherwise as
-    ``empirical_lipschitz`` does.
+def _usable_pairs(points, k: int):
+    """The (2m, *shape) stack of the m pairs of a drawn block whose points
+    are at least 1e-12 apart, x then y of each pair, and their gaps."""
+    points = np.asarray(points, dtype=float)  # pair i: x at row 2i, y at row 2i + 1
+    if points.ndim < 2 or len(points) != 2 * k:
+        raise ValueError(f"draw returned shape {points.shape} for {2 * k} points; need ({2 * k}, *point shape)")
+    pairs = points.reshape(k, 2, -1)
+    gap = row_norm(pairs[:, 0] - pairs[:, 1])
+    keep = ~(gap < 1e-12)  # a NaN gap is kept: it gives a non-finite ratio
+    if not keep.all():
+        pairs, gap = pairs[keep], gap[keep]
+    return pairs.reshape(2 * len(gap), *points.shape[1:]), gap
+
+
+def _sampled_lipschitz(operators, draw, n_pairs: int, seed: int = 0) -> list[float]:
+    """The engine of ``empirical_lipschitz`` for several operators at once,
+    which draws a block at a time: ``draw(rng, 2k)`` returns one (2k, *shape)
+    array per operator, the points of the next k <= ``rows_per_call(2)``
+    pairs (48), x then y of each pair, and is asked for 2 * n_pairs points
+    in all.  Operators that share their points get the same array; its
+    pairs and gaps are then taken once per block, so those operators must
+    not write to their input.  Returns each operator's constant, as
+    ``empirical_lipschitz`` would for it alone.  Raises ValueError for a
+    draw of another row count or of fewer than two dimensions, and
+    otherwise as ``empirical_lipschitz`` does, for the first operator in
+    the list whose pairs all coincide or give a non-finite ratio.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
-    worst, usable, nonfinite = 0.0, 0, 0
+    n = len(operators)
+    worst, usable, nonfinite = [0.0] * n, [0] * n, [0] * n
     per_call = rows_per_call(2)
     for start in range(0, n_pairs, per_call):
         k = min(per_call, n_pairs - start)
-        points = np.asarray(draw(rng, 2 * k), dtype=float)  # pair i: x at row 2i, y at row 2i + 1
-        if points.ndim < 2 or len(points) != 2 * k:
-            raise ValueError(f"draw returned shape {points.shape} for {2 * k} points; need ({2 * k}, *point shape)")
-        shape = points.shape[1:]
-        pairs = points.reshape(k, 2, -1)
-        gap = row_norm(pairs[:, 0] - pairs[:, 1])
-        keep = ~(gap < 1e-12)  # a NaN gap is kept: it gives a non-finite ratio
-        if not keep.all():
-            pairs, gap = pairs[keep], gap[keep]
-        m = len(gap)
-        if not m:
-            continue
-        usable += m
-        stack = pairs.reshape(2 * m, *shape)
-        out = np.asarray(operator(stack), dtype=float)
-        if out.shape != stack.shape:
-            raise ValueError(f"operator mapped a stack of shape {stack.shape} to shape {out.shape}")
-        out = out.reshape(m, 2, -1)
-        ratio = row_norm(out[:, 0] - out[:, 1]) / gap
-        top = float(ratio.max())
-        if not math.isfinite(top):
-            nonfinite += int(np.count_nonzero(~np.isfinite(ratio)))
-        worst = max(worst, top)
-    if usable == 0:
-        raise ValueError("degenerate sampler: all sampled pairs coincide")
-    if nonfinite:
-        raise ValueError(f"non-finite ratio on {nonfinite} of {usable} usable pairs")
+        blocks = draw(rng, 2 * k)
+        shared = {}  # id of a drawn array -> its usable stack and gaps
+        for j, (operator, points) in enumerate(zip(operators, blocks, strict=True)):
+            if id(points) not in shared:
+                shared[id(points)] = _usable_pairs(points, k)
+            stack, gap = shared[id(points)]
+            m = len(gap)
+            if not m:
+                continue
+            usable[j] += m
+            out = np.asarray(operator(stack), dtype=float)
+            if out.shape != stack.shape:
+                raise ValueError(f"operator mapped a stack of shape {stack.shape} to shape {out.shape}")
+            out = out.reshape(m, 2, -1)
+            ratio = row_norm(out[:, 0] - out[:, 1]) / gap
+            top = float(ratio.max())
+            if not math.isfinite(top):
+                nonfinite[j] += int(np.count_nonzero(~np.isfinite(ratio)))
+            worst[j] = max(worst[j], top)
+    for count, bad in zip(usable, nonfinite):
+        if count == 0:
+            raise ValueError("degenerate sampler: all sampled pairs coincide")
+        if bad:
+            raise ValueError(f"non-finite ratio on {bad} of {count} usable pairs")
     return worst
 
 
@@ -169,9 +186,10 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
     do, with the same bits, so the result equals that of one call per point.
     Raises ValueError for a 0-d sample, for an operator output whose shape
     differs from its input, when every pair coincides, and when usable pairs
-    give non-finite ratios (the message counts them).  ``certify`` calls it
-    for its four vector checks and runs the same engine on its scalar check,
-    whose points it draws one block at a time.
+    give non-finite ratios (the message counts them).  It is the engine
+    ``_sampled_lipschitz`` run on one operator; ``certify`` runs that engine
+    directly, drawing each block once for its four vector checks and once
+    for its scalar check.
     """
 
     def draw(rng, count: int):
@@ -182,9 +200,9 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
         points[0] = first
         for i in range(1, count):
             points[i] = sampler(rng)
-        return points
+        return (points,)
 
-    return _sampled_lipschitz(operator, draw, n_pairs, seed)
+    return _sampled_lipschitz((operator,), draw, n_pairs, seed)[0]
 
 
 def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
@@ -192,47 +210,63 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     on instance ``derive_seeds(seed, 1)[0]`` of EXP1 (nonexpansiveness of both
     direct orders at their step bound) and of EXP2 (weak reflection bound
     attained, direct and shifted rates dominate).  Each empirical constant
-    samples ``pairs`` pairs (at least 10000 for the scalar reflection)."""
-    checks = []
+    samples ``pairs`` pairs (at least 10000 for the scalar reflection).
+
+    The four vector checks run as one engine call on the same points: a
+    standard normal vector times a uniform factor in [0, radius), with the
+    radius of the check's experiment.  Each block draws every point's normal
+    row and factor once, with ``standard_normal`` and then ``random``, the
+    stream order of the per-point sampler ``standard_normal(n) * (radius *
+    random())``, and scales them by each radius, which gives that sampler's
+    bits for both experiments.  numpy computes ``normal(size=n)`` and
+    ``uniform(0.0, radius)`` as 0.0 + 1.0 * z and 0.0 + radius * u from the
+    same stream, so these are also the bits of ``normal(size=n) *
+    uniform(0.0, radius)``.
+    """
     instance_seed = experiment.derive_seeds(seed, 1)[0]
 
     def stock(spec):
-        """spec's problem, (s, sigma), sampling radius and vector sampler: a
-        standard normal vector times a uniform factor in [0, radius).  It
-        draws them with ``standard_normal`` and ``random``: numpy computes
-        ``normal(size=dim)`` and ``uniform(0.0, radius)`` as 0.0 + 1.0 * z and
-        0.0 + radius * u from the same stream, so these give their bits
-        without the cost of broadcasting loc and scale."""
+        """spec's problem, (s, sigma) and sampling radius."""
         inst = experiment.build_instance(spec, seed=instance_seed)
-        prob, radius = inst.problem(), 3.0 * inst.penalty.tau / inst.penalty.rho
-        dim = prob.dim
-        sample = lambda rng: rng.standard_normal(dim) * (radius * rng.random())
-        return prob, inst.operator.gram_extremes(), radius, sample
+        return inst.problem(), inst.operator.gram_extremes(), 3.0 * inst.penalty.tau / inst.penalty.rho
 
-    prob1, (_, sigma1), _, sample1 = stock(experiment.EXP1)
-    for variant in ("dr-main-fg", "dr-main-gf"):
-        op = solver.double_reflection(prob1, solver.step_bound(variant, sigma1, prob1.rho), variant)
-        emp = empirical_lipschitz(op, sample1, pairs, seed)
-        checks.append((f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1"))
-
-    prob2, (s2, sigma2), radius2, sample2 = stock(experiment.EXP2)
+    prob1, (_, sigma1), radius1 = stock(experiment.EXP1)
+    prob2, (s2, sigma2), radius2 = stock(experiment.EXP2)
+    if prob1.dim != prob2.dim:
+        raise ValueError(f"certify draws one point set for both EXP1 (dim {prob1.dim}) and EXP2 (dim {prob2.dim})")
     penalty, rho2 = prob2.penalty, prob2.rho
     alpha_t = 1.0 / math.sqrt(sigma2 * s2)
+
+    def vector_draw(rng, count: int):
+        normals, factors = np.empty((count, prob1.dim)), np.empty((count, 1))
+        for i in range(count):
+            rng.standard_normal(out=normals[i])
+            factors[i] = rng.random()
+        points1, points2 = normals * (radius1 * factors), normals * (radius2 * factors)
+        return points1, points1, points2, points2
+
+    # Each rate holds up to its largest step: 1/sqrt(sigma*s) direct, 1/s shifted.
+    rated = (
+        ("direct rate dominates", "dr-main-fg", alpha_t, contraction_rate_main(alpha_t, s2, rho2, sigma2)),
+        ("shifted rate dominates", "dr-shift-fg", 1.0 / s2, contraction_rate_shift(1.0 / s2, s2, rho2, sigma2)),
+    )
+    nonexpansive = ("dr-main-fg", "dr-main-gf")
+    operators = [solver.double_reflection(prob1, solver.step_bound(v, sigma1, prob1.rho), v) for v in nonexpansive]
+    operators += [solver.double_reflection(prob2, alpha, variant) for _, variant, alpha, _ in rated]
+    emps = _sampled_lipschitz(operators, vector_draw, pairs, seed)
+
+    checks = [
+        (f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1")
+        for variant, emp in zip(nonexpansive, emps[:2])
+    ]
     weak = lambda t: solver.reflect(penalty.prox, t, alpha_t)
     # One uniform call per block draws the bits of one size=1 call per point.
-    scalar_draw = lambda rng, count: rng.uniform(-radius2, radius2, size=(count, 1))
-    emp = _sampled_lipschitz(weak, scalar_draw, max(pairs, 10000), seed)
+    scalar_draw = lambda rng, count: (rng.uniform(-radius2, radius2, size=(count, 1)),)
+    (emp,) = _sampled_lipschitz((weak,), scalar_draw, max(pairs, 10000), seed)
     bound = reflection_bound_weak(alpha_t, rho2)
     detail = f"empirical={emp:.12f} bound={bound:.12f}"
     checks.append(("weak reflection bound attained", 0.99 * bound <= emp <= bound + 1e-9, detail))
-
-    # Each rate holds up to its largest step: 1/sqrt(sigma*s) direct, 1/s shifted.
-    for name, variant, alpha, rate in (
-        ("direct rate dominates", "dr-main-fg", alpha_t, contraction_rate_main(alpha_t, s2, rho2, sigma2)),
-        ("shifted rate dominates", "dr-shift-fg", 1.0 / s2, contraction_rate_shift(1.0 / s2, s2, rho2, sigma2)),
-    ):
-        op = solver.double_reflection(prob2, alpha, variant)
-        emp = empirical_lipschitz(op, sample2, pairs, seed)
+    for (name, _, _, rate), emp in zip(rated, emps[2:]):
         checks.append((name, emp <= rate + 1e-9, f"empirical={emp:.12f} rate={rate:.12f}"))
     return checks
 

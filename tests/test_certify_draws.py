@@ -1,20 +1,26 @@
 """The block engine behind ``empirical_lipschitz`` and the draws ``certify`` makes.
 
-``analysis._sampled_lipschitz`` calls ``draw(rng, 2k)`` once per block of
-k <= ``rows_per_call(2)`` pairs (48).  ``certify`` draws its scalar points
-with one ``uniform`` call of ``size=(2k, 1)`` per block, which consumes the
-stream of 2k calls of ``size=1``, and passes ``empirical_lipschitz`` a
-sampler of one vector point at a time, ``standard_normal(n) * (r *
-random())``: its normal and uniform draws interleave in the stream.
-With either draw the engine must equal (``==``) the public function with the
-matching per-point sampler.  The vector draw must give the bits of
-``normal(size=n) * uniform(0.0, r)``, which numpy computes as 0.0 + 1.0 * z
-and 0.0 + r * u from the same stream.  A draw of the wrong shape must be
-named, the engine must ask for exactly two points per pair, and certify's
-weak-reflection check must make one draw per block, counted on its
-generator.
+``analysis._sampled_lipschitz`` takes a list of operators and calls
+``draw(rng, 2k)`` once per block of k <= ``rows_per_call(2)`` pairs (48);
+the draw returns one block per operator, the same array for operators that
+share their points.  ``certify`` draws its scalar points with one
+``uniform`` call of ``size=(2k, 1)`` per block, which consumes the stream
+of 2k calls of ``size=1``.  It draws its four vector checks' points once
+per block: each point's normal row with ``standard_normal(out=row)`` and
+then its factor with ``random()``, scaled by the radius of each
+experiment, which must give the bits of the per-point sampler
+``standard_normal(n) * (r * random())`` and so of ``normal(size=n) *
+uniform(0.0, r)``, which numpy computes as 0.0 + 1.0 * z and 0.0 + r * u
+from the same stream.  With either draw the engine must equal (``==``) the
+public function with the matching per-point sampler, each of certify's
+four vector constants must equal that check run alone, and an operator
+sharing a block with another must get the constant it gets alone.  A draw
+of the wrong shape must be named, the engine must ask for exactly two
+points per pair, a non-finite ratio must name the operator's own count,
+and certify must draw each point once: one ``uniform`` call per scalar
+block and one ``standard_normal`` and ``random`` call per vector point,
+counted on its generators.
 """
-
 import collections
 import math
 import re
@@ -22,7 +28,7 @@ import re
 import numpy as np
 import pytest
 
-from drsplit import analysis, solver
+from drsplit import analysis, experiment, solver
 from drsplit.analysis import _sampled_lipschitz, empirical_lipschitz
 from drsplit.linalg import rows_per_call
 
@@ -44,10 +50,10 @@ def exp2_setup(exp2_instance, exp2_problem):
 def test_scalar_block_draw_matches_per_point_sampler(exp2_setup, n_pairs):
     penalty, radius, alpha = exp2_setup
     weak = lambda t: solver.reflect(penalty.prox, t, alpha)
-    block = lambda rng, count: rng.uniform(-radius, radius, size=(count, 1))
+    block = lambda rng, count: (rng.uniform(-radius, radius, size=(count, 1)),)
     point = lambda rng: rng.uniform(-radius, radius, size=1)
     for seed in (0, 7):
-        assert _sampled_lipschitz(weak, block, n_pairs, seed) == empirical_lipschitz(weak, point, n_pairs, seed)
+        assert _sampled_lipschitz([weak], block, n_pairs, seed) == [empirical_lipschitz(weak, point, n_pairs, seed)]
 
 
 @pytest.mark.parametrize("n_pairs", N_PAIRS)
@@ -60,11 +66,11 @@ def test_vector_block_draw_matches_per_point_sampler(exp2_setup, exp2_problem, n
         points = np.empty((count, dim))
         for row in points:
             row[:] = rng.normal(size=dim) * rng.uniform(0.0, radius)
-        return points
+        return (points,)
 
     point = lambda rng: rng.normal(size=dim) * rng.uniform(0.0, radius)
     for seed in (0, 7):
-        assert _sampled_lipschitz(op, block, n_pairs, seed) == empirical_lipschitz(op, point, n_pairs, seed)
+        assert _sampled_lipschitz([op], block, n_pairs, seed) == [empirical_lipschitz(op, point, n_pairs, seed)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
@@ -78,11 +84,27 @@ def test_plain_vector_draw_has_the_bits_of_normal_times_uniform(seed):
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_block_vector_draw_has_the_bits_of_the_per_point_sampler(seed):
+    radii = (1e-3, 0.5, 1.0, 3.0, 37.25)
+    for n in (1, 2, 90, 120):
+        block = np.random.default_rng(seed)
+        normals, factors = np.empty((20, n)), np.empty((20, 1))
+        for i in range(20):
+            block.standard_normal(out=normals[i])
+            factors[i] = block.random()
+        for r in radii:
+            point = np.random.default_rng(seed)
+            got = normals * (r * factors)
+            for row in got:
+                assert row.tobytes() == (point.standard_normal(n) * (r * point.random())).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(19, 3), (21, 3), (20,), ()])
 def test_draw_of_the_wrong_shape_is_named(shape):
     # Ten pairs are one block of 20 points.
     with pytest.raises(ValueError, match=re.escape(f"draw returned shape {shape} for 20 points")):
-        _sampled_lipschitz(lambda x: x, lambda rng, count: np.zeros(shape), 10)
+        _sampled_lipschitz([lambda x: x], lambda rng, count: [np.zeros(shape)], 10)
 
 
 @pytest.mark.parametrize("n_pairs", N_PAIRS)
@@ -91,12 +113,36 @@ def test_engine_asks_for_two_points_per_pair(n_pairs):
 
     def draw(rng, count):
         asked.append(count)
-        return rng.normal(size=(count, 2))
+        return [rng.normal(size=(count, 2))]
 
-    _sampled_lipschitz(lambda x: x, draw, n_pairs)
+    _sampled_lipschitz([lambda x: x], draw, n_pairs)
     assert sum(asked) == 2 * n_pairs
     assert len(asked) == math.ceil(n_pairs / K)
     assert max(asked) <= 2 * K
+
+
+@pytest.mark.parametrize("n_pairs", [1, K, 3 * K + 5])
+def test_operators_sharing_a_block_get_their_constants_alone(exp2_setup, exp2_problem, n_pairs):
+    _, radius, alpha = exp2_setup
+    dim = exp2_problem.dim
+    ops = [solver.double_reflection(exp2_problem, alpha, "dr-main-fg"), lambda x: 2 * x, lambda x: x]
+    draw = lambda rng, count: [rng.normal(size=(count, dim)) * radius] * len(ops)
+    alone = [_sampled_lipschitz([op], lambda rng, count: draw(rng, count)[:1], n_pairs, 3)[0] for op in ops]
+    assert _sampled_lipschitz(ops, draw, n_pairs, 3) == alone
+    assert alone[1:] == [pytest.approx(2.0), pytest.approx(1.0)]
+
+
+def test_non_finite_ratio_names_the_second_operators_count():
+    # Two blocks; in each the second operator's NaN rows 0, 3 and 7 fall on
+    # pairs 0, 1 and 3, and every pair is usable.
+    def nan_rows(x):
+        out = x.copy()
+        out[[0, 3, 7]] = np.nan
+        return out
+
+    draw = lambda rng, count: [rng.normal(size=(count, 2))] * 2
+    with pytest.raises(ValueError, match=re.escape(f"non-finite ratio on 6 of {K + 5} usable pairs")):
+        _sampled_lipschitz([lambda x: x, nan_rows], draw, K + 5)
 
 
 class CountingGenerator:
@@ -134,10 +180,60 @@ def test_certify_draws_weak_reflection_points_once_per_block(pairs, monkeypatch)
     assert weak.calls == {"uniform": math.ceil(max(pairs, 10000) / K)}
 
 
-def test_certify_runs_its_vector_checks_through_the_public_function(monkeypatch):
-    calls = []
-    public = analysis.empirical_lipschitz
-    monkeypatch.setattr(analysis, "empirical_lipschitz", lambda *args: calls.append(args[2:]) or public(*args))
-    assert [ok for _, ok, _ in analysis.certify(10, seed=0)] == [True] * 5
-    # The two nonexpansive checks and the two rate checks; the scalar one runs the engine.
-    assert calls == [(10, 0)] * 4
+@pytest.fixture(scope="module")
+def certify_setups():
+    """Per certify seed, the four vector checks' (operator, radius) in
+    certify's order, built here from the instances as certify builds them."""
+    setups = {}
+    for seed in (0, 7):
+        checks = []
+        instance_seed = experiment.derive_seeds(seed, 1)[0]
+        for spec, variants in ((experiment.EXP1, None), (experiment.EXP2, ("dr-main-fg", "dr-shift-fg"))):
+            inst = experiment.build_instance(spec, seed=instance_seed)
+            prob, (s, sigma) = inst.problem(), inst.operator.gram_extremes()
+            radius = 3.0 * inst.penalty.tau / inst.penalty.rho
+            if variants is None:
+                steps = {v: solver.step_bound(v, sigma, prob.rho) for v in ("dr-main-fg", "dr-main-gf")}
+            else:
+                steps = {"dr-main-fg": 1.0 / math.sqrt(sigma * s), "dr-shift-fg": 1.0 / s}
+            checks += [(solver.double_reflection(prob, alpha, v), radius, prob.dim) for v, alpha in steps.items()]
+        setups[seed] = checks
+    return setups
+
+
+@pytest.mark.parametrize("pairs", [1, K - 1, K, K + 1, 3 * K + 5, 1000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_certify_vector_constants_equal_each_check_alone(certify_setups, pairs, seed, monkeypatch):
+    results = []
+    engine = analysis._sampled_lipschitz
+
+    def recording(operators, draw, n_pairs, seed):
+        results.append(engine(operators, draw, n_pairs, seed))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, "_sampled_lipschitz", recording)
+    assert [ok for _, ok, _ in analysis.certify(pairs, seed)] == [True] * 5
+    # One engine call for the four vector checks, one for the scalar check.
+    vector, _ = results
+    alone = []
+    for op, radius, dim in certify_setups[seed]:
+        sampler = lambda rng: rng.standard_normal(dim) * (radius * rng.random())
+        alone.append(empirical_lipschitz(op, sampler, pairs, seed))
+    assert vector == alone
+
+
+@pytest.mark.parametrize("pairs", [1, K + 1, 1000])
+def test_certify_draws_each_vector_point_once(pairs, monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        made.append(CountingGenerator(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    assert [ok for _, ok, _ in analysis.certify(pairs, seed=0)] == [True] * 5
+    # Only the vector checks' generator calls standard_normal; at 8 * pairs
+    # calls of each, four generators drew the same points.
+    (vector,) = [g for g in made if g.calls["standard_normal"]]
+    assert vector.calls == {"standard_normal": 2 * pairs, "random": 2 * pairs}
