@@ -124,25 +124,31 @@ def _usable_pairs(points, k: int):
     return pairs.reshape(2 * len(gap), *points.shape[1:]), gap
 
 
-def _sampled_lipschitz(operators, draw, n_pairs: int, seed: int = 0) -> list[float]:
+def _check_pairs(n_pairs: int) -> None:
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+
+
+def _sampled_lipschitz(operators, draw, n_pairs: int, rng, numbers: int) -> list[float]:
     """The engine of ``empirical_lipschitz`` for several operators at once,
-    which draws a block at a time: ``draw(rng, 2k)`` returns one (2k, *shape)
-    array per operator, the points of the next k <= ``rows_per_call(2)``
-    pairs (48), x then y of each pair, and is asked for 2 * n_pairs points
+    which draws a block at a time from the generator rng: ``draw(rng, 2k)``
+    returns one (2k, *shape) array per operator, the points of the next
+    k <= ``rows_per_call(2 * numbers)`` pairs, x then y of each pair, where
+    ``numbers`` counts the numbers in one point (48 pairs of 90-number
+    points, 4320 of 1-number points), and is asked for 2 * n_pairs points
     in all.  Operators that share their points get the same array; its
     pairs and gaps are then taken once per block, so those operators must
     not write to their input.  Returns each operator's constant, as
-    ``empirical_lipschitz`` would for it alone.  Raises ValueError for a
-    draw of another row count or of fewer than two dimensions, and
+    ``empirical_lipschitz`` would for it alone: the constant is a max over
+    pairs drawn in sequence, so no block size moves it.  Raises ValueError
+    for a draw of another row count or of fewer than two dimensions, and
     otherwise as ``empirical_lipschitz`` does, for the first operator in
     the list whose pairs all coincide or give a non-finite ratio.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    rng = np.random.default_rng(seed)
+    _check_pairs(n_pairs)
     n = len(operators)
     worst, usable, nonfinite = [0.0] * n, [0] * n, [0] * n
-    per_call = rows_per_call(2)
+    per_call = rows_per_call(2 * numbers)
     for start in range(0, n_pairs, per_call):
         k = min(per_call, n_pairs - start)
         blocks = draw(rng, 2 * k)
@@ -179,30 +185,33 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
     returns a point of the operator's domain: a vector (n,), or any array of
     at least one dimension (norms then run over all its entries).  Pairs
     closer than 1e-12 are skipped.  The operator is applied to up to
-    ``linalg.rows_per_call(2)`` pairs at a time (48, two points per pair
-    within ``linalg.STACK_POINTS``), as one (2k, n) stack of their points, so
-    it must map such a stack row by row, each row to what it maps that point
-    to alone.  ``double_reflection`` and the reflections of the stock proxes
-    do, with the same bits, so the result equals that of one call per point.
-    Raises ValueError for a 0-d sample, for an operator output whose shape
-    differs from its input, when every pair coincides, and when usable pairs
-    give non-finite ratios (the message counts them).  It is the engine
-    ``_sampled_lipschitz`` run on one operator; ``certify`` runs that engine
-    directly, drawing each block once for its four vector checks and once
-    for its scalar check.
+    ``linalg.rows_per_call(2 * size)`` pairs at a time, size the numbers in
+    the sampler's first point (48 pairs of 90-number points, two points per
+    pair within ``linalg.STACK_NUMBERS``), as one (2k, n) stack of their
+    points, so it must map such a stack row by row, each row to what it maps
+    that point to alone.  ``double_reflection`` and the reflections of the
+    stock proxes do, with the same bits, so the result equals that of one
+    call per point.  Raises ValueError for a 0-d sample, for an operator
+    output whose shape differs from its input, when every pair coincides,
+    and when usable pairs give non-finite ratios (the message counts them).
+    It is the engine ``_sampled_lipschitz`` run on one operator; ``certify``
+    runs that engine directly, drawing each block once for its four vector
+    checks and once for its scalar check.
     """
+    _check_pairs(n_pairs)
+    rng = np.random.default_rng(seed)
+    first = np.asarray(sampler(rng), dtype=float)
+    if first.ndim == 0:
+        raise ValueError(f"sampler returned shape {first.shape}; a point needs at least one dimension")
+    pending = [first]  # drawn already, to size the blocks
 
     def draw(rng, count: int):
-        first = np.asarray(sampler(rng), dtype=float)
-        if first.ndim == 0:
-            raise ValueError(f"sampler returned shape {first.shape}; a point needs at least one dimension")
         points = np.empty((count, *first.shape))
-        points[0] = first
-        for i in range(1, count):
-            points[i] = sampler(rng)
+        for i in range(count):
+            points[i] = pending.pop() if pending else sampler(rng)
         return (points,)
 
-    return _sampled_lipschitz((operator,), draw, n_pairs, seed)[0]
+    return _sampled_lipschitz((operator,), draw, n_pairs, rng, first.size)[0]
 
 
 def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
@@ -221,7 +230,9 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     bits for both experiments.  numpy computes ``normal(size=n)`` and
     ``uniform(0.0, radius)`` as 0.0 + 1.0 * z and 0.0 + radius * u from the
     same stream, so these are also the bits of ``normal(size=n) *
-    uniform(0.0, radius)``.
+    uniform(0.0, radius)``.  Blocks are sized by ``linalg.STACK_NUMBERS``:
+    48 pairs of 90-number points for the vector checks, 4320 pairs of
+    1-number points for the scalar one.
     """
     instance_seed = experiment.derive_seeds(seed, 1)[0]
 
@@ -253,16 +264,17 @@ def certify(pairs: int, seed: int) -> list[tuple[str, bool, str]]:
     nonexpansive = ("dr-main-fg", "dr-main-gf")
     operators = [solver.double_reflection(prob1, solver.step_bound(v, sigma1, prob1.rho), v) for v in nonexpansive]
     operators += [solver.double_reflection(prob2, alpha, variant) for _, variant, alpha, _ in rated]
-    emps = _sampled_lipschitz(operators, vector_draw, pairs, seed)
+    emps = _sampled_lipschitz(operators, vector_draw, pairs, np.random.default_rng(seed), prob1.dim)
 
     checks = [
         (f"nonexpansive {variant} (ratio 15.96)", emp <= 1.0 + 1e-12, f"empirical={emp:.12f} bound=1")
         for variant, emp in zip(nonexpansive, emps[:2])
     ]
     weak = lambda t: solver.reflect(penalty.prox, t, alpha_t)
-    # One uniform call per block draws the bits of one size=1 call per point.
+    # One uniform call per block draws the bits of one size=1 call per point:
+    # 4320 pairs of 1-number points a block, 3 blocks for 10000 pairs.
     scalar_draw = lambda rng, count: (rng.uniform(-radius2, radius2, size=(count, 1)),)
-    (emp,) = _sampled_lipschitz((weak,), scalar_draw, max(pairs, 10000), seed)
+    (emp,) = _sampled_lipschitz((weak,), scalar_draw, max(pairs, 10000), np.random.default_rng(seed), 1)
     bound = reflection_bound_weak(alpha_t, rho2)
     detail = f"empirical={emp:.12f} bound={bound:.12f}"
     checks.append(("weak reflection bound attained", 0.99 * bound <= emp <= bound + 1e-9, detail))

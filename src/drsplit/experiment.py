@@ -37,10 +37,7 @@ failed seed writes none.
 from __future__ import annotations
 
 import dataclasses
-import json
-import logging
 import math
-import statistics
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -53,7 +50,9 @@ from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty
 from .smooth import QuadraticTerm, SubspaceConstraint, support_mask
 from .solver import DR_VARIANTS, Problem, SolverConfig, default_alpha, run
 
-logger = logging.getLogger(__name__)
+# json, logging and statistics are imported in the functions that use them
+# (save and load, the divergence log, median_iterations), so that importing
+# drsplit and building instances loads none of them.
 
 # Most seeds solved as one block, so that a default 20-seed run is one block.
 # A block step costs about the same at 10 or 20 rows, since call overhead
@@ -65,7 +64,8 @@ logger = logging.getLogger(__name__)
 # run_experiment at 20 seeds into an out_dir peaked at 44.2-44.3 MB at one
 # seed per block, 43.2-44.2 MB at 10 and 43.3-44.1 MB at 20 (stock specs,
 # OPENBLAS_NUM_THREADS=1, x86-64).  run()'s audit calls take at most
-# linalg.STACK_POINTS points, so their temporaries do not grow either.
+# linalg.STACK_NUMBERS numbers (96 iterates of one 90-number problem, 4 of a
+# 20-row block), so their temporaries do not grow either.
 BLOCK_SEEDS = 20
 
 # The zone run: dr-main-fg steps from z0 = 0 whose final point gives each
@@ -253,6 +253,8 @@ class ProblemInstance:
         }
 
     def save(self, path) -> None:
+        import json
+
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh)
 
@@ -286,6 +288,8 @@ class ProblemInstance:
     @classmethod
     def load(cls, path) -> "ProblemInstance":
         """Read an instance written by ``save``; its operator is its filter's shared one."""
+        import json
+
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
 
@@ -382,6 +386,8 @@ class ExperimentReport:
         return [r for r in self.results if r.failed is None]
 
     def median_iterations(self) -> dict:
+        import statistics
+
         out = {}
         names = set()
         for r in self.ok_results():
@@ -433,6 +439,8 @@ class ExperimentReport:
         }
 
     def save(self, path) -> None:
+        import json
+
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
 
@@ -511,6 +519,9 @@ def _solve(instances, spec: ExperimentSpec, audit: bool) -> list[tuple[SeedResul
         ]
         runs = {config.variant: run(problem, config) for config in [ista, *dr]}
     except DivergenceError as exc:
+        import logging
+
+        logger = logging.getLogger(__name__)
         if len(instances) > 1:
             logger.info("a block of %d seeds diverged (%s); solving them one at a time", len(instances), exc)
             return [solved for inst in instances for solved in _solve([inst], spec, audit)]

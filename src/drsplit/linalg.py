@@ -42,23 +42,27 @@ def row_norm(v: np.ndarray):
     return np.sqrt(np.vecdot(v, v))
 
 
-# Most points per stacked call, where a loop stacks them into one numpy call:
-# run()'s audit (a point per buffered iterate and running block row) and the
-# sampled pairs of analysis (two points each).  Row-wise calls make any
-# chunking bit-safe, so this sets only time and memory.  Python overhead, not
-# flops, is the cost: 16 audit rows took a 58-iteration EXP2 solve from 5.8 to
-# 3.4 ms (96 rows: no slower), and certify(1000, seed) took 0.52-0.91 s at
-# one pair per call and 0.08-0.19 s at 16 to 256.  Temporaries grow with the
-# points and the allocator keeps memory after them: a fresh process running
-# run_experiment(EXP1) at 20 seeds (one block) into an out_dir peaked at
-# 44.1-44.2 MB at 160 points per call and 43.9-44.2 MB at 96; EXP2 at
-# 43.6-43.7 and 43.4-43.5 MB.  (2-core x86-64 host, OPENBLAS_NUM_THREADS=1.)
-STACK_POINTS = 96
+# Most numbers per stacked call, where a loop stacks rows into one numpy
+# call: run()'s audit (a row per buffered iterate, of every running block
+# row's numbers) and the sampled pairs of analysis (two points each).  It
+# counts numbers, not points, so a call of 1-number points takes as many
+# numbers as one of 90-number points.  Row-wise calls make any chunking
+# bit-safe, so this sets only time and memory.  Python overhead, not flops,
+# is the cost: 16 audit rows of 90 numbers took a 58-iteration EXP2 solve
+# from 5.8 to 3.4 ms (96 rows: no slower), and certify(1000, seed) took
+# 0.52-0.91 s at one pair per call and 0.08-0.19 s at 16 to 256.
+# Temporaries grow with the numbers and the allocator keeps memory after
+# them: a fresh process running run_experiment(EXP1) at 20 seeds (one block)
+# into an out_dir peaked at 44.1-44.2 MB at 160 points of 90 numbers per call
+# and 43.9-44.2 MB at 96 (8640 numbers); EXP2 at 43.6-43.7 and 43.4-43.5 MB.
+# (2-core x86-64 host, OPENBLAS_NUM_THREADS=1.)
+STACK_NUMBERS = 8640
 
 
-def rows_per_call(points_per_row: int) -> int:
-    """Rows per stacked call when each row holds points_per_row points."""
-    return max(1, STACK_POINTS // points_per_row)
+def rows_per_call(numbers_per_row: int) -> int:
+    """Rows per stacked call when each row holds numbers_per_row numbers;
+    at least one, as a row is never split."""
+    return max(1, STACK_NUMBERS // numbers_per_row)
 
 
 def prox_matrix(gram: np.ndarray, alpha: float) -> np.ndarray:

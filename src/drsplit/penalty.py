@@ -18,7 +18,10 @@ bound (alpha > 0, and alpha * rho < 1 for the firm prox); a NaN fails it.
 (alpha, alpha tau, tau/rho, 1 - alpha rho), so a call at that step checks
 nothing again and pays only for the elementwise work; a call at another step
 checks it and replaces them, and a NaN step, equal to no step, is checked and
-rejected on every call.
+rejected on every call.  For a (B, 1) column of weights it keeps alpha tau
+and tau/rho at the (B, n) shape of the block's iterates, rebuilt when the
+step or n changes, so no call broadcasts a column: a (k, B, n) stack of
+iterates broadcasts them along its leading axis only.
 
 Every operation is elementwise, so it also acts on a (B, n) block of points,
 or any (..., n) stack of them, row by row; ``value`` then returns one total
@@ -73,7 +76,8 @@ class FirmPenalty(SeparablePenalty):
             raise ValueError(f"tau must be positive, got {tau}")
         if not (rho > 0 and np.isfinite(rho)):
             raise ValueError(f"rho must be positive, got {rho}")
-        if tau.ndim:
+        self._column = bool(tau.ndim)
+        if self._column:
             tau = tau.copy()
             tau.setflags(write=False)
             # Square each weight as a Python float, as a scalar penalty does:
@@ -86,8 +90,9 @@ class FirmPenalty(SeparablePenalty):
         self.tau = tau
         self.rho = float(rho)
         self.modulus = self.rho
-        # (step, step * tau, tau / rho, 1 - step * rho), read and replaced as
-        # a whole, so concurrent callers never mix two steps' constants.
+        # (step, n, step * tau, tau / rho, 1 - step * rho), read and replaced
+        # as a whole, so concurrent callers never mix two steps' constants.  n
+        # is 0 for a scalar tau; a column's two thresholds are (B, n) arrays.
         self._step: tuple | None = None
 
     @property
@@ -109,12 +114,17 @@ class FirmPenalty(SeparablePenalty):
     def prox(self, x, alpha: float):
         """Firm threshold: dead zone below alpha*tau, expansive middle band,
         identity above tau/rho.  Requires alpha * rho < 1."""
-        step = self._step
-        if step is None or step[0] != alpha:  # a NaN never equals: checked, and rejected, every call
-            check_prox_step(alpha, self.rho)
-            self._step = step = (alpha, alpha * self.tau, self.tau / self.rho, 1.0 - alpha * self.rho)
-        _, dead, edge, denom = step
         x = np.asarray(x, dtype=float)
+        n = x.shape[-1] if self._column and x.ndim else 0
+        step = self._step
+        # A NaN step never equals: checked, and rejected, every call.
+        if step is None or step[0] != alpha or step[1] != n:
+            check_prox_step(alpha, self.rho)
+            dead, edge = alpha * self.tau, self.tau / self.rho
+            if n:  # the same bits as the column, repeated along the row
+                dead, edge = np.repeat(dead, n, axis=1), np.repeat(edge, n, axis=1)
+            self._step = step = (alpha, n, dead, edge, 1.0 - alpha * self.rho)
+        _, _, dead, edge, denom = step
         a = np.abs(x)
         # copysign has the bits of sign(x) * (a - dead) / denom wherever the
         # middle band is taken, as x is finite and nonzero there (unless

@@ -29,15 +29,16 @@ row up to the block's last row, and its step norm reads NaN there.
 ``run`` allocates the trace columns it records at max_iters + 1 rows and
 returns them cut to the rows it wrote.  The loop writes the step norm (and
 the reference distance, if any) of each iterate and keeps its primal point
-x in a buffer of ``linalg.rows_per_call(B)`` iterates for B running rows:
-96 iterates of a single problem, 16 of a 6-row block, 9 of a 10-row one.
-Each time the buffer fills, one stacked call each of ``Problem.cost`` and
-``Problem.fixed_point_residual`` fills the audit columns of those rows, and
-the rows left when rows of a block stop, or when the loop ends, are audited
-then.  Every call acts row by row, so each column has the bits of auditing
-one iterate at a time.  The terms' ``value``, the smooth term's ``grad`` and
-the penalty's ``prox`` therefore take a (k, *shape) stack of iterates, one
-result per row.
+x in a buffer of ``linalg.rows_per_call(B * n)`` iterates for B running rows
+of n numbers, at most ``linalg.STACK_NUMBERS`` (8640) numbers per call: 96
+iterates of a single 90-number problem, 16 of a 6-row block, 9 of a 10-row
+one.  Each time the buffer fills, one stacked call each of ``Problem.cost``
+and ``Problem.fixed_point_residual`` fills the audit columns of those rows,
+and the rows left when rows of a block stop, or when the loop ends, are
+audited then.  Every call acts row by row, so each column has the bits of
+auditing one iterate at a time.  The terms' ``value``, the smooth term's
+``grad`` and the penalty's ``prox`` therefore take a (k, *shape) stack of
+iterates, one result per row.
 
 Two options serve callers that read less than the full history: a row stops
 at the first iterate whose distance to the reference meets ``stop_dist``, and
@@ -401,8 +402,8 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     Records cost, step norm, fixed-point residual, and reference distance at
     every iterate (including the initial point); with ``audit=False`` no cost
     or residual.  Cost and residual are computed on a stack of up to
-    ``linalg.rows_per_call(B)`` iterates of B running rows at a time, with the
-    bits of one iterate at a time (see the module docstring), and
+    ``linalg.rows_per_call(B * n)`` iterates of B running rows at a time, with
+    the bits of one iterate at a time (see the module docstring), and
     ``final_cost`` by one call on the final points, audited or not.  The step
     gate runs before the first iteration: StepSizeError when alpha fails it,
     and NonConvexShiftError when it passes but a shifted variant's rho exceeds
@@ -469,7 +470,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     def buffer(shape):
         """(per_call, xs) for iterates of this shape: the iterates per audit
         call, and the buffer that keeps their x until they are audited."""
-        per_call = rows_per_call(math.prod(shape[:-1]))
+        per_call = rows_per_call(math.prod(shape))
         return per_call, np.empty((per_call, *shape))
 
     base = 0  # the first iterate not yet audited
@@ -488,9 +489,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
         raise DivergenceError(f"non-finite x0 at iteration 0 of {config.variant}")
     delta = np.full(lead, math.nan)
     # One problem's delta and stop are numpy scalars, which math.isfinite and
-    # bool read without the reduction a block's arrays need.
+    # bool read without the reduction a block's arrays need; for a block, the
+    # plain ufunc reduction and count skip the dispatch of .sum() and .any().
     if lead:
-        finite, any_ = (lambda d: math.isfinite(d.sum())), np.ndarray.any
+        finite, any_ = (lambda d: math.isfinite(np.add.reduce(d))), np.count_nonzero
     else:
         finite, any_ = math.isfinite, bool
     # Per block row, written as the row stops.

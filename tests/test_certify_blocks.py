@@ -1,7 +1,8 @@
 """``empirical_lipschitz`` on blocks of pairs against one operator call per point.
 
 ``empirical_lipschitz`` draws its points one ``sampler`` call at a time and
-applies the operator to up to ``rows_per_call(2)`` pairs (48) at once.  Here
+applies the operator to up to ``rows_per_call(2 * size)`` pairs at once, size
+the numbers in one point: 48 pairs of EXP2's 90-number points.  Here
 every result must equal (``==``) that of ``oracles.pointwise_lipschitz``,
 the loop with one operator call per point, for the identity, the scalar weak
 reflection and the four double reflections on EXP2 (and on the
@@ -21,12 +22,12 @@ import numpy as np
 import pytest
 from oracles import pointwise_lipschitz
 
-from drsplit import FirmPenalty, build_subspace_demo, solver
+from drsplit import EXP2, FirmPenalty, build_subspace_demo, solver
 from drsplit.analysis import empirical_lipschitz
 from drsplit.cli import main
 from drsplit.linalg import rows_per_call
 
-K = rows_per_call(2)
+K = rows_per_call(2 * EXP2.signal_len)
 # Around one block and past three, and counts that end partway through a block.
 N_PAIRS = [1, K - 1, K, K + 1, 3 * K + 5, 63, 64, 65, 197]
 

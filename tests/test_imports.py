@@ -1,6 +1,7 @@
-"""What a drsplit process imports: no scipy module, and ``drsplit.analysis``
+"""What a drsplit process imports: no scipy module, ``drsplit.analysis``
 only once a rate calculator or the ``rates`` or ``certify`` command asks for
-it.
+it, and no json, logging or statistics to import drsplit and build the stock
+instances.
 
 The checks run in fresh interpreters, since this test session may have
 imported both already.  They depend on no numpy or BLAS build, so they also
@@ -48,6 +49,20 @@ assert drsplit.empirical_lipschitz is sys.modules["drsplit.analysis"].empirical_
 """
 
 
+# Imports numpy, then drsplit, builds an EXP1 and an EXP2 instance and their
+# problems, and prints which of json, logging and statistics that added.
+QUIET = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+before = set(sys.modules)
+import drsplit
+for spec in (drsplit.EXP1, drsplit.EXP2):
+    drsplit.build_instance(spec, seed=0).problem()
+print(sorted(m for m in ("json", "logging", "statistics") if m in set(sys.modules) - before))
+"""
+
+
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     done = subprocess.run([sys.executable, "-c", code, SRC, *args], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -75,3 +90,7 @@ def test_cli_loads_no_scipy(command, instance_path, tmp_path):
 
 def test_import_and_stock_builds_leave_analysis_unloaded():
     run_fresh(LAZY)
+
+
+def test_import_and_stock_builds_load_no_json_logging_or_statistics():
+    assert run_fresh(QUIET).stdout == "[]\n"

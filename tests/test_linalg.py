@@ -155,7 +155,26 @@ class TestGramExtremes:
     [(1, 96), (2, 48), (3, 32), (6, 16), (10, 9), (96, 1), (97, 1), (500, 1)],
 )
 def test_rows_per_call_keeps_within_the_point_budget(points_per_row, rows):
-    # A single problem audits 96 iterates per call, a certify block holds 48
-    # pairs, 6- and 10-seed blocks audit 16 and 9 iterates; a row is never split.
-    assert linalg.STACK_POINTS == 96
-    assert linalg.rows_per_call(points_per_row) == rows
+    # The budget counts numbers: 8640, 96 points of 90 numbers.  A single
+    # 90-number problem audits 96 iterates per call, a certify vector block
+    # holds 48 pairs, 6- and 10-seed blocks audit 16 and 9 iterates; a row
+    # is never split.
+    assert linalg.STACK_NUMBERS == 8640 == 96 * 90
+    assert linalg.rows_per_call(90 * points_per_row) == rows
+
+
+@pytest.mark.parametrize(
+    "numbers_per_row, rows",
+    [(1, 8640), (2, 4320), (16, 540), (8640, 1), (8641, 1), (10**6, 1)],
+)
+def test_rows_per_call_counts_numbers(numbers_per_row, rows):
+    # 1-number scalar points go 8640 to a call: certify's scalar check
+    # takes 4320 pairs per block.
+    assert linalg.rows_per_call(numbers_per_row) == rows
+
+
+def test_audit_flushes_of_90_number_blocks_stay_at_96_points():
+    # A B-row block of 90-number iterates takes as many iterates per audit
+    # call as the 96-point budget gave it, so no flush moves.
+    for b in range(1, 101):
+        assert linalg.rows_per_call(90 * b) == max(1, 96 // b)

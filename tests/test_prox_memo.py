@@ -7,6 +7,13 @@ its operator's store.  Each must give the bits of the formula it replaced
 alternate, on the band edges, at signed zeros, NaN and infinities, for
 scalar and column weights, on stacks of blocks and after ``take``.  A step
 that fails the step rule, NaN above all, must raise on every call.
+
+For a column of weights the firm prox keeps alpha tau and tau/rho at the
+(B, n) shape of the block's iterates.  Each row of its result must then have
+the bits of a scalar-weight penalty's prox of that row, on blocks of 1, 2, 6
+and 20 stock EXP2 seeds and on (k, B, n) audit stacks, with calls that
+alternate between the run step and the audit step 1/sigma, that change n,
+and after ``take``.
 """
 
 import math
@@ -14,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from drsplit import EXP2, FirmPenalty, QuadraticTerm, StepSizeError, linalg
+from drsplit import EXP2, FirmPenalty, QuadraticTerm, StepSizeError, linalg, solver
 from drsplit.experiment import block_problem, build_instance, derive_seeds
 from drsplit.linalg import matvec
 
@@ -91,3 +98,45 @@ def test_a_bad_step_raises_on_every_call(bad):
                 with pytest.raises(StepSizeError):
                     prox(x, bad)
             assert prox.__self__._step[0] == 0.3
+
+
+def check_rows_against_scalars(g, scalars, x, alpha):
+    """Each block row of g.prox(x, alpha), x of shape (..., B, n), against
+    the scalar-weight penalty of that row."""
+    got = g.prox(x, alpha)
+    assert got.shape == x.shape
+    for b, scalar in enumerate(scalars):
+        assert got[..., b, :].tobytes() == scalar.prox(x[..., b, :], alpha).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 6, 20])
+def test_block_firm_prox_rows_have_the_bits_of_scalar_penalties(rows):
+    instances = [build_instance(EXP2, seed) for seed in derive_seeds(4, rows)]
+    problem = block_problem(instances)
+    g, scalars = problem.penalty, [inst.penalty for inst in instances]
+    run_step, audit_step = solver.default_alpha(problem, "dr-main-fg"), 1.0 / problem.grad_lipschitz
+    rng, n = np.random.default_rng(rows), problem.dim
+    # The run step and the audit step alternate, as a run's steps and audit
+    # flushes do; n changes once, and the constants are rebuilt for it.
+    for alpha, width in [(run_step, n), (audit_step, n), (run_step, n), (run_step, 16), (run_step, n), (audit_step, n)]:
+        for lead in ((rows,), (3, rows), (2, 4, rows)):  # a block, then (k, B, n) audit stacks
+            for _ in range(5):
+                check_rows_against_scalars(g, scalars, points(rng, g.tau, alpha, (*lead, width)), alpha)
+    kept = [rows - 1, 0] if rows > 1 else [0]
+    cut = g.take(kept)
+    for alpha in (run_step, audit_step, run_step):
+        for lead in ((len(kept),), (5, len(kept))):
+            x = points(rng, cut.tau, alpha, (*lead, n))
+            check_rows_against_scalars(cut, [scalars[b] for b in kept], x, alpha)
+
+
+def test_a_nan_step_is_rejected_on_every_block_call():
+    g = FirmPenalty(COLUMN, RHO)
+    rng = np.random.default_rng(8)
+    for shape in ((3, 40), (5, 3, 40), (3, 40)):
+        x = rng.normal(size=shape)
+        g.prox(x, 0.3)
+        for _ in range(2):
+            with pytest.raises(StepSizeError):
+                g.prox(x, math.nan)
+        assert g._step[0] == 0.3

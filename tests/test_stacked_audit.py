@@ -1,9 +1,10 @@
 """The stacked audit of ``solver.run`` against iterates stepped and audited by hand.
 
 ``run`` buffers the primal point of each iterate and fills the cost,
-fixed-point residual and distance columns of ``rows_per_call(B)`` iterates
-of B running rows with one call each: 96 for a single problem, 32 for a
-3-row block, 16 for a 6-row one and 9 for a 10-row one.  Here the same iterates come from plain
+fixed-point residual and distance columns of ``rows_per_call(B * n)``
+iterates of B running rows of n numbers with one call each: 96 for a single
+90-number problem, 32 for a 3-row block, 16 for a 6-row one and 9 for a
+10-row one (540 for the 16-number subspace demo).  Here the same iterates come from plain
 ``ista_step``/``dr_step`` loops, each audited alone, and every column must
 be ``array_equal`` to the trace's, NaN included.  Run lengths cover one
 row, a single problem's full buffer, one row past it and runs ending
@@ -25,7 +26,7 @@ from drsplit.experiment import block_problem, build_instance, derive_seeds
 from drsplit.linalg import row_norm, rows_per_call
 from drsplit.solver import dr_step
 
-R = rows_per_call(1)
+R = rows_per_call(EXP2.signal_len)
 # 16, 17 and 53 end runs partway through a buffer, 1, R, R + 1 and 3R + 5 at
 # the edges of a single problem's.
 LENGTHS = [1, 16, 17, 53, R, R + 1, 3 * R + 5]
@@ -55,7 +56,7 @@ def hand_columns(problem, variant, alpha, iters, reference):
 
 def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, reference=None, per_call=None):
     block = problem.shape[:-1]
-    per_call = rows_per_call(math.prod(block)) if per_call is None else per_call
+    per_call = rows_per_call(math.prod(problem.shape)) if per_call is None else per_call
     alpha = solver.default_alpha(problem, variant) if alpha is None else alpha
     if reference is None:
         reference = run(problem, SolverConfig("ista", max_iters=300)).final_x
@@ -87,11 +88,11 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
     # One call per full buffer, and one for the iterates left where rows
     # stop (the rows still running go on alone) or the loop ends; the
     # iterates per call follow the running row count.
-    assert per_call == rows_per_call(math.prod(block))
+    assert per_call == rows_per_call(math.prod(problem.shape))
     expected, start = [], 0
     for end in sorted(set(stops)):
         running = sum(stop >= end for stop in stops)
-        k = rows_per_call(running)
+        k = rows_per_call(running * problem.dim)
         full, rest = divmod(end + 1 - start, k)
         point = (running, problem.dim) if block else (problem.dim,)
         expected += [(k, *point)] * full + ([(rest, *point)] if rest else [])
@@ -128,7 +129,7 @@ def test_exp2_block(exp2_block, variant, rows, mode, monkeypatch):
 @pytest.mark.parametrize("rows", [1, 16, 17, 3 * 16 + 5])
 @pytest.mark.parametrize("variant", ["ista", "dr-main-fg"])
 def test_exp2_six_seed_block(variant, rows, mode, monkeypatch):
-    # 6 block rows: the 96-point budget leaves 16 iterates per audit call.
+    # 6 block rows: the 8640-number budget leaves 16 iterates per audit call.
     block = block_problem([build_instance(EXP2, s) for s in derive_seeds(0, 6)])
     check_against_hand(block, variant, rows, mode, monkeypatch, per_call=16)
 
@@ -142,7 +143,7 @@ def exp2_block10():
 @pytest.mark.parametrize("rows", [1, 9, 10, 3 * 9 + 5])
 @pytest.mark.parametrize("variant", ["ista", "dr-shift-fg"])
 def test_exp2_ten_seed_block(exp2_block10, variant, rows, mode, monkeypatch):
-    # 10 block rows: the 96-point budget leaves 9 iterates per audit call.
+    # 10 block rows: the 8640-number budget leaves 9 iterates per audit call.
     check_against_hand(exp2_block10, variant, rows, mode, monkeypatch, per_call=9)
 
 
@@ -154,7 +155,7 @@ def test_exp1_single(exp1_problem, variant, rows, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("rows", LENGTHS)
+@pytest.mark.parametrize("rows", [*LENGTHS, rows_per_call(16), rows_per_call(16) + 1])  # its 16-number buffer's edge
 def test_subspace_demo(rows, mode, monkeypatch):
     # No gradient on the f-side: the residual column is NaN throughout.
     y = np.random.default_rng(6).normal(0.0, 2.0, size=16)
