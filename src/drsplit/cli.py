@@ -125,7 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve one serialized instance")
     ps.add_argument("--instance", required=True, help="instance JSON file")
     ps.add_argument("--variant", required=True, choices=solver.VARIANTS)
-    ps.add_argument("--alpha", type=_positive, default=None)
+    ps.add_argument(
+        "--alpha",
+        type=_positive,
+        default=None,
+        help="step (default: solver.default_alpha; min(1/sqrt((s-rho)(sigma-rho)), 1/s), the certified-rate "
+        "minimizer, for dr-shift with 0 < rho < s; 0.99 x the step bound for other DR variants; 1/sigma for ista)",
+    )
     ps.add_argument("--lambda", dest="relaxation", type=_fraction, default=0.5)
     ps.add_argument("--iters", type=_count(0), default=5000)
     ps.add_argument("--tol", type=_nonnegative, default=0.0)

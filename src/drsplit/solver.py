@@ -166,15 +166,26 @@ def check_step(variant: str, alpha: float, sigma, rho: float, s=None) -> None:
         check_prox_step(alpha, rho, s)
 
 
-def default_alpha(problem: Problem, variant: str, fraction: float = 0.99) -> float:
+def default_alpha(problem: Problem, variant: str, fraction: float | None = None) -> float:
     """fraction x the variant's step bound; the bound 1/sigma itself for
-    ista, and 1/sigma when the bound is infinite."""
-    sigma = problem.grad_lipschitz
-    bound = step_bound(variant, sigma, problem.rho)
+    ista, and 1/sigma when the bound is infinite.
+
+    Without a fraction, a dr-shift variant with 0 < rho < s <= sigma takes
+    min(1/sqrt((s - rho)(sigma - rho)), 1/s), the step that minimizes its
+    certified rate ``analysis.contraction_rate_shift`` on (0, 1/s]; every
+    other case takes the fraction 0.99.  A rho within rounding of s, where
+    that step times rho rounds to 1, also keeps 0.99."""
+    sigma, rho = problem.grad_lipschitz, problem.rho
+    bound = step_bound(variant, sigma, rho)
     if variant == "ista":
         return bound
+    s = problem.strong_convexity
+    if fraction is None and DR_TABLE[variant][1] and sigma is not None and s is not None and 0 < rho < s <= sigma:
+        alpha = min(1.0 / math.sqrt((s - rho) * (sigma - rho)), 1.0 / s)
+        if alpha * rho < 1.0:
+            return alpha
     if math.isfinite(bound):
-        return fraction * bound
+        return (0.99 if fraction is None else fraction) * bound
     if sigma is not None:
         return 1.0 / sigma
     raise StepSizeError(f"{variant} has no finite step bound here; pass alpha explicitly")
@@ -244,10 +255,15 @@ def ista_step(problem, x, alpha):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters: variant, step alpha (None = variant default),
-    relaxation weight in (0,1), iteration/tolerance limits, an optional
-    reference point for distance recording, and the first iterate ``start``
-    (z0 of a DR variant, x0 of ista; None = 0), of the iterate shape.
+    """Run parameters: variant, step alpha, relaxation weight in (0,1),
+    iteration/tolerance limits, an optional reference point for distance
+    recording, and the first iterate ``start`` (z0 of a DR variant, x0 of
+    ista; None = 0), of the iterate shape.
+
+    alpha None is ``default_alpha(problem, variant)``: the step that
+    minimizes the certified rate of a dr-shift variant with
+    0 < rho < s <= sigma, 0.99 x the step bound of any other DR variant,
+    and 1/sigma for ista and for an unbounded step.
 
     ``stop_dist`` (needs the reference) stops a row after the first iterate
     whose distance to the reference is at most stop_dist.  ``audit=False``
@@ -364,11 +380,12 @@ class IterationTrace:
 
     def to_csv(self, path) -> None:
         self._require_single("to_csv")
-        columns = [self.iterations, *(getattr(self, name) for name in self.COLUMNS)]
-        line = ",".join(["{}", *["{:.17g}"] * len(self.COLUMNS)]) + "\n"
+        # One %-format over the whole table: the bytes of a per-row
+        # "{}" / "{:.17g}" format, NaN, inf and -0.0 included.
+        table = np.column_stack([self.iterations, *(getattr(self, name) for name in self.COLUMNS)])
+        line = "%d" + ",%.17g" * len(self.COLUMNS) + "\n"
         with open(path, "w") as fh:
-            fh.write(",".join(["iter", *self.COLUMNS]) + "\n")
-            fh.writelines(line.format(*row) for row in zip(*(a.tolist() for a in columns)))
+            fh.write(",".join(["iter", *self.COLUMNS]) + "\n" + line * len(table) % tuple(table.ravel().tolist()))
 
     def to_json_dict(self) -> dict:
         """Config and outcome as strict JSON: a non-finite final cost (an indicator's inf) is null."""
@@ -423,7 +440,11 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     the rows still running, so a term with a non-empty ``block_shape`` must
     have ``take(rows)`` (TypeError before the first iteration otherwise).
     One non-finite running row raises DivergenceError for the whole block.
-    The trace keeps config, an alpha of None replaced by the default step.
+    The trace keeps config, an alpha of None replaced by the default step
+    ``default_alpha(problem, variant)``: min(1/sqrt((s - rho)(sigma - rho)),
+    1/s), which minimizes the certified rate, for a dr-shift variant with
+    0 < rho < s <= sigma; 0.99 x the step bound for every other DR variant
+    (dr-shift at rho = s too); 1/sigma for ista and for an unbounded step.
     """
     whole = problem  # shedding rebinds problem to the rows still running
     config = replace(config, alpha=default_alpha(problem, config.variant)) if config.alpha is None else config

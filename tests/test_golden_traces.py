@@ -7,6 +7,9 @@ per-iteration audit shows up as a hash mismatch.  Cases:
 * all five variants, 400 iterations at their default steps, on the first
   EXP1 and EXP2 instance of master seed 0, with the distance column measured
   against a 3000-iteration ISTA reference;
+* both shifted variants on that EXP2 instance at 0.99 x their step bound,
+  ``default_alpha(problem, variant, 0.99)``, which the study runs at (the
+  default step there minimizes their certified rate instead);
 * both shifted variants on the subspace-constrained demo (alpha = 1,
   tol = 1e-14).
 
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from drsplit import FirmPenalty, SolverConfig, build_subspace_demo, run
+from drsplit.solver import default_alpha
 
 GOLDEN = {
     ("exp1", "dr-main-fg"): "0c809a18edb714c6ce6b23ef7ac5f76bbd5e6341612440e8d2702f88a7b062d9",
@@ -31,11 +35,17 @@ GOLDEN = {
     ("exp1", "ista"): "a033c1663e7f28ceb5830447008b90bd3143b6856c5e25b78b1c9b8f89ae6b3a",
     ("exp2", "dr-main-fg"): "7bd7236b565c7860c6b1a2a9e9b6a33a779d7ee1a3c575b5de0cbee0f2dcb353",
     ("exp2", "dr-main-gf"): "fd301f9311df0735b1b6d5d2bb7c5a7d5c56e012090ef5a8b25cb8f455368d3a",
-    ("exp2", "dr-shift-fg"): "80ab0e238fcfd68f0ab310d3fda04d9934be25c7a0b26095602caa96c4bedf0e",
-    ("exp2", "dr-shift-gf"): "d3ef266777c1e65c0b5843e0d70e4718e809b4118a6a8ad4d9cde9562e6abd2f",
+    ("exp2", "dr-shift-fg"): "5ca7c64d8f13bdfc25b2e80fa2f366c083282a49591384b7169598ac554fc1fd",
+    ("exp2", "dr-shift-gf"): "9007f7223685f916e55ca2112309eb4817c42ef04c3fc69d22d7c5e7f3d51623",
     ("exp2", "ista"): "a2b5634f4bc6feced50d2f174f52a0aa5e4d3a10c8627a9f5e3664635a57e792",
     ("subspace", "dr-shift-fg"): "6cbfe2c59b2f0e1660e2f226c5cd791269d97be6491e4d0c85ebc071e2219df1",
     ("subspace", "dr-shift-gf"): "5a890176918ee1035c789726ad9a763a3c573c557a5b1ff3679e40277b60c41e",
+}
+
+# Runs at alpha = default_alpha(problem, variant, 0.99).
+GOLDEN_AT_FRACTION = {
+    ("exp2", "dr-shift-fg"): "80ab0e238fcfd68f0ab310d3fda04d9934be25c7a0b26095602caa96c4bedf0e",
+    ("exp2", "dr-shift-gf"): "d3ef266777c1e65c0b5843e0d70e4718e809b4118a6a8ad4d9cde9562e6abd2f",
 }
 
 
@@ -58,6 +68,14 @@ def test_experiment_trace(case, references, tmp_path):
     problem, x_ref = references[case[0]]
     trace = run(problem, SolverConfig(case[1], max_iters=400, record_reference=x_ref))
     assert csv_sha256(trace, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", GOLDEN_AT_FRACTION, ids="/".join)
+def test_experiment_trace_at_099_of_the_bound(case, references, tmp_path):
+    problem, x_ref = references[case[0]]
+    alpha = default_alpha(problem, case[1], 0.99)
+    trace = run(problem, SolverConfig(case[1], alpha=alpha, max_iters=400, record_reference=x_ref))
+    assert csv_sha256(trace, tmp_path) == GOLDEN_AT_FRACTION[case]
 
 
 @pytest.mark.parametrize("variant", ["dr-shift-fg", "dr-shift-gf"])

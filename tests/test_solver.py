@@ -517,6 +517,21 @@ class TestTraceSerialization:
         assert float(row[2]) == trace.step_norm[1]
         assert math.isnan(float(row[4]))  # no reference configured
 
+    @pytest.mark.parametrize("rows", [1, 2, 141])
+    def test_csv_bytes_equal_a_per_row_format(self, exp1_problem, tmp_path, rows):
+        trace = run(exp1_problem, SolverConfig("dr-main-fg", max_iters=rows - 1))
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 1 / 3]
+        columns = np.random.default_rng(rows).normal(size=(4, rows)) * 10.0 ** np.arange(-8, 12, 5)[:, None]
+        columns.flat[: len(specials)] = specials[: columns.size]
+        trace = dataclasses.replace(trace, **dict(zip(IterationTrace.COLUMNS, columns)))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        line = "{}" + ",{:.17g}" * 4 + "\n"
+        expected = "iter,cost,step_norm,fp_residual,dist_to_ref\n" + "".join(
+            line.format(*row) for row in zip(trace.iterations.tolist(), *(c.tolist() for c in columns))
+        )
+        assert path.read_text() == expected
+
     def test_json_summary(self, exp1_problem):
         trace = run(exp1_problem, SolverConfig("dr-main-gf", max_iters=15, tol=1e-14))
         data = json.loads(json.dumps(trace.to_json_dict()))  # and it serializes
