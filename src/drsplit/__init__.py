@@ -1,10 +1,11 @@
 """Douglas-Rachford splitting for strongly convex + weakly convex objectives.
 
 The solver minimizes h = f + g where f is strongly convex (a quadratic data
-term, possibly subspace constrained) and g is a weakly convex separable
-penalty such as the firm-thresholding penalty.  Besides the iteration engines
-the package ships closed-form contraction-rate calculators with empirical
-validation, and a sparse-deconvolution benchmark harness with a CLI.
+term, or 0.5||y - x||^2 on a coordinate subspace, which has no gradient) and
+g is a weakly convex separable penalty such as the firm-thresholding
+penalty.  Besides the iteration engines the package ships closed-form
+contraction-rate calculators with empirical validation, and a
+sparse-deconvolution benchmark harness with a CLI.
 """
 
 import importlib
@@ -32,7 +33,7 @@ from .experiment import (
     run_experiment,
 )
 from .linalg import LinearMap, convolution_matrix
-from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty, SoftPenalty, ZeroPenalty
+from .penalty import FirmPenalty, SeparablePenalty, SoftPenalty, ZeroPenalty
 from .smooth import QuadraticTerm, SubspaceConstraint
 from .solver import (
     VARIANTS,
@@ -72,7 +73,6 @@ __all__ = [
     "NonConvexShiftError",
     "Problem",
     "ProblemInstance",
-    "QuadraticPlusPenalty",
     "QuadraticTerm",
     "RankDeficiencyError",
     "SeparablePenalty",

@@ -84,7 +84,7 @@ def _cmd_solve(args) -> int:
         audit=args.trace is not None,
     )
     trace = solver.run(problem, config)
-    if args.trace:
+    if config.audit:
         trace.to_csv(args.trace)
     _print_json(trace.to_json_dict())
     return 0

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -46,8 +47,8 @@ import numpy as np
 
 from .errors import DivergenceError, FilterDesignError
 from .linalg import LinearMap, convolution_matrix
-from .penalty import FirmPenalty, QuadraticPlusPenalty, SeparablePenalty
-from .smooth import QuadraticTerm, SubspaceConstraint, support_mask
+from .penalty import FirmPenalty, SeparablePenalty
+from .smooth import QuadraticTerm, SubspaceConstraint
 from .solver import DR_VARIANTS, Problem, SolverConfig, default_alpha, run
 
 # json, logging and statistics are imported in the functions that use them
@@ -204,9 +205,10 @@ class ExperimentSpec:
         if repeated := sorted({v for v in self.variants if self.variants.count(v) > 1}):
             raise ValueError(f"variants must be distinct, got {repeated} more than once")
         # Ranges checked here, so that a bad number names its field before any
-        # run (the exp1/exp2 flags check theirs alike); a NaN fails each.
-        # signal_len is checked before the sparsity it bounds.  rho_rule <= 1
-        # keeps rho <= s, where f + g is convex and the reference's
+        # run (the exp1/exp2 flags check theirs alike); a NaN fails each, and
+        # a count or size in range must also be an integer.  signal_len is
+        # checked, range and type, before the sparsity it bounds.  rho_rule
+        # <= 1 keeps rho <= s, where f + g is convex and the reference's
         # certificate proves a global minimizer.
         for names, holds, rule in (
             (("n_seeds", "max_iters", "reference_iters", "dist_threshold"), lambda v: v >= 0, "be >= 0"),
@@ -221,6 +223,9 @@ class ExperimentSpec:
             for name in names:
                 if not holds(value := getattr(self, name)):
                     raise ValueError(f"{name} must {rule}, got {value}")
+                integer = name in ("n_seeds", "max_iters", "reference_iters", "filter_len", "signal_len", "sparsity")
+                if integer and not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 EXP1 = ExperimentSpec(target_ratio=15.96, rho_rule=1.0)
@@ -339,18 +344,18 @@ def block_problem(instances) -> Problem:
 
 
 def build_subspace_demo(y, support, penalty: SeparablePenalty) -> tuple[Problem, np.ndarray]:
-    """Constrained problem min 0.5||y - x||^2 + i_K(x) + phi(x) split for the
-    shifted variants as f = i_K, g = 0.5||y - x||^2 + phi.
+    """Constrained problem min 0.5||y - x||^2 + i_K(x) + phi(x), split as
+    f = 0.5||y - x||^2 + i_K (``SubspaceConstraint``: s = 1, no gradient)
+    and g = phi.  f has no sigma, so the dr-main variants and ista refuse
+    it at their step gates; the dr-shift variants run it, shifting by
+    phi.modulus, which must not exceed s = 1.
 
     Returns the problem together with its separable closed-form solution:
     the unit-step prox of phi applied to y on the support, zero elsewhere
     (requires phi.modulus < 1).
     """
-    y = np.asarray(y, dtype=float)
-    prob = Problem(SubspaceConstraint(y.size, support), QuadraticPlusPenalty(y, penalty))
-    mask = support_mask(y.size, support)
-    oracle = np.where(mask, penalty.prox(y, 1.0), 0.0)
-    return prob, oracle
+    f = SubspaceConstraint(y, support)
+    return Problem(f, penalty), np.where(f.mask, penalty.prox(f.y, 1.0), 0.0)
 
 
 def derive_seeds(master_seed: int, n: int) -> list[int]:

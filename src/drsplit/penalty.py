@@ -23,6 +23,10 @@ and tau/rho at the (B, n) shape of the block's iterates, rebuilt when the
 step or n changes, so no call broadcasts a column: a (k, B, n) stack of
 iterates broadcasts them along its leading axis only.
 
+A penalty is the g side alone: a data term, even the plain 0.5||y - x||^2
+of the subspace demo, belongs to the f side (``smooth.SubspaceConstraint``),
+whose strong convexity the shifted variants spend on g's weak convexity.
+
 Every operation is elementwise, so it also acts on a (B, n) block of points,
 or any (..., n) stack of them, row by row; ``value`` then returns one total
 per row.  ``FirmPenalty`` takes its weight tau as a scalar or as a (B, 1)
@@ -185,37 +189,3 @@ class ZeroPenalty(SeparablePenalty):
 
     def __repr__(self):
         return "ZeroPenalty()"
-
-
-class QuadraticPlusPenalty(SeparablePenalty):
-    """g(x) = 0.5*||y - x||^2 + phi(x) for a separable penalty phi.
-
-    Used when the quadratic data term is absorbed into the penalty side so
-    that the other side can hold a nonsmooth constraint.  The unit quadratic
-    contributes strong convexity 1, so the composite modulus is
-    max(phi.modulus - 1, 0); for phi.modulus < 1 the composite is convex.
-    The prox reduces to a rescaled prox of phi by completing the square:
-
-        prox_g(x, a) = prox_phi((x + a*y) / (1 + a), a / (1 + a)).
-    """
-
-    def __init__(self, y, base: SeparablePenalty):
-        self.y = np.asarray(y, dtype=float).copy()
-        if self.y.ndim != 1:
-            raise ValueError(f"expected a 1-d observation, got shape {self.y.shape}")
-        self.y.setflags(write=False)
-        self.base = base
-        self.modulus = max(base.modulus - 1.0, 0.0)
-
-    def value(self, x):
-        """g(x), one value per row of a (..., n) stack."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 * np.sum((self.y - x) ** 2, axis=-1) + self.base.value(x)
-
-    def prox(self, x, alpha: float):
-        check_prox_step(alpha)
-        x = np.asarray(x, dtype=float)
-        return self.base.prox((x + alpha * self.y) / (1.0 + alpha), alpha / (1.0 + alpha))
-
-    def __repr__(self):
-        return f"QuadraticPlusPenalty(n={self.y.size}, base={self.base!r})"

@@ -1,4 +1,4 @@
-"""Strongly convex data-fidelity terms and subspace-constrained variants.
+"""Strongly convex data-fidelity terms, the f side of a splitting.
 
 Smooth terms expose ``value``, ``prox``, ``shifted_prox`` and, when the term
 is differentiable, ``grad`` plus the curvature constants ``strong_convexity``
@@ -25,6 +25,13 @@ rows of y, so it shares H and its matrices.  Its prox does not scan its
 input for non-finite values: a NaN in comes back as a NaN out, and
 ``solver.run`` reports it as divergence.
 
+``SubspaceConstraint(y, support)`` is f = 0.5||y - x||^2 + i_K for the
+coordinate subspace K of ``support``: 1-strongly convex and nonsmooth, with
+no ``grad`` and no sigma.  So the dr-main variants and ista, whose step
+gates need sigma, refuse it, and the dr-shift variants run it with
+``shifted_prox`` from the base class, for any shift rho <= s = 1.  This is
+the paper's modified DR, which imposes no smoothness on the convex term.
+
 ``value`` and ``grad`` also take any (..., n) stack of points, such as the
 iterates that ``solver.run`` audits in one call, and return one result per
 row; so does ``SubspaceConstraint.value``.
@@ -36,17 +43,6 @@ import numpy as np
 
 from .errors import check_prox_step
 from .linalg import LinearMap, as_rows, matvec
-
-
-def support_mask(dim: int, support) -> np.ndarray:
-    """Boolean mask of length ``dim`` from an iterable of coordinate indices."""
-    mask = np.zeros(dim, dtype=bool)
-    idx = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
-    if idx.size:
-        if idx[0] < 0 or idx[-1] >= dim:
-            raise ValueError(f"support indices must lie in [0, {dim})")
-        mask[idx] = True
-    return mask
 
 
 class SmoothTerm:
@@ -124,22 +120,38 @@ class QuadraticTerm(SmoothTerm):
 
 
 class SubspaceConstraint(SmoothTerm):
-    """f = i_K, the indicator of a coordinate subspace; prox is the projection."""
+    """f(x) = 0.5 * ||y - x||^2 + i_K(x), K the coordinates of ``support``.
 
-    def __init__(self, dim: int, support):
-        self.mask = support_mask(dim, support)
+    1-strongly convex (s = 1) and nonsmooth: it has no ``grad`` and no
+    sigma.  Its prox is the quadratic's prox (z + alpha y)/(1 + alpha) on K
+    and 0 off it.
+    """
+
+    strong_convexity = 1.0
+    grad_lipschitz = None
+
+    def __init__(self, y, support):
+        self.y = np.asarray(y, dtype=float).copy()
+        if self.y.ndim != 1:
+            raise ValueError(f"expected a 1-d observation, got shape {self.y.shape}")
+        self.y.setflags(write=False)
+        idx = np.array([int(i) for i in support], dtype=int)
+        if np.any((idx < 0) | (idx >= self.y.size)):
+            raise ValueError(f"support indices must lie in [0, {self.y.size})")
+        self.mask = np.zeros(self.y.size, dtype=bool)
+        self.mask[idx] = True
         self.mask.setflags(write=False)
-        self.strong_convexity = 0.0
-        self.grad_lipschitz = None
 
     @property
     def dim(self) -> int:
-        return self.mask.size
+        return self.y.size
 
     def value(self, x):
-        """0 on the subspace and inf off it, one value per row of a (..., n) stack."""
+        """0.5 ||y - x||^2 on K and inf off it, one value per row of a (..., n) stack."""
         x = as_rows(x)
-        return np.where(np.any(x[..., ~self.mask] != 0.0, axis=-1), np.inf, 0.0)[()]
+        r = self.y - x
+        return np.where(np.any(x[..., ~self.mask] != 0.0, axis=-1), np.inf, 0.5 * np.vecdot(r, r))[()]
 
     def prox(self, z, alpha: float) -> np.ndarray:
-        return np.where(self.mask, as_rows(z), 0.0)
+        check_prox_step(alpha)
+        return np.where(self.mask, (as_rows(z) + alpha * self.y) / (1.0 + alpha), 0.0)

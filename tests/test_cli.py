@@ -138,6 +138,20 @@ def test_unwritable_output_path_is_one_line(command, out, tmp_path, capsys):
     assert err.startswith(f"drsplit {command[0]}: ") and str(path) in err and err.count("\n") == 1
 
 
+def test_solve_with_an_empty_trace_path_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    # The audit and the write follow one test, so an empty --trace fails as
+    # an unwritable path does, before any output.
+    instance_path = tmp_path / "instance.json"
+    build_instance(EXP2, seed=4).save(instance_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--instance", str(instance_path), "--variant", "ista", "--iters", "20", "--trace", ""]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("drsplit solve: ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json"]
+
+
 def test_solve_rejects_gate_violation(tmp_path, capsys):
     instance_path = tmp_path / "instance.json"
     inst = build_instance(EXP2, seed=4)

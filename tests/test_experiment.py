@@ -256,7 +256,7 @@ class TestSubspaceDemo:
         y = np.array([3.0, -0.2, 1.4, 2.0])
         penalty = FirmPenalty(1.0, 0.5)
         problem, oracle = build_subspace_demo(y, [0, 1], penalty)
-        assert problem.rho == 0.0  # quadratic absorbs the weak convexity
+        assert problem.rho == penalty.rho  # g is phi itself; f = 0.5||y - .||^2 + i_K has s = 1
         np.testing.assert_allclose(oracle[:2], penalty.prox(y[:2], 1.0), atol=1e-15)
         np.testing.assert_array_equal(oracle[2:], [0.0, 0.0])
 
@@ -345,6 +345,14 @@ class TestRunExperiment:
     def test_counts_must_be_nonnegative(self, name):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 0, got -1")):
             dataclasses.replace(EXP2, **{name: -1})
+
+    # 2.5 passes each range, so only the type test can name the field before
+    # a run: numpy's own error, raised mid-run, names none.
+    @pytest.mark.parametrize("name", ["n_seeds", "max_iters", "reference_iters", "sparsity", "signal_len", "filter_len"])
+    def test_counts_and_sizes_must_be_integers(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got 2.5")):
+            dataclasses.replace(EXP2, **{name: 2.5})
+        assert getattr(dataclasses.replace(EXP2, **{name: np.int64(12)}), name) == 12
 
     @pytest.mark.parametrize("name", ["alpha_fraction", "relaxation"])
     @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5, math.nan])

@@ -10,8 +10,9 @@ per-iteration audit shows up as a hash mismatch.  Cases:
 * both shifted variants on that EXP2 instance at 0.99 x their step bound,
   ``default_alpha(problem, variant, 0.99)``, which the study runs at (the
   default step there minimizes their certified rate instead);
-* both shifted variants on the subspace-constrained demo (alpha = 1,
-  tol = 1e-14).
+* both shifted variants on the subspace-constrained demo, split as
+  f = 0.5||y - x||^2 + i_K and g = FirmPenalty(1.0, 0.5), so they shift by
+  rho = 0.5 (alpha = 1, tol = 1e-14).
 
 The hashes were taken with Python 3.11.7 and numpy 2.4.6 on OpenBLAS 0.3.31
 (x86-64), identical at 1 and 2 BLAS threads.  Another numpy or BLAS build may
@@ -38,8 +39,8 @@ GOLDEN = {
     ("exp2", "dr-shift-fg"): "5ca7c64d8f13bdfc25b2e80fa2f366c083282a49591384b7169598ac554fc1fd",
     ("exp2", "dr-shift-gf"): "9007f7223685f916e55ca2112309eb4817c42ef04c3fc69d22d7c5e7f3d51623",
     ("exp2", "ista"): "a2b5634f4bc6feced50d2f174f52a0aa5e4d3a10c8627a9f5e3664635a57e792",
-    ("subspace", "dr-shift-fg"): "6cbfe2c59b2f0e1660e2f226c5cd791269d97be6491e4d0c85ebc071e2219df1",
-    ("subspace", "dr-shift-gf"): "5a890176918ee1035c789726ad9a763a3c573c557a5b1ff3679e40277b60c41e",
+    ("subspace", "dr-shift-fg"): "ffcd58877eb0a78909be9eba73066592bea17d3f54bc2b4fd77cea506853bfcd",
+    ("subspace", "dr-shift-gf"): "a13a64e4984ec173ab5c14be81f6a54e9750dc0fecec5ea8f2924c2e884ded3b",
 }
 
 # Runs at alpha = default_alpha(problem, variant, 0.99).

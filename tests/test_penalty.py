@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drsplit import FirmPenalty, QuadraticPlusPenalty, SoftPenalty, StepSizeError, ZeroPenalty
+from drsplit import FirmPenalty, SoftPenalty, StepSizeError, ZeroPenalty
 from oracles import grid_prox, grid_shifted_prox
 
 
@@ -43,8 +43,6 @@ class TestFirmEval:
             FirmPenalty(np.ones(3), 0.5)
         with pytest.raises(ValueError, match="tau must be positive"):
             SoftPenalty(0.0)
-        with pytest.raises(ValueError, match=r"expected a 1-d observation, got shape \(2, 3\)"):
-            QuadraticPlusPenalty(np.ones((2, 3)), FirmPenalty(1.0, 0.5))
 
 
 class TestFirmProx:
@@ -71,7 +69,7 @@ class TestFirmProx:
         with pytest.raises(StepSizeError):
             p.prox(1.0, 1.5)
         # a NaN step fails the gate of every penalty prox
-        for prox in (p.prox, p.shifted_prox, SoftPenalty(2.0).prox, QuadraticPlusPenalty(np.ones(3), p).prox):
+        for prox in (p.prox, p.shifted_prox, SoftPenalty(2.0).prox):
             with pytest.raises(StepSizeError):
                 prox(np.ones(3), math.nan)
 
@@ -199,42 +197,3 @@ class TestConvexLimits:
         p = SoftPenalty(1.0)
         x = np.array([0.4, -2.2])
         np.testing.assert_array_equal(p.shifted_prox(x, 0.7), p.prox(x, 0.7))
-
-
-class TestQuadraticPlusPenalty:
-    def test_modulus(self):
-        y = np.zeros(3)
-        assert QuadraticPlusPenalty(y, FirmPenalty(1.0, 0.5)).modulus == 0.0
-        assert QuadraticPlusPenalty(y, FirmPenalty(1.0, 1.8)).modulus == pytest.approx(0.8)
-
-    def test_value(self):
-        y = np.array([1.0, -1.0])
-        g = QuadraticPlusPenalty(y, SoftPenalty(2.0))
-        x = np.array([0.5, 0.0])
-        assert g.value(x) == pytest.approx(0.5 * (0.25 + 1.0) + 2.0 * 0.5)
-
-    def test_value_of_a_stack_is_per_row(self):
-        rng = np.random.default_rng(4)
-        y = rng.normal(size=9)
-        g = QuadraticPlusPenalty(y, FirmPenalty(1.0, 0.5))
-        x = rng.normal(size=(5, 9)) * 3
-        v = g.value(x)
-        assert v.shape == (5,)
-        for row, value in zip(x, v):
-            # The 1-D value, and the sum of the two terms taken one row at a time.
-            expected = 0.5 * float(np.sum((y - row) ** 2)) + g.base.value(row)
-            assert value.tobytes() == np.float64(g.value(row)).tobytes() == np.float64(expected).tobytes()
-
-    def test_prox_against_grid(self):
-        rng = np.random.default_rng(5)
-        y = rng.normal(size=6)
-        base = FirmPenalty(1.0, 0.5)
-        g = QuadraticPlusPenalty(y, base)
-        alpha = 1.3
-        x = rng.normal(size=6) * 2
-        out = g.prox(x, alpha)
-        from oracles import grid_minimize
-
-        for i in range(6):
-            obj = lambda z: (z - x[i]) ** 2 / (2 * alpha) + 0.5 * (y[i] - z) ** 2 + base.pointwise(z)
-            assert out[i] == pytest.approx(grid_minimize(obj, -8, 8), abs=1e-6)

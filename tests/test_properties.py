@@ -1,6 +1,7 @@
 """Property tests on random small instances: the certified rate
-inequalities, the firm, soft and quadratic-plus-firm proxes against grid
-oracles, and the shifted-prox rescaling identity of smooth terms."""
+inequalities, the firm and soft proxes and the subspace term's plain and
+shifted proxes against grid oracles, and the shifted-prox rescaling identity
+of smooth terms."""
 
 import math
 
@@ -8,15 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_prox, grid_shifted_prox
+from oracles import grid_minimize, grid_prox, grid_shifted_prox
 
 from drsplit import (
     FirmPenalty,
     LinearMap,
     Problem,
-    QuadraticPlusPenalty,
     QuadraticTerm,
     SoftPenalty,
+    SubspaceConstraint,
     contraction_rate_main,
     contraction_rate_shift,
     double_reflection,
@@ -108,18 +109,24 @@ def test_soft_prox_matches_grid_oracle(tau, t_scale, alpha):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(firm_scalars(), st.floats(-1.5, 1.5))
-def test_quadratic_plus_firm_prox_matches_grid_oracle(case, y_scale):
-    # The prox of g = 0.5 (y - .)^2 + firm at alpha is a firm prox at
-    # beta = alpha / (1 + alpha), and its objective has that one's curvature
-    # 1/beta - rho; beta is drawn as firm_scalars draws a step, kept below 1.
-    base, t, beta = case
-    beta = beta * min(base.rho, 1.0)
-    alpha, y = beta / (1.0 - beta), y_scale * base.tau / base.rho
-    g = QuadraticPlusPenalty(np.array([y]), base)
-    pointwise = lambda z: 0.5 * (y - z) ** 2 + base.pointwise(z)
-    expected = grid_prox(pointwise, t, alpha, base.tau / base.rho)
-    assert float(g.prox(np.array([t]), alpha)[0]) == pytest.approx(expected, abs=1e-6)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(-6.0, 6.0),
+    st.floats(1e-3, 4.0),
+    st.floats(0.0, 1.0) | st.just(1.0),
+)
+def test_subspace_prox_matches_grid_oracle(y, t, alpha, rho_fraction):
+    # f = 0.5 (y - .)^2 + i_K on a coordinate in K and one off it.  On K its
+    # prox minimizes (z - t)^2/(2 alpha) + 0.5 (y - z)^2, and its shifted
+    # prox the same minus (rho/2) z^2, for rho <= s = 1 and alpha rho < 1;
+    # off K both are 0.
+    f = SubspaceConstraint(np.array([y, y]), [0])
+    rho = rho_fraction * min(1.0, 0.999 / alpha)
+    radius = abs(t) + alpha * abs(y) + 1.0
+    for shift, out in ((0.0, f.prox(np.array([t, t]), alpha)), (rho, f.shifted_prox(np.array([t, t]), alpha, rho))):
+        objective = lambda z: (z - t) ** 2 / (2.0 * alpha) + 0.5 * (y - z) ** 2 - 0.5 * shift * z * z
+        assert float(out[0]) == pytest.approx(grid_minimize(objective, -radius, radius), abs=1e-6)
+        assert out[1] == 0.0
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

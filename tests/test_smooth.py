@@ -18,7 +18,7 @@ from drsplit import (
     build_instance,
     run_experiment,
 )
-from drsplit import cli, experiment, linalg, smooth
+from drsplit import cli, experiment, linalg
 from drsplit.analysis import certify
 from drsplit.experiment import block_problem, derive_seeds
 from drsplit.solver import VARIANTS, default_alpha
@@ -321,53 +321,92 @@ class TestShiftedProx:
 
 
 class TestProjection:
-    # SubspaceConstraint.prox is the orthogonal projection onto its subspace.
+    # SubspaceConstraint(y, support) is f = 0.5||y - .||^2 + i_K: its prox is
+    # the projection onto K of the quadratic's prox (z + alpha y)/(1 + alpha).
     def test_full_support(self):
-        z = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(SubspaceConstraint(2, [0, 1]).prox(z, 1.0), z)
+        y, z = np.array([0.5, -1.0]), np.array([1.0, -2.0])
+        np.testing.assert_array_equal(SubspaceConstraint(y, [0, 1]).prox(z, 1.0), (z + y) / 2.0)
 
     def test_empty_support(self):
-        np.testing.assert_array_equal(SubspaceConstraint(2, []).prox(np.ones(2), 1.0), np.zeros(2))
+        c = SubspaceConstraint(np.ones(2), [])
+        np.testing.assert_array_equal(c.prox(np.ones(2), 1.0), np.zeros(2))
+        assert c.value(np.zeros(2)) == 1.0
 
     def test_single_coordinate(self):
-        np.testing.assert_array_equal(SubspaceConstraint(2, [0]).prox(np.array([3.0, 4.0]), 1.0), [3.0, 0.0])
+        c = SubspaceConstraint(np.array([1.0, 2.0]), [0])
+        np.testing.assert_array_equal(c.prox(np.array([3.0, 4.0]), 1.0), [2.0, 0.0])
 
     def test_support_out_of_range(self):
-        with pytest.raises(ValueError, match=r"support indices must lie in \[0, 3\)"):
-            smooth.support_mask(3, [5])
+        for support in ([5], [-1, 0]):
+            with pytest.raises(ValueError, match=r"support indices must lie in \[0, 3\)"):
+                SubspaceConstraint(np.zeros(3), support)
 
-    def test_constraint_prox_ignores_step(self):
-        c = SubspaceConstraint(3, [1])
-        z = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(c.prox(z, 0.1), [0.0, 2.0, 0.0])
-        np.testing.assert_array_equal(c.prox(z, 100.0), [0.0, 2.0, 0.0])
+    def test_observation_must_be_1d(self):
+        with pytest.raises(ValueError, match=r"expected a 1-d observation, got shape \(2, 3\)"):
+            SubspaceConstraint(np.ones((2, 3)), [0])
+
+    def test_prox_uses_its_step(self):
+        y, z = np.array([5.0, 6.0, 7.0]), np.array([1.0, 2.0, 3.0])
+        c = SubspaceConstraint(y, [1])
+        np.testing.assert_array_equal(c.prox(z, 1.0), [0.0, 4.0, 0.0])
+        np.testing.assert_array_equal(c.prox(z, 3.0), [0.0, 5.0, 0.0])
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(StepSizeError):
+                c.prox(z, bad)
 
     def test_value_on_and_off_the_subspace(self):
-        c = SubspaceConstraint(3, [1])
-        assert c.value(np.array([0.0, 5.0, 0.0])) == 0.0
+        c = SubspaceConstraint(np.array([1.0, 2.0, 3.0]), [1])
+        assert c.value(np.array([0.0, 5.0, 0.0])) == 9.5
         assert c.value(np.array([0.0, 5.0, -1e-300])) == np.inf
         assert c.value(np.array([np.nan, 0.0, 0.0])) == np.inf
 
     def test_value_of_a_stack_is_per_row(self):
-        c = SubspaceConstraint(4, [0, 2])
+        rng = np.random.default_rng(2)
+        y = rng.normal(size=4)
+        c = SubspaceConstraint(y, [0, 2])
         x = np.zeros((3, 2, 4))
-        x[..., [0, 2]] = np.random.default_rng(2).normal(size=(3, 2, 2))
+        x[..., [0, 2]] = rng.normal(size=(3, 2, 2))
         x[1, 0, 3] = 0.5  # off the support
         x[2, 1, 1] = -2.0
         v = c.value(x)
         assert v.shape == (3, 2)
-        assert v.tolist() == [[0.0, 0.0], [np.inf, 0.0], [0.0, np.inf]]
+        assert np.isinf(v).tolist() == [[False, False], [True, False], [False, True]]
         for i in np.ndindex(3, 2):
             assert v[i].tobytes() == np.float64(c.value(x[i])).tobytes()
+            if np.isfinite(v[i]):
+                assert v[i] == pytest.approx(0.5 * np.sum((y - x[i]) ** 2), rel=1e-15)
 
-    def test_reflected_projection_is_isometry(self):
+    def test_reflection_contracts_on_the_subspace_only(self):
+        # 2 prox - I has slope (1 - alpha)/(1 + alpha) on K and -1 off it.
         rng = np.random.default_rng(14)
-        c = SubspaceConstraint(6, [0, 3, 4])
-        for _ in range(200):
-            x0, x1 = rng.normal(size=(2, 6)) * 5
-            r0 = 2 * c.prox(x0, 1.0) - x0
-            r1 = 2 * c.prox(x1, 1.0) - x1
-            assert np.linalg.norm(r0 - r1) == pytest.approx(np.linalg.norm(x0 - x1), rel=1e-12)
+        c = SubspaceConstraint(rng.normal(size=6), [0, 3, 4])
+        on = c.mask
+        for alpha in (0.3, 1.0, 2.5):
+            slope = (1.0 - alpha) / (1.0 + alpha)
+            for _ in range(200):
+                x0, x1 = rng.normal(size=(2, 6)) * 5
+                r0 = 2 * c.prox(x0, alpha) - x0
+                r1 = 2 * c.prox(x1, alpha) - x1
+                d = x0 - x1
+                expected = math.sqrt(slope**2 * np.sum(d[on] ** 2) + np.sum(d[~on] ** 2))
+                assert np.linalg.norm(r0 - r1) == pytest.approx(expected, rel=1e-12)
+                assert np.linalg.norm(r0 - r1) <= np.linalg.norm(d) * (1 + 1e-15)
+
+    def test_shifted_prox_on_the_subspace(self):
+        # The shift by rho <= s = 1 rescales the quadratic's prox on K:
+        # argmin |v - z|^2/(2 alpha) + 0.5 |y - v|^2 - (rho/2)|v|^2 is
+        # (z + alpha y)/(1 + alpha - alpha rho) there.
+        rng = np.random.default_rng(16)
+        y, z = rng.normal(size=(2, 5))
+        c = SubspaceConstraint(y, [1, 3])
+        for alpha, rho in ((0.5, 0.9), (1.0, 0.5), (3.0, 0.3), (0.7, 1.0)):
+            out = c.shifted_prox(z, alpha, rho)
+            np.testing.assert_allclose(out[c.mask], ((z + alpha * y) / (1 + alpha - alpha * rho))[c.mask], rtol=1e-14)
+            np.testing.assert_array_equal(out[~c.mask], 0.0)
+        with pytest.raises(NonConvexShiftError):
+            c.shifted_prox(z, 0.5, 1.5)
+        with pytest.raises(StepSizeError):
+            c.shifted_prox(z, 2.0, 0.5)  # alpha * rho = 1
 
 
 def test_reflection_contraction_bound():

@@ -12,7 +12,6 @@ from drsplit import (
     LinearMap,
     NonConvexShiftError,
     Problem,
-    QuadraticPlusPenalty,
     QuadraticTerm,
     RankDeficiencyError,
     SoftPenalty,
@@ -166,9 +165,9 @@ class TestStepValidators:
         problem = Problem(QuadraticTerm(LinearMap(np.diag([2.0, 1.0])), np.ones(2)), SoftPenalty(1.0))
         for variant in ("dr-main-fg", "dr-shift-gf"):
             assert default_alpha(problem, variant) == 0.25
-        demo, _ = build_subspace_demo(np.ones(3), [0], FirmPenalty(1.0, 0.5))
+        bare = Problem(SubspaceConstraint(np.ones(3), [0]), ZeroPenalty())
         with pytest.raises(StepSizeError, match="no finite step bound"):
-            default_alpha(demo, "dr-shift-fg")
+            default_alpha(bare, "dr-shift-fg")
 
 
 class TestGates:
@@ -370,7 +369,7 @@ class TestRun:
 
     def test_nonconvex_shift_is_not_divergence(self):
         y = np.random.default_rng(3).normal(size=8)
-        problem = Problem(SubspaceConstraint(8, [0, 2, 4]), QuadraticPlusPenalty(y, FirmPenalty(1.0, 1.5)))
+        problem = Problem(SubspaceConstraint(y, [0, 2, 4]), FirmPenalty(1.0, 1.5))  # rho = 1.5 > s = 1
         with pytest.raises(NonConvexShiftError):
             run(problem, SolverConfig("dr-shift-fg", alpha=0.5, max_iters=5))
 
@@ -464,6 +463,9 @@ class TestStopDistAndAudit:
                 SolverConfig("dr-main-fg", tol=bad, max_iters=300)
         with pytest.raises(ValueError, match="max_iters must be nonnegative, got -1"):
             SolverConfig("ista", max_iters=-1)
+        for bad in (2.5, np.nan):  # named here, not by numpy when run() sizes its columns
+            with pytest.raises(ValueError, match=f"max_iters must be an integer, got {bad}"):
+                SolverConfig("ista", max_iters=bad)
 
     @pytest.mark.parametrize("case", ["single", "shedding_block", "cycling_block"])
     def test_unaudited_run_differs_only_in_cost_and_residual(self, case, exp1_problem, reference):
@@ -551,10 +553,14 @@ class TestTraceSerialization:
 
     @pytest.mark.parametrize("iters", range(6))
     def test_json_summary_writes_an_infinite_cost_as_null(self, iters):
-        # The subspace indicator is inf at a final_x off the subspace: null, not Infinity.
+        # The subspace term is inf at a final_x off the subspace: null, not
+        # Infinity.  dr-shift-fg's final_x is the g-side prox of z, which
+        # the start keeps off the subspace (far past the firm knee) for
+        # these first iterations.
         y = np.random.default_rng(6).normal(0, 2, 16)
         problem, _ = build_subspace_demo(y, range(8), FirmPenalty(1.0, 0.5))
-        trace = run(problem, SolverConfig("dr-shift-fg", alpha=1.0, max_iters=iters))
+        start = np.where(np.arange(16) < 8, 0.0, 1e6)
+        trace = run(problem, SolverConfig("dr-shift-fg", alpha=1.0, max_iters=iters, start=start))
         assert trace.final_cost == math.inf
         data = json.loads(json.dumps(trace.to_json_dict(), allow_nan=False))
         assert data["final_cost"] is None
