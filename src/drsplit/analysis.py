@@ -11,6 +11,7 @@ averaging but are not rated here.  ``certify`` checks them on the benchmarks.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -125,6 +126,8 @@ def _usable_pairs(points, k: int):
 
 
 def _check_pairs(n_pairs: int) -> None:
+    if not isinstance(n_pairs, Integral):
+        raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
 
@@ -136,14 +139,12 @@ def _sampled_lipschitz(operators, draw, n_pairs: int, rng, numbers: int) -> list
     k <= ``rows_per_call(2 * numbers)`` pairs, x then y of each pair, where
     ``numbers`` counts the numbers in one point (48 pairs of 90-number
     points, 4320 of 1-number points), and is asked for 2 * n_pairs points
-    in all.  Operators that share their points get the same array; its
-    pairs and gaps are then taken once per block, so those operators must
-    not write to their input.  Returns each operator's constant, as
-    ``empirical_lipschitz`` would for it alone: the constant is a max over
-    pairs drawn in sequence, so no block size moves it.  Raises ValueError
-    for a draw of another row count or of fewer than two dimensions, and
-    otherwise as ``empirical_lipschitz`` does, for the first operator in
-    the list whose pairs all coincide or give a non-finite ratio.
+    in all.  Returns each operator's constant, as ``empirical_lipschitz``
+    would for it alone: the constant is a max over pairs drawn in sequence,
+    so no block size moves it.  Raises ValueError for a draw of another row
+    count or of fewer than two dimensions, and otherwise as
+    ``empirical_lipschitz`` does, for the first operator in the list whose
+    pairs all coincide or give a non-finite ratio.
     """
     _check_pairs(n_pairs)
     n = len(operators)
@@ -152,11 +153,8 @@ def _sampled_lipschitz(operators, draw, n_pairs: int, rng, numbers: int) -> list
     for start in range(0, n_pairs, per_call):
         k = min(per_call, n_pairs - start)
         blocks = draw(rng, 2 * k)
-        shared = {}  # id of a drawn array -> its usable stack and gaps
         for j, (operator, points) in enumerate(zip(operators, blocks, strict=True)):
-            if id(points) not in shared:
-                shared[id(points)] = _usable_pairs(points, k)
-            stack, gap = shared[id(points)]
+            stack, gap = _usable_pairs(points, k)
             m = len(gap)
             if not m:
                 continue
@@ -191,9 +189,10 @@ def empirical_lipschitz(operator, sampler, n_pairs: int, seed: int = 0) -> float
     points, so it must map such a stack row by row, each row to what it maps
     that point to alone.  ``double_reflection`` and the reflections of the
     stock proxes do, with the same bits, so the result equals that of one
-    call per point.  Raises ValueError for a 0-d sample, for an operator
-    output whose shape differs from its input, when every pair coincides,
-    and when usable pairs give non-finite ratios (the message counts them).
+    call per point.  Raises ValueError for an n_pairs that is not an integer
+    >= 1, for a 0-d sample, for an operator output whose shape differs from
+    its input, when every pair coincides, and when usable pairs give
+    non-finite ratios (the message counts them).
     It is the engine ``_sampled_lipschitz`` run on one operator; ``certify``
     runs that engine directly, drawing each block once for its four vector
     checks and once for its scalar check.

@@ -272,6 +272,11 @@ class ProblemInstance:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"key {key!r}: {exc}") from exc
 
+        def integer(value):  # seed: a JSON integer, which a bool, float or string is not
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"expected an integer, got {value!r}")
+            return value
+
         def vector(value):  # y and signal: flat lists of numbers
             if (v := np.asarray(value, dtype=float)).ndim != 1:
                 raise ValueError(f"expected a list of numbers, got shape {v.shape}")
@@ -287,7 +292,7 @@ class ProblemInstance:
             y=read("y", vector),
             noise_std=read("noise_std", float),
             penalty=FirmPenalty(tau, rho),
-            seed=read("seed", int),
+            seed=read("seed", integer),
         )
 
     @classmethod

@@ -43,7 +43,7 @@ def row_norm(v: np.ndarray):
 
 
 # Most numbers per stacked call, where a loop stacks rows into one numpy
-# call: run()'s audit (a row per buffered iterate, of every running block
+# call: run()'s audit (a row per pending iterate, of every running block
 # row's numbers) and the sampled pairs of analysis (two points each).  It
 # counts numbers, not points, so a call of 1-number points takes as many
 # numbers as one of 90-number points.  Row-wise calls make any chunking

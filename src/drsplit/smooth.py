@@ -39,6 +39,8 @@ row; so does ``SubspaceConstraint.value``.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import check_prox_step
@@ -120,7 +122,8 @@ class QuadraticTerm(SmoothTerm):
 
 
 class SubspaceConstraint(SmoothTerm):
-    """f(x) = 0.5 * ||y - x||^2 + i_K(x), K the coordinates of ``support``.
+    """f(x) = 0.5 * ||y - x||^2 + i_K(x), K the coordinates of ``support``,
+    an iterable of integer indices (a boolean mask is refused).
 
     1-strongly convex (s = 1) and nonsmooth: it has no ``grad`` and no
     sigma.  Its prox is the quadratic's prox (z + alpha y)/(1 + alpha) on K
@@ -135,7 +138,11 @@ class SubspaceConstraint(SmoothTerm):
         if self.y.ndim != 1:
             raise ValueError(f"expected a 1-d observation, got shape {self.y.shape}")
         self.y.setflags(write=False)
-        idx = np.array([int(i) for i in support], dtype=int)
+        idx = list(support)
+        for i in idx:  # a bool is an int to Python, but a mask entry here
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"support must hold integer indices, got {i!r}")
+        idx = np.array(idx, dtype=int)
         if np.any((idx < 0) | (idx >= self.y.size)):
             raise ValueError(f"support indices must lie in [0, {self.y.size})")
         self.mask = np.zeros(self.y.size, dtype=bool)

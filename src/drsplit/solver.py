@@ -28,17 +28,20 @@ row up to the block's last row, and its step norm reads NaN there.
 
 ``run`` allocates the trace columns it records at max_iters + 1 rows and
 returns them cut to the rows it wrote.  The loop writes the step norm (and
-the reference distance, if any) of each iterate and keeps its primal point
-x in a buffer of ``linalg.rows_per_call(B * n)`` iterates for B running rows
-of n numbers, at most ``linalg.STACK_NUMBERS`` (8640) numbers per call: 96
-iterates of a single 90-number problem, 16 of a 6-row block, 9 of a 10-row
-one.  Each time the buffer fills, one stacked call each of ``Problem.cost``
-and ``Problem.fixed_point_residual`` fills the audit columns of those rows,
-and the rows left when rows of a block stop, or when the loop ends, are
-audited then.  Every call acts row by row, so each column has the bits of
-auditing one iterate at a time.  The terms' ``value``, the smooth term's
-``grad`` and the penalty's ``prox`` therefore take a (k, *shape) stack of
-iterates, one result per row.
+the reference distance, if any) of each iterate and appends its primal
+point x to a list of pending iterates.  When ``linalg.rows_per_call(B * n)``
+iterates of B running rows of n numbers are pending, at most
+``linalg.STACK_NUMBERS`` (8640) numbers per call: 96 iterates of a single
+90-number problem, 16 of a 6-row block, 9 of a 10-row one, ``np.array``
+stacks them for one call each of ``Problem.cost`` and
+``Problem.fixed_point_residual``, which fill the audit columns of those
+rows, and the list is cleared.  The iterates pending when rows of a block
+stop, or when the loop ends, are audited then.  Every call acts row by row,
+so each column has the bits of auditing one iterate at a time.  The terms'
+``value``, the smooth term's ``grad`` and the penalty's ``prox`` therefore
+take a (k, *shape) stack of iterates, one result per row.  ``run`` keeps
+each x, not a copy, until it audits it, so a prox must return a new array,
+as every stock prox does.
 
 Two options serve callers that read less than the full history: a row stops
 at the first iterate whose distance to the reference meets ``stop_dist``, and
@@ -421,10 +424,10 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
 
     Records cost, step norm, fixed-point residual, and reference distance at
     every iterate (including the initial point); with ``audit=False`` no cost
-    or residual.  Cost and residual are computed on a stack of up to
-    ``linalg.rows_per_call(B * n)`` iterates of B running rows at a time, with
-    the bits of one iterate at a time (see the module docstring), and
-    ``final_cost`` by one call on the final points, audited or not.  The step
+    or residual.  Cost and residual are computed on the stacked pending
+    iterates, up to ``linalg.rows_per_call(B * n)`` of B running rows at a
+    time, with the bits of one iterate at a time (see the module docstring),
+    and ``final_cost`` by one call on the final points, audited or not.  The step
     gate runs before the first iteration: StepSizeError when alpha fails it,
     and NonConvexShiftError when it passes but a shifted variant's rho exceeds
     s.  Divergence means a non-finite x0 or z, and raises DivergenceError
@@ -491,22 +494,15 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     if reference is not None:  # written per iterate: the stop test may read it
         dist_to_ref = np.empty_like(step_norm)
 
-    def buffer(shape):
-        """(per_call, xs) for iterates of this shape: the iterates per audit
-        call, and the buffer that keeps their x until they are audited."""
-        per_call = rows_per_call(math.prod(shape))
-        return per_call, np.empty((per_call, *shape))
-
-    base = 0  # the first iterate not yet audited
+    pending = []  # the running rows' x of each iterate not yet audited
 
     def flush(n):
-        """Audit the running rows' iterates base .. n, buffered in xs, with one call per column."""
-        nonlocal base
-        if audit and base <= n:
-            h, done = xs[: n + 1 - base], slice(base, n + 1)
+        """Audit the pending iterates, the last of them n, with one call per column."""
+        if pending:
+            h, done = np.array(pending, dtype=float), slice(n + 1 - len(pending), n + 1)
             cost[done, cols] = problem.cost(h)
             fp_residual[done, cols] = math.nan if audit_alpha is None else problem.fixed_point_residual(h, audit_alpha)
-            base = n + 1
+            pending.clear()
 
     x = extract(z)
     if not np.all(np.isfinite(x)):
@@ -523,8 +519,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
     stop_reason = np.full(lead, "max_iters")
     row_iters = np.full(lead, max_iters)
     final_x, final_z = np.empty(shape), np.empty(shape)
-    if audit:
-        per_call, xs = buffer(shape)
+    per_call = rows_per_call(z.size)
     for n in range(max_iters + 1):
         if n:
             z_new = step(x, z)
@@ -543,14 +538,14 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
             if stop_dist is not None:
                 stop = met_tol | (dist <= stop_dist)
         if audit:
-            xs[n - base] = x
-            if n - base == per_call - 1:
+            pending.append(x)
+            if len(pending) == per_call:
                 flush(n)
         if any_(stop):
             if not lead or n == max_iters or stop.all():
                 break
             # Some rows stop: keep what they end with, audit what is
-            # buffered, and go on with the rows still running alone.
+            # pending, and go on with the rows still running alone.
             flush(n)
             live = np.arange(lead[0])[cols]
             at, cols, keep = live[stop], live[~stop], np.flatnonzero(~stop)
@@ -561,8 +556,7 @@ def run(problem: Problem, config: SolverConfig) -> IterationTrace:
                 reference = reference[keep]
             problem = problem.take(keep)
             step, extract = _iteration(problem, config.variant, alpha, config.relaxation)
-            if audit:
-                per_call, xs = buffer(z.shape)
+            per_call = rows_per_call(z.size)
 
     flush(n)
     stop_reason[cols], row_iters[cols] = np.where(met_tol, "tol", np.where(stop, "stop_dist", "max_iters")), n

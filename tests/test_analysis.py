@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from drsplit import (
     reflection_bound_weak,
     shift_rate_floor,
 )
-from drsplit.analysis import write_rate_table_csv
+from drsplit.analysis import certify, write_rate_table_csv
 
 
 class TestReflectionBoundSmooth:
@@ -211,6 +212,13 @@ class TestEmpiricalLipschitz:
             empirical_lipschitz(lambda x: x, sampler, 50)
         with pytest.raises(ValueError, match="n_pairs must be >= 1, got 0"):
             empirical_lipschitz(lambda x: x, lambda rng: rng.normal(size=2), 0)
+        for n_pairs in (2.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"n_pairs must be an integer, got {n_pairs!r}")):
+                empirical_lipschitz(lambda x: x, lambda rng: rng.normal(size=2), n_pairs)
+
+    def test_certify_rejects_a_non_integer_pair_count(self):
+        with pytest.raises(ValueError, match=re.escape("n_pairs must be an integer, got 2.5")):
+            certify(2.5, 0)
 
     def test_weak_reflection_attains_its_bound(self, exp1_instance):
         p = exp1_instance.penalty

@@ -99,6 +99,10 @@ BAD_INSTANCES = [
         lambda d: json.dumps({**d, "signal": [d["signal"]]}),
         "key 'signal': expected a list of numbers, got shape (1, 90)",
     ),
+    # A plain int() would read these seeds as 1, 7 and 1.
+    ("seed-a-float", lambda d: json.dumps({**d, "seed": 1.5}), "key 'seed': expected an integer, got 1.5"),
+    ("seed-a-string", lambda d: json.dumps({**d, "seed": "7"}), "key 'seed': expected an integer, got '7'"),
+    ("seed-a-bool", lambda d: json.dumps({**d, "seed": True}), "key 'seed': expected an integer, got True"),
 ]
 
 

@@ -1,7 +1,7 @@
 """A block run steps only the rows still running.
 
 When rows of a block stop, ``solver.run`` keeps their final points, audits
-what it has buffered and goes on with ``Problem.take`` of the rows left:
+what is pending and goes on with ``Problem.take`` of the rows left:
 ``QuadraticTerm.take`` and ``FirmPenalty.take`` cut y, Hᵀy and tau to those
 rows and share the operator and its stored prox matrices.  These tests count the
 rows the step's prox is called on, check each row's trace against a run of

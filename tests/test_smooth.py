@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -340,6 +341,22 @@ class TestProjection:
         for support in ([5], [-1, 0]):
             with pytest.raises(ValueError, match=r"support indices must lie in \[0, 3\)"):
                 SubspaceConstraint(np.zeros(3), support)
+
+    @pytest.mark.parametrize(
+        "support, entry",
+        [([True, False, False, True, False, False], "True"), ([1.5], "1.5"), (["2"], "'2'")],
+        ids=["boolean-mask", "float", "string"],
+    )
+    def test_support_entries_must_be_integers(self, support, entry):
+        # A plain int() of each entry would read the mask as the support {0, 1},
+        # [1.5] as {1} and ["2"] as {2}.
+        with pytest.raises(ValueError, match=re.escape(f"support must hold integer indices, got {entry}")):
+            SubspaceConstraint(np.zeros(6), support)
+
+    def test_integer_supports_of_every_kind(self):
+        masks = [SubspaceConstraint(np.zeros(6), s).mask for s in ([0, 3], np.array([0, 3]), range(0, 6, 3))]
+        for mask in masks:
+            np.testing.assert_array_equal(mask, [True, False, False, True, False, False])
 
     def test_observation_must_be_1d(self):
         with pytest.raises(ValueError, match=r"expected a 1-d observation, got shape \(2, 3\)"):

@@ -1,19 +1,20 @@
 """The stacked audit of ``solver.run`` against iterates stepped and audited by hand.
 
-``run`` buffers the primal point of each iterate and fills the cost,
-fixed-point residual and distance columns of ``rows_per_call(B * n)``
-iterates of B running rows of n numbers with one call each: 96 for a single
-90-number problem, 32 for a 3-row block, 16 for a 6-row one and 9 for a
-10-row one (540 for the 16-number subspace demo).  Here the same iterates come from plain
-``ista_step``/``dr_step`` loops, each audited alone, and every column must
-be ``array_equal`` to the trace's, NaN included.  Run lengths cover one
-row, a single problem's full buffer, one row past it and runs ending
-mid-buffer, with no reference, a reference, and a reference with
-``stop_dist`` (then the distance is taken per iterate for the stop test
-while the other columns stay stacked); 6- and 10-row blocks cover the
-same lengths around their 16- and 9-row buffers.  Where rows of a block stop, ``run``
-audits what it has buffered and goes on with the rows still running, so
-the exact shapes of the audit calls follow from where each row stops.
+``run`` keeps the primal point of each iterate pending and fills the cost
+and fixed-point residual columns of ``rows_per_call(B * n)`` pending
+iterates of B running rows of n numbers with one stacked call each: 96 for
+a single 90-number problem, 32 for a 3-row block, 16 for a 6-row one and 9
+for a 10-row one (540 for the 16-number subspace demo).  Here the same
+iterates come from plain ``ista_step``/``dr_step`` loops, each audited
+alone, and every column must be ``array_equal`` to the trace's, NaN
+included.  Run lengths cover one row, a single problem's first full audit
+call, one row past it and runs ending between calls, with no reference, a
+reference, and a reference with ``stop_dist`` (the distance is taken per
+iterate, for the stop test); 6- and 10-row blocks cover the same lengths
+around their 16- and 9-iterate calls.
+Where rows of a block stop, ``run`` audits what is pending and goes on with
+the rows still running, so the exact shapes of the audit calls follow from
+where each row stops.
 """
 
 import math
@@ -27,7 +28,7 @@ from drsplit.linalg import row_norm, rows_per_call
 from drsplit.solver import dr_step
 
 R = rows_per_call(EXP2.signal_len)
-# 16, 17 and 53 end runs partway through a buffer, 1, R, R + 1 and 3R + 5 at
+# 16, 17 and 53 end runs between audit calls, 1, R, R + 1 and 3R + 5 at
 # the edges of a single problem's.
 LENGTHS = [1, 16, 17, 53, R, R + 1, 3 * R + 5]
 COLUMNS = ("step_norm", "cost", "fp_residual", "dist_to_ref")
@@ -62,7 +63,7 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
         reference = run(problem, SolverConfig("ista", max_iters=300)).final_x
     hand = hand_columns(problem, variant, alpha, rows - 1, None if mode == "none" else reference)
     stop_dist = None
-    if mode == "stop_dist":  # the middle row's distance at 2 buffers, or at the last row of a shorter run
+    if mode == "stop_dist":  # the middle row's distance at 2 audit calls, or at the last row of a shorter run
         stop_dist = float(np.median(hand["dist_to_ref"][min(rows - 1, 2 * per_call)]))
     config = SolverConfig(
         variant,
@@ -85,7 +86,7 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
     if stop_dist is not None:
         met |= hand["dist_to_ref"] <= stop_dist
     stops = [int(np.argmax(col)) if col.any() else rows - 1 for col in met.T]
-    # One call per full buffer, and one for the iterates left where rows
+    # One call per full stack, and one for the iterates pending where rows
     # stop (the rows still running go on alone) or the loop ends; the
     # iterates per call follow the running row count.
     assert per_call == rows_per_call(math.prod(problem.shape))
@@ -105,8 +106,10 @@ def check_against_hand(problem, variant, rows, mode, monkeypatch, alpha=None, re
         got = getattr(trace, name).reshape(written, -1)
         for b, stop in enumerate(stops):
             np.testing.assert_array_equal(got[: stop + 1, b], hand[name][: stop + 1, b], err_msg=name)
-            if name != "step_norm":
-                np.testing.assert_array_equal(got[stop + 1 :, b], hand[name][stop, b], err_msg=name)
+            # Past its stop a row took no step: its step norm reads NaN, and
+            # every other column repeats its stop row.
+            tail = math.nan if name == "step_norm" else hand[name][stop, b]
+            np.testing.assert_array_equal(got[stop + 1 :, b], tail, err_msg=name)
     return trace
 
 
@@ -155,7 +158,7 @@ def test_exp1_single(exp1_problem, variant, rows, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("rows", [*LENGTHS, rows_per_call(16), rows_per_call(16) + 1])  # its 16-number buffer's edge
+@pytest.mark.parametrize("rows", [*LENGTHS, rows_per_call(16), rows_per_call(16) + 1])  # its 16-number audit call's edge
 def test_subspace_demo(rows, mode, monkeypatch):
     # No gradient on the f-side: the residual column is NaN throughout.
     y = np.random.default_rng(6).normal(0.0, 2.0, size=16)
