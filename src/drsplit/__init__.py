@@ -33,7 +33,7 @@ from .experiment import (
     run_experiment,
 )
 from .linalg import LinearMap, convolution_matrix
-from .penalty import FirmPenalty, SeparablePenalty, SoftPenalty, ZeroPenalty
+from .penalty import FirmPenalty, SeparablePenalty, ZeroPenalty
 from .smooth import QuadraticTerm, SubspaceConstraint
 from .solver import (
     VARIANTS,
@@ -76,7 +76,6 @@ __all__ = [
     "QuadraticTerm",
     "RankDeficiencyError",
     "SeparablePenalty",
-    "SoftPenalty",
     "SolverConfig",
     "StepSizeError",
     "SubspaceConstraint",

@@ -11,12 +11,11 @@ averaging but are not rated here.  ``certify`` checks them on the benchmarks.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
 from . import experiment, solver
-from .errors import BoundInapplicableError, StepSizeError, check_prox_step
+from .errors import BoundInapplicableError, StepSizeError, check_prox_step, is_integer
 from .linalg import row_norm, rows_per_call
 
 
@@ -126,7 +125,7 @@ def _usable_pairs(points, k: int):
 
 
 def _check_pairs(n_pairs: int) -> None:
-    if not isinstance(n_pairs, Integral):
+    if not is_integer(n_pairs):
         raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")

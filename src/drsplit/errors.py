@@ -1,4 +1,6 @@
-"""Exception types raised by the solver stack."""
+"""Exception types raised by the solver stack, and the checks shared by its modules."""
+
+import numbers
 
 
 class DrsplitError(Exception):
@@ -33,6 +35,12 @@ def check_prox_step(alpha: float, rho: float = 0.0, s: float | None = None) -> N
         raise StepSizeError(f"alpha * rho = {alpha * rho:.6g} must be below 1")
     if s is not None and not rho <= s:
         raise NonConvexShiftError(f"shift rho = {rho:.6g} exceeds the strong convexity s = {s:.6g}")
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer: of any integral type but bool, which
+    Python counts as one, so that True passes as no count, index or seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class BoundInapplicableError(DrsplitError, ValueError):

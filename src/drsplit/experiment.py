@@ -38,14 +38,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, FilterDesignError
+from .errors import DivergenceError, FilterDesignError, is_integer
 from .linalg import LinearMap, convolution_matrix
 from .penalty import FirmPenalty, SeparablePenalty
 from .smooth import QuadraticTerm, SubspaceConstraint
@@ -224,7 +223,7 @@ class ExperimentSpec:
                 if not holds(value := getattr(self, name)):
                     raise ValueError(f"{name} must {rule}, got {value}")
                 integer = name in ("n_seeds", "max_iters", "reference_iters", "filter_len", "signal_len", "sparsity")
-                if integer and not isinstance(value, numbers.Integral):
+                if integer and not is_integer(value):
                     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -273,9 +272,9 @@ class ProblemInstance:
                 raise ValueError(f"key {key!r}: {exc}") from exc
 
         def integer(value):  # seed: a JSON integer, which a bool, float or string is not
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_integer(value):
                 raise ValueError(f"expected an integer, got {value!r}")
-            return value
+            return int(value)
 
         def vector(value):  # y and signal: flat lists of numbers
             if (v := np.asarray(value, dtype=float)).ndim != 1:

@@ -14,14 +14,17 @@ beta = alpha / (1 + alpha rho) it equals ``prox(x * beta / alpha, beta)``, and
 its step gate ``beta * rho < 1`` holds for every alpha > 0.  Each prox checks
 its step with ``errors.check_prox_step``, the one rule of every prox and
 bound (alpha > 0, and alpha * rho < 1 for the firm prox); a NaN fails it.
-``FirmPenalty.prox`` keeps the constants of the last step it was called at,
-(alpha, alpha tau, tau/rho, 1 - alpha rho), so a call at that step checks
-nothing again and pays only for the elementwise work; a call at another step
-checks it and replaces them, and a NaN step, equal to no step, is checked and
-rejected on every call.  For a (B, 1) column of weights it keeps alpha tau
-and tau/rho at the (B, n) shape of the block's iterates, rebuilt when the
-step or n changes, so no call broadcasts a column: a (k, B, n) stack of
-iterates broadcasts them along its leading axis only.
+``FirmPenalty`` computes its knee tau/rho and its plateau tau^2/(2 rho) once,
+when it is built; both are infinite at rho = 0, where it is the convex
+penalty tau|t| whose prox is the soft threshold.  Its prox keeps the
+constants of the last step it was called at, (alpha, alpha tau, 1 - alpha
+rho), so a call at that step checks nothing again and pays only for the
+elementwise work; a call at another step checks it and replaces them, and a
+NaN step, equal to no step, is checked and rejected on every call.  For a
+(B, 1) column of weights it keeps alpha tau and the knee at the (B, n) shape
+of the block's iterates, rebuilt when the step or n changes, so no call
+broadcasts a column: a (k, B, n) stack of iterates broadcasts them along its
+leading axis only.
 
 A penalty is the g side alone: a data term, even the plain 0.5||y - x||^2
 of the subspace demo, belongs to the f side (``smooth.SubspaceConstraint``),
@@ -68,8 +71,10 @@ class FirmPenalty(SeparablePenalty):
 
     Pointwise value tau*|t| - rho*t^2/2 inside |t| < tau/rho, constant
     tau^2/(2 rho) outside; rho-weakly convex, bounded, even, and
-    nondecreasing in |t|.  tau is a scalar, or a (B, 1) column that gives
-    each row of a (B, n) block its own weight; rho is shared.
+    nondecreasing in |t|.  rho >= 0: at rho = 0 the knee tau/rho and the
+    plateau are infinite, the penalty is tau*|t| and its prox the soft
+    threshold.  tau is a scalar, or a (B, 1) column that gives each row of a
+    (B, n) block its own weight; rho is shared.
     """
 
     def __init__(self, tau, rho: float):
@@ -78,8 +83,8 @@ class FirmPenalty(SeparablePenalty):
             raise ValueError(f"tau must be a scalar or a (B, 1) column, got shape {tau.shape}")
         if not np.all((tau > 0) & np.isfinite(tau)):
             raise ValueError(f"tau must be positive, got {tau}")
-        if not (rho > 0 and np.isfinite(rho)):
-            raise ValueError(f"rho must be positive, got {rho}")
+        if not (rho >= 0 and np.isfinite(rho)):
+            raise ValueError(f"rho must be nonnegative, got {rho}")
         self._column = bool(tau.ndim)
         if self._column:
             tau = tau.copy()
@@ -87,16 +92,21 @@ class FirmPenalty(SeparablePenalty):
             # Square each weight as a Python float, as a scalar penalty does:
             # numpy's square and libm's pow differ in the last bit on about
             # one value in a thousand.
-            self._tau_sq = np.array([[t**2] for t in tau[:, 0].tolist()])
+            tau_sq = np.array([[t**2] for t in tau[:, 0].tolist()])
         else:
             tau = float(tau)
-            self._tau_sq = tau**2
+            tau_sq = tau**2
         self.tau = tau
         self.rho = float(rho)
         self.modulus = self.rho
-        # (step, n, step * tau, tau / rho, 1 - step * rho), read and replaced
-        # as a whole, so concurrent callers never mix two steps' constants.  n
-        # is 0 for a scalar tau; a column's two thresholds are (B, n) arrays.
+        # The knee tau/rho and the plateau tau^2/(2 rho), at the shape of tau
+        # (prox repeats a column's knee along the row): infinite at rho = 0.
+        with np.errstate(divide="ignore"):
+            self._knee = np.divide(tau, self.rho)
+            self._plateau = np.divide(tau_sq, 2.0 * self.rho)
+        # (step, n, step * tau, knee, 1 - step * rho), read and replaced as a
+        # whole, so concurrent callers never mix two steps' constants.  n is 0
+        # for a scalar tau; a column's two thresholds are (B, n) arrays.
         self._step: tuple | None = None
 
     @property
@@ -112,19 +122,19 @@ class FirmPenalty(SeparablePenalty):
     def pointwise(self, t):
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
-        plateau = self._tau_sq / (2.0 * self.rho)
-        return np.where(a < self.tau / self.rho, self.tau * a - 0.5 * self.rho * a * a, plateau)
+        return np.where(a < self._knee, self.tau * a - 0.5 * self.rho * a * a, self._plateau)
 
     def prox(self, x, alpha: float):
         """Firm threshold: dead zone below alpha*tau, expansive middle band,
-        identity above tau/rho.  Requires alpha * rho < 1."""
+        identity above tau/rho (none at rho = 0, where the middle band is the
+        soft threshold).  Requires alpha * rho < 1."""
         x = np.asarray(x, dtype=float)
         n = x.shape[-1] if self._column and x.ndim else 0
         step = self._step
         # A NaN step never equals: checked, and rejected, every call.
         if step is None or step[0] != alpha or step[1] != n:
             check_prox_step(alpha, self.rho)
-            dead, edge = alpha * self.tau, self.tau / self.rho
+            dead, edge = alpha * self.tau, self._knee
             if n:  # the same bits as the column, repeated along the row
                 dead, edge = np.repeat(dead, n, axis=1), np.repeat(edge, n, axis=1)
             self._step = step = (alpha, n, dead, edge, 1.0 - alpha * self.rho)
@@ -143,35 +153,10 @@ class FirmPenalty(SeparablePenalty):
         in the identity zone.  A (B, 1) column tau gives each row its own
         threshold."""
         x = np.asarray(x, dtype=float)
-        return np.sign(x), np.abs(x) < self.tau / self.rho
+        return np.sign(x), np.abs(x) < self._knee
 
     def __repr__(self):
         return f"FirmPenalty(tau={self.tau!r}, rho={self.rho!r})"
-
-
-class SoftPenalty(SeparablePenalty):
-    """Scaled absolute value tau*|t|; the rho -> 0 limit of the firm penalty.
-
-    Kept as the convex g of that limit: the rate property tests draw it at
-    rho = 0, where a firm penalty cannot be built."""
-
-    modulus = 0.0
-
-    def __init__(self, tau: float):
-        if not (tau > 0 and np.isfinite(tau)):
-            raise ValueError(f"tau must be positive, got {tau}")
-        self.tau = float(tau)
-
-    def pointwise(self, t):
-        return self.tau * np.abs(np.asarray(t, dtype=float))
-
-    def prox(self, x, alpha: float):
-        check_prox_step(alpha)
-        x = np.asarray(x, dtype=float)
-        return np.sign(x) * np.maximum(np.abs(x) - alpha * self.tau, 0.0)
-
-    def __repr__(self):
-        return f"SoftPenalty(tau={self.tau!r})"
 
 
 class ZeroPenalty(SeparablePenalty):

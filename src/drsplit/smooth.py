@@ -39,11 +39,9 @@ row; so does ``SubspaceConstraint.value``.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import check_prox_step
+from .errors import check_prox_step, is_integer
 from .linalg import LinearMap, as_rows, matvec
 
 
@@ -139,8 +137,8 @@ class SubspaceConstraint(SmoothTerm):
             raise ValueError(f"expected a 1-d observation, got shape {self.y.shape}")
         self.y.setflags(write=False)
         idx = list(support)
-        for i in idx:  # a bool is an int to Python, but a mask entry here
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        for i in idx:  # a bool is a mask entry here, not an index
+            if not is_integer(i):
                 raise ValueError(f"support must hold integer indices, got {i!r}")
         idx = np.array(idx, dtype=int)
         if np.any((idx < 0) | (idx >= self.y.size)):

@@ -57,13 +57,12 @@ stop_dist stops it, it runs every iteration up to max_iters.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, StepSizeError, check_prox_step
+from .errors import DivergenceError, StepSizeError, check_prox_step, is_integer
 from .linalg import row_norm, rows_per_call
 
 # Every DR variant is a reflection order and a choice of proxes: plain (f, g)
@@ -288,7 +287,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        if not isinstance(self.max_iters, numbers.Integral):
+        if not is_integer(self.max_iters):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")

@@ -17,7 +17,6 @@ from drsplit import (
     LinearMap,
     Problem,
     QuadraticTerm,
-    SoftPenalty,
     SolverConfig,
     build_instance,
     build_subspace_demo,
@@ -157,7 +156,7 @@ def test_criterion_8_convex_limit_regression():
         rng = np.random.default_rng(7)
         h = LinearMap(rng.normal(size=(10, 6)))
         y = rng.normal(size=10)
-        problem = Problem(QuadraticTerm(h, y), SoftPenalty(0.7))
+        problem = Problem(QuadraticTerm(h, y), FirmPenalty(0.7, 0.0))
         alpha = 0.8
         z_main = z_shift = rng.normal(size=6)
         for _ in range(100):

@@ -212,7 +212,7 @@ class TestEmpiricalLipschitz:
             empirical_lipschitz(lambda x: x, sampler, 50)
         with pytest.raises(ValueError, match="n_pairs must be >= 1, got 0"):
             empirical_lipschitz(lambda x: x, lambda rng: rng.normal(size=2), 0)
-        for n_pairs in (2.5, 2.0, math.nan):
+        for n_pairs in (2.5, 2.0, math.nan, True, False):  # a bool is no count
             with pytest.raises(ValueError, match=re.escape(f"n_pairs must be an integer, got {n_pairs!r}")):
                 empirical_lipschitz(lambda x: x, lambda rng: rng.normal(size=2), n_pairs)
 

@@ -222,6 +222,22 @@ def test_solve_rejects_nonconvex_shift(tmp_path, capsys):
     assert f"drsplit: error: shift rho = {2.0 * s:.6g} exceeds the strong convexity s = {s:.6g}\n" in err
 
 
+def test_solve_takes_a_convex_instance_at_rho_zero(tmp_path, capsys):
+    # At rho = 0 the firm penalty is the soft threshold and the shift is 0,
+    # so dr-shift-fg steps as dr-main-fg does, from the same default step.
+    path = tmp_path / "instance.json"
+    data = build_instance(EXP2, seed=4).to_json_dict()
+    path.write_text(json.dumps({**data, "penalty": {**data["penalty"], "rho": 0}}))
+    summaries = []
+    for variant in ("dr-main-fg", "dr-shift-fg"):
+        assert main(["solve", "--instance", str(path), "--variant", variant, "--tol", "1e-9"]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    main_fg, shift_fg = summaries
+    assert main_fg["converged"] and shift_fg["converged"]
+    assert main_fg["iterations"] == shift_fg["iterations"]
+    assert main_fg["final_x"] == shift_fg["final_x"]
+
+
 def test_exp2_command_writes_report(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = main(

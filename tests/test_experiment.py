@@ -347,11 +347,13 @@ class TestRunExperiment:
             dataclasses.replace(EXP2, **{name: -1})
 
     # 2.5 passes each range, so only the type test can name the field before
-    # a run: numpy's own error, raised mid-run, names none.
+    # a run: numpy's own error, raised mid-run, names none.  True passes each
+    # range too, and would run as 1.
     @pytest.mark.parametrize("name", ["n_seeds", "max_iters", "reference_iters", "sparsity", "signal_len", "filter_len"])
     def test_counts_and_sizes_must_be_integers(self, name):
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got 2.5")):
-            dataclasses.replace(EXP2, **{name: 2.5})
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad}")):
+                dataclasses.replace(EXP2, **{name: bad})
         assert getattr(dataclasses.replace(EXP2, **{name: np.int64(12)}), name) == 12
 
     @pytest.mark.parametrize("name", ["alpha_fraction", "relaxation"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drsplit import FirmPenalty, SoftPenalty, StepSizeError, ZeroPenalty
+from drsplit import FirmPenalty, StepSizeError, ZeroPenalty
 from oracles import grid_prox, grid_shifted_prox
 
 
@@ -42,7 +42,7 @@ class TestFirmEval:
         with pytest.raises(ValueError, match=r"a scalar or a \(B, 1\) column, got shape \(3,\)"):
             FirmPenalty(np.ones(3), 0.5)
         with pytest.raises(ValueError, match="tau must be positive"):
-            SoftPenalty(0.0)
+            FirmPenalty(0.0, 0.0)
 
 
 class TestFirmProx:
@@ -69,7 +69,7 @@ class TestFirmProx:
         with pytest.raises(StepSizeError):
             p.prox(1.0, 1.5)
         # a NaN step fails the gate of every penalty prox
-        for prox in (p.prox, p.shifted_prox, SoftPenalty(2.0).prox):
+        for prox in (p.prox, p.shifted_prox, FirmPenalty(2.0, 0.0).prox):
             with pytest.raises(StepSizeError):
                 prox(np.ones(3), math.nan)
 
@@ -176,16 +176,35 @@ def test_midpoint_convexity_of_convexified_penalty():
 
 class TestConvexLimits:
     def test_soft_penalty_prox_is_soft_threshold(self):
-        p = SoftPenalty(2.0)
+        p = FirmPenalty(2.0, 0.0)
         assert p.modulus == 0.0
         np.testing.assert_allclose(p.prox(np.array([-3.0, 0.5, 3.0]), 0.5), [-2.0, 0.0, 2.0], atol=1e-15)
         assert p.value([1.0, -2.0]) == pytest.approx(6.0)
 
     def test_soft_is_firm_rho_to_zero(self):
         firm = FirmPenalty(2.0, 1e-9)
-        soft = SoftPenalty(2.0)
+        soft = FirmPenalty(2.0, 0.0)
         t = np.linspace(-4, 4, 101)
         np.testing.assert_allclose(firm.prox(t, 0.5), soft.prox(t, 0.5), atol=1e-8)
+
+    @pytest.mark.parametrize("tau", [2.0, np.array([[0.5], [1.0], [2.0]])], ids=["scalar", "column"])
+    def test_firm_at_zero_rho_is_soft_threshold(self, tau):
+        # rho = 0 is in the family: the knee tau/rho is infinite, so the
+        # middle band, divided by 1 - alpha * 0 = 1, is the soft threshold.
+        # The grid is dyadic, so tau * sum|x| is exact in any order.
+        p, alpha = FirmPenalty(tau, 0.0), 0.7
+        x = np.broadcast_to(np.linspace(-5.0, 5.0, 81), p.block_shape + (81,))
+        out = p.prox(x, alpha)
+        np.testing.assert_array_equal(out, np.sign(x) * np.maximum(np.abs(x) - alpha * tau, 0.0))
+        weights = np.reshape(tau, p.block_shape)  # one tau per row
+        np.testing.assert_array_equal(p.value(x), weights * np.sum(np.abs(x), axis=-1))
+        assert p.zones(x)[1].all()
+        np.testing.assert_array_equal(p.shifted_prox(x, alpha), out)
+
+    def test_rho_must_be_nonnegative(self):
+        for rho in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="rho must be nonnegative"):
+                FirmPenalty(1.0, rho)
 
     def test_zero_penalty(self):
         p = ZeroPenalty()
@@ -194,6 +213,6 @@ class TestConvexLimits:
         np.testing.assert_array_equal(p.prox(x, 3.0), x)
 
     def test_shifted_prox_reduces_to_prox_at_zero_modulus(self):
-        p = SoftPenalty(1.0)
+        p = FirmPenalty(1.0, 0.0)
         x = np.array([0.4, -2.2])
         np.testing.assert_array_equal(p.shifted_prox(x, 0.7), p.prox(x, 0.7))

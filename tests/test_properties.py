@@ -16,7 +16,6 @@ from drsplit import (
     LinearMap,
     Problem,
     QuadraticTerm,
-    SoftPenalty,
     SubspaceConstraint,
     contraction_rate_main,
     contraction_rate_shift,
@@ -37,8 +36,7 @@ def instances(draw):
     s, sigma = operator.gram_extremes()
     rho = s * draw(st.floats(0.0, 0.999999) | st.just(0.999999))
     tau = draw(st.floats(0.1, 2.0))
-    penalty = FirmPenalty(tau, rho) if rho > 0 else SoftPenalty(tau)
-    return Problem(QuadraticTerm(operator, rng.normal(size=m)), penalty), s, sigma, rho, tau
+    return Problem(QuadraticTerm(operator, rng.normal(size=m)), FirmPenalty(tau, rho)), s, sigma, rho, tau
 
 
 def worst_ratio(problem, alpha, variant, s, rho, tau):
@@ -103,7 +101,7 @@ def test_firm_shifted_prox_matches_grid_oracle(case):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.floats(0.1, 2.0), st.floats(-3.0, 3.0), st.floats(1e-3, 4.0))
 def test_soft_prox_matches_grid_oracle(tau, t_scale, alpha):
-    p, t = SoftPenalty(tau), t_scale * tau * alpha
+    p, t = FirmPenalty(tau, 0.0), t_scale * tau * alpha
     expected = grid_prox(p.pointwise, t, alpha, 0.0)  # no plateau: the grid spans 2|t|
     assert float(p.prox(np.array([t]), alpha)[0]) == pytest.approx(expected, abs=1e-6)
 

@@ -14,7 +14,6 @@ from drsplit import (
     Problem,
     QuadraticTerm,
     RankDeficiencyError,
-    SoftPenalty,
     SolverConfig,
     StepSizeError,
     SubspaceConstraint,
@@ -162,7 +161,7 @@ class TestStepValidators:
     def test_default_alpha_of_an_unbounded_step(self):
         # At rho = 0 both DR bounds are infinite: the default is 1/sigma, and
         # without a sigma there is none.
-        problem = Problem(QuadraticTerm(LinearMap(np.diag([2.0, 1.0])), np.ones(2)), SoftPenalty(1.0))
+        problem = Problem(QuadraticTerm(LinearMap(np.diag([2.0, 1.0])), np.ones(2)), FirmPenalty(1.0, 0.0))
         for variant in ("dr-main-fg", "dr-shift-gf"):
             assert default_alpha(problem, variant) == 0.25
         bare = Problem(SubspaceConstraint(np.ones(3), [0]), ZeroPenalty())
@@ -259,7 +258,7 @@ class TestShiftReducesToMain:
             dr_step(problem, z, a, "dr-shift-gf"), dr_step(problem, z, a, "dr-main-gf"), atol=1e-9
         )
 
-    @pytest.mark.parametrize("penalty", [SoftPenalty(0.5), ZeroPenalty()])
+    @pytest.mark.parametrize("penalty", [FirmPenalty(0.5, 0.0), ZeroPenalty()])
     def test_exact_sequence_match_at_zero_modulus(self, penalty):
         rng = np.random.default_rng(1)
         h = LinearMap(rng.normal(size=(6, 4)))
@@ -463,7 +462,7 @@ class TestStopDistAndAudit:
                 SolverConfig("dr-main-fg", tol=bad, max_iters=300)
         with pytest.raises(ValueError, match="max_iters must be nonnegative, got -1"):
             SolverConfig("ista", max_iters=-1)
-        for bad in (2.5, np.nan):  # named here, not by numpy when run() sizes its columns
+        for bad in (2.5, np.nan, True, False):  # named here, not by numpy when run() sizes its columns
             with pytest.raises(ValueError, match=f"max_iters must be an integer, got {bad}"):
                 SolverConfig("ista", max_iters=bad)
 
